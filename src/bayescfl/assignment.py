@@ -1,16 +1,24 @@
 """Client-to-cluster assignment under the one-cluster-per-client constraint.
 
 Because each client independently picks exactly one cluster, the total cost of
-an assignment separates across clients, so the optimum is the per-client
-argmin and the M best assignments come from a best-first search over
-per-client deviations (no general rectangular solver needed). A linear-time
-single-substitution heuristic is provided alongside the exact ranking.
+an assignment separates across clients: the optimum is the per-client argmin,
+and every other assignment is a sparse set of per-client rank increments from
+it. ``m_best_exact`` ranks the M best assignments by a best-first search over
+those sparse diffs (in the line of Murty 1968 and the M-best step of Reid's
+MHT), in O(C*K log K + M log M) plus the size of the output. Assignments are
+ordered by (cost, labels): cost is ``_total_cost``, the sum of the gathered
+entries, and exact cost ties go to the lexicographically smaller labels. When
+more than M assignments lie within rounding of the M-th cost, the order among
+those near-ties is only kept to rounding level (see ``m_best_exact``).
+``m_best_heuristic``, an approximate ranking that no run path calls, is
+deprecated and due for removal.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +57,12 @@ class Assignment:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
-        if any(v < 0 for v in self.labels):
+        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
+        if self.labels and min(self.labels) < 0:
             raise ContractError("labels must be nonnegative")
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def as_matrix(self, cluster_count: int) -> np.ndarray:
-        a = np.zeros((len(self.labels), cluster_count), dtype=int)
-        for j, i in enumerate(self.labels):
-            a[j, i] = 1
-        return a
 
 
 @dataclass(frozen=True)
@@ -107,41 +109,90 @@ def best_assignment(L: CostMatrix) -> tuple[Assignment, float]:
 
 
 def m_best_exact(L: CostMatrix, M: int) -> RankedAssignments:
-    """The min(M, K^C) cheapest assignments in exact nondecreasing cost order.
+    """The min(M, K^C) cheapest assignments, ordered by (cost, labels).
 
-    Best-first search over per-client rank vectors: each client's costs are
-    sorted once, the search starts from everyone at rank 0 (the optimum) and
-    expands one rank increment at a time. Exact because the cost separates
-    across clients. Ties order lexicographically by labels.
+    Each row is sorted once (ties to the lower cluster index). A state lists,
+    as sparse diffs from the per-client optimum, which rank each touched
+    client takes. With the clients ordered by their first increment (then by
+    the labels that increment gives), every state has a unique parent, and
+    each pop pushes at most three successors: deepen the last touched client,
+    slide it to the next client (from its first increment only), or touch the
+    next client at its first increment. Pushes update the cost in O(1) and
+    carry a key of one integer per touched client that compares like the
+    full labels, so states pop in (incremental cost, labels) order, exact
+    ties included. That costs O(C*K log K + M log M), plus O(C) per popped
+    state to build its labels.
+
+    After the M-th pop, popping goes on while the next incremental cost is
+    within a rounding slack of the M-th, for at most M more states. The
+    popped states' costs are then recomputed with ``_total_cost``, sorted by
+    (cost, labels) and cut to M. If the window closes before that bound, the
+    result is exactly the first-M prefix of every assignment sorted by that
+    key. Otherwise (more than M assignments within rounding of the M-th
+    cost) the tail may differ from that prefix by rounding-level cost
+    differences and their label order.
     """
     if M < 1:
         raise ContractError("M must be >= 1")
     entries = L.entries
     C, K = entries.shape
-    # per client: cluster indices sorted by (cost, cluster index)
-    order = [sorted(range(K), key=lambda i: (entries[j, i], i)) for j in range(C)]
+    order = np.argsort(entries, axis=1, kind="stable")
+    ranked = np.take_along_axis(entries, order, axis=1)
+    incs = (ranked - ranked[:, :1]).tolist()
+    order_rows = order.tolist()
+    # elem[j][r] for r >= 1 compares like the labels with client j moved to
+    # rank r: its sign says whether that label is above the optimum's, its
+    # magnitude puts lower client indices first; 0 ends a key.
+    elem = [[(C - j) * K * (1 if lbl > row[0] else -1) + lbl for lbl in row]
+            for j, row in enumerate(order_rows)]
+    active = sorted(range(C), key=lambda j: (incs[j][1], elem[j][1])) if K > 1 else []
+    base_scale = float(np.abs(ranked[:, 0]).sum())
 
-    def labels_of(ranks: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(order[j][r] for j, r in enumerate(ranks))
+    def window(cost: float) -> float:
+        # exceeds twice the rounding error of any cost near ``cost``
+        return cost + 8 * (C + 2) * np.finfo(float).eps * (base_scale + cost)
 
-    start = (0,) * C
-    start_labels = labels_of(start)
-    heap = [(_total_cost(entries, start_labels), start_labels, start)]
-    seen = {start}
-    collected: list[tuple[tuple[int, ...], float]] = []
-    budget = min(M, K**C)
-    while heap and len(collected) < budget:
-        cost, labels, ranks = heapq.heappop(heap)
-        collected.append((labels, cost))
-        for j in range(C):
-            if ranks[j] + 1 < K:
-                nxt = ranks[:j] + (ranks[j] + 1,) + ranks[j + 1:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    nxt_labels = labels_of(nxt)
-                    heapq.heappush(heap, (_total_cost(entries, nxt_labels), nxt_labels, nxt))
-    collected.sort(key=lambda item: (item[1], item[0]))
-    return RankedAssignments(tuple((Assignment(lbl), cost) for lbl, cost in collected))
+    def insert(key: tuple[int, ...], e: int) -> tuple[int, ...]:
+        # key lists touched clients by increasing index, ended by 0
+        j, i = C - abs(e // K), 0
+        while key[i] and C - abs(key[i] // K) < j:
+            i += 1
+        return key[:i] + (e,) + key[i:]
+
+    popped = [(0.0, (0,))]
+    # entry: (cost, key, position, rank, rest cost, rest key)
+    heap = []
+    if active:
+        j = active[0]
+        heap.append((incs[j][1], insert((0,), elem[j][1]), 0, 1, 0.0, (0,)))
+    limit = window(0.0) if M == 1 else math.inf
+    while heap and heap[0][0] <= limit and len(popped) < 2 * M:
+        cost, key, t, r, rest_cost, rest_key = heapq.heappop(heap)
+        popped.append((cost, key))
+        if len(popped) == M:
+            limit = window(cost)
+        j = active[t]
+        if r + 1 < K:
+            heapq.heappush(heap, (rest_cost + incs[j][r + 1], insert(rest_key, elem[j][r + 1]),
+                                  t, r + 1, rest_cost, rest_key))
+        if t + 1 < len(active):
+            nxt = active[t + 1]
+            if r == 1:
+                heapq.heappush(heap, (rest_cost + incs[nxt][1], insert(rest_key, elem[nxt][1]),
+                                      t + 1, 1, rest_cost, rest_key))
+            heapq.heappush(heap, (cost + incs[nxt][1], insert(key, elem[nxt][1]),
+                                  t + 1, 1, cost, key))
+
+    best = [row[0] for row in order_rows]
+    items = []
+    for _, key in popped:
+        labels = best.copy()
+        for e in key[:-1]:
+            labels[C - abs(e // K)] = e % K
+        labels = tuple(labels)
+        items.append((_total_cost(entries, labels), labels))
+    items.sort()
+    return RankedAssignments(tuple((Assignment(lbl), cost) for cost, lbl in items[:M]))
 
 
 def m_best_heuristic(L: CostMatrix, M: int) -> RankedAssignments:

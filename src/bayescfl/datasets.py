@@ -45,12 +45,18 @@ class ClientDataset:
         feats = np.array(self.features, dtype=float)
         if feats.ndim != 2:
             raise ContractError("features must be a 2-D array (n, dim)")
+        if not np.all(np.isfinite(feats)):
+            raise ContractError(
+                f"client {self.client_id} round {self.round}: features must be finite")
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
             labels = np.array(self.labels)
             if labels.shape != (feats.shape[0],):
                 raise ContractError("labels must have one entry per observation")
+            if labels.dtype.kind in "fc" and not np.all(np.isfinite(labels)):
+                raise ContractError(
+                    f"client {self.client_id} round {self.round}: labels must be finite")
             labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
 

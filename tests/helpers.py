@@ -1,11 +1,13 @@
 """Shared test oracles: brute-force and integration baselines kept independent
 of the implementation paths they check."""
 
+import heapq
 import itertools
 
 import numpy as np
 
-from bayescfl import Assignment, ClientDataset, GaussianDensity
+from bayescfl import Assignment, ClientDataset, CostMatrix, GaussianDensity
+from bayescfl.assignment import _total_cost
 
 
 def brute_force_ranking(entries: np.ndarray):
@@ -17,6 +19,38 @@ def brute_force_ranking(entries: np.ndarray):
         items.append((labels, cost))
     items.sort(key=lambda it: (it[1], it[0]))
     return items
+
+
+def reference_m_best(L: CostMatrix, M: int) -> list[tuple[tuple[int, ...], float]]:
+    """Best-first search over full per-client rank vectors, costing every
+    neighbour with ``_total_cost`` (O(M*C^2) per call): the oracle that
+    ``m_best_exact`` must match exactly. Returns (labels, cost) pairs in
+    (cost, labels) order."""
+    entries = L.entries
+    C, K = entries.shape
+    # per client: cluster indices sorted by (cost, cluster index)
+    order = [sorted(range(K), key=lambda i: (entries[j, i], i)) for j in range(C)]
+
+    def labels_of(ranks: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(order[j][r] for j, r in enumerate(ranks))
+
+    start = (0,) * C
+    start_labels = labels_of(start)
+    heap = [(_total_cost(entries, start_labels), start_labels, start)]
+    seen = {start}
+    collected: list[tuple[tuple[int, ...], float]] = []
+    while heap and len(collected) < M:
+        cost, labels, ranks = heapq.heappop(heap)
+        collected.append((labels, cost))
+        for j in range(C):
+            if ranks[j] + 1 < K:
+                nxt = ranks[:j] + (ranks[j] + 1,) + ranks[j + 1:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    nxt_labels = labels_of(nxt)
+                    heapq.heappush(heap, (_total_cost(entries, nxt_labels), nxt_labels, nxt))
+    collected.sort(key=lambda item: (item[1], item[0]))
+    return collected
 
 
 def grid_posterior_moments(prior: GaussianDensity, loglik, lo: float, hi: float,

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bayescfl import (Assignment, ContractError, CostMatrix, best_assignment,
+from bayescfl import (ContractError, CostMatrix, best_assignment,
                       build_cost_matrix, count_hypotheses_constrained,
                       count_hypotheses_unconstrained, enumerate_assignments,
                       m_best_exact, m_best_heuristic)
-from helpers import brute_force_ranking
+from bayescfl.assignment import _total_cost
+from helpers import brute_force_ranking, reference_m_best
 
 COSTS_3X2 = CostMatrix(np.array([[5.0, 8.0], [8.0, 2.0], [4.0, 8.0]]))
 
@@ -103,6 +106,118 @@ class TestMBestExact:
             assert abs(cost - direct) <= 1e-12
 
 
+def _random_costs(rng, C, K, kind):
+    if kind == "integer-ties":
+        return rng.integers(0, 4, (C, K)).astype(float)
+    if kind == "mixed-scales":
+        return rng.standard_normal((C, K)) * 10.0 ** rng.uniform(-3, 3, (C, 1))
+    # integer ties at a scale that makes the sums inexact
+    return rng.integers(0, 5, (C, K)) * 10.0 ** rng.uniform(-3, 3)
+
+
+def _labelled(ranked):
+    return [(a.labels, c) for a, c in ranked]
+
+
+class TestMBestAgainstReference:
+    """The sparse-diff ranking against the full-rank-vector best-first search."""
+
+    @pytest.mark.parametrize("seed", range(45))
+    def test_random_matrices(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        kind = ("integer-ties", "mixed-scales", "scaled-ties")[seed % 3]
+        C, K = int(rng.integers(1, 31)), int(rng.integers(1, 7))
+        L = CostMatrix(_random_costs(rng, C, K, kind))
+        M = int(rng.integers(1, 200))
+        assert _labelled(m_best_exact(L, M)) == reference_m_best(L, M)
+
+    @pytest.mark.parametrize("kind", ["integer-ties", "mixed-scales", "scaled-ties"])
+    def test_single_cluster(self, kind):
+        L = CostMatrix(_random_costs(np.random.default_rng(7), 30, 1, kind))
+        got = _labelled(m_best_exact(L, 5))
+        assert got == reference_m_best(L, 5) and len(got) == 1
+
+    @pytest.mark.parametrize("kind", ["integer-ties", "mixed-scales", "scaled-ties"])
+    def test_m_equals_one(self, kind):
+        L = CostMatrix(_random_costs(np.random.default_rng(8), 30, 6, kind))
+        assert _labelled(m_best_exact(L, 1)) == reference_m_best(L, 1)
+
+    @pytest.mark.parametrize("kind", ["integer-ties", "mixed-scales", "scaled-ties"])
+    def test_m_beyond_assignment_count(self, kind):
+        L = CostMatrix(_random_costs(np.random.default_rng(9), 4, 3, kind))
+        got = _labelled(m_best_exact(L, 3**4 + 10))
+        assert got == reference_m_best(L, 3**4 + 10) and len(got) == 3**4
+
+    def test_all_costs_tied(self):
+        # every one of 8^40 assignments ties: the first M in label order
+        L = CostMatrix(np.zeros((40, 8)))
+        assert _labelled(m_best_exact(L, 20)) == reference_m_best(L, 20)
+
+    def test_far_entries_do_not_widen_the_search(self):
+        # one clamped log weight per row (cost 1e12) must not loosen the
+        # rounding window, which only covers entries a ranked sum can reach
+        rng = np.random.default_rng(11)
+        entries = rng.standard_normal((60, 8)) * 50 + 500
+        entries[np.arange(60), rng.integers(0, 8, 60)] = 1e12
+        L = CostMatrix(entries)
+        assert _labelled(m_best_exact(L, 16)) == reference_m_best(L, 16)
+
+
+class TestMBestNearTies:
+    """More than M assignments within rounding of the M-th cost: the search
+    stops after 2M states, so ranks may differ from the full ordering only by
+    rounding-level costs and the label order among them."""
+
+    @pytest.mark.parametrize("M", [1, 16])
+    def test_ulp_ties_return(self, M):
+        # each client's two entries are one ulp apart: all 2^40 assignments
+        # lie within rounding of each other
+        L = CostMatrix(np.tile([1000.0, np.nextafter(1000.0, 2e3)], (40, 1)))
+        ranked = m_best_exact(L, M)
+        assert len(ranked) == M
+        assert ranked[0] == best_assignment(L)
+        costs = [c for _, c in ranked]
+        assert all(a <= b for a, b in zip(costs, costs[1:]))
+        np.testing.assert_allclose(costs, [c for _, c in reference_m_best(L, M)],
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("seed", [9, 10, 35])
+    def test_inexact_integer_ties(self, seed):
+        # integer costs at a scale where equal sums round differently
+        rng = np.random.default_rng(seed)
+        entries = rng.integers(0, 5, (24, 3)) * 10.0 ** rng.uniform(-3, 3)
+        L = CostMatrix(entries)
+        got, want = _labelled(m_best_exact(L, 60)), reference_m_best(L, 60)
+        tol = 1e-12 * np.abs(entries).sum()
+        assert [c for _, c in got] == pytest.approx([c for _, c in want], rel=0, abs=tol)
+        settled = [item for item in want if item[1] < want[-1][1] - tol]
+        assert got[:len(settled)] == settled
+
+
+@st.composite
+def small_cost_cases(draw):
+    C, K = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cells = st.integers(0, 3).map(float)
+    rows = draw(st.lists(st.lists(cells, min_size=K, max_size=K), min_size=C, max_size=C))
+    return np.array(rows), draw(st.integers(1, K**C + 2))
+
+
+class TestMBestProperties:
+    @given(small_cost_cases())
+    def test_prefix_of_brute_force(self, case):
+        entries, M = case
+        C, K = entries.shape
+        L = CostMatrix(entries)
+        ranked = m_best_exact(L, M)
+        everything = sorted((_total_cost(entries, a.labels), a.labels)
+                            for a in enumerate_assignments(K, C))
+        assert _labelled(ranked) == [(lbl, c) for c, lbl in everything[:M]]
+        costs = [c for _, c in ranked]
+        assert all(a <= b for a, b in zip(costs, costs[1:]))
+        assert len({a.labels for a, _ in ranked}) == len(ranked)
+        assert ranked[0] == best_assignment(L)
+
+
 class TestMBestHeuristic:
     def test_m1_is_best_assignment(self):
         ranked = m_best_heuristic(COSTS_3X2, 1)
@@ -153,11 +268,3 @@ class TestCounting:
         got = [a.labels for a in enumerate_assignments(3, 2)]
         assert got == sorted(got)
         assert len(set(got)) == 9
-
-
-class TestAssignmentType:
-    def test_matrix_form_satisfies_constraint(self):
-        a = Assignment((0, 2, 1))
-        m = a.as_matrix(3)
-        assert np.all(m.sum(axis=1) == 1)
-        assert np.trace(m.T @ m) == 3

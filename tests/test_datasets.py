@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bayescfl import ContractError, SkewConfig, gen_feature_skew, gen_label_skew
+from bayescfl import (ClientDataset, ContractError, SkewConfig, gen_feature_skew,
+                      gen_label_skew)
 from bayescfl.datasets import (draw_client_distributions, export_csv,
                                gen_heldout, import_csv,
                                label_skew_distributions, separated_centers)
@@ -174,3 +175,18 @@ class TestCsvRoundTrip:
         for da, db in zip(scen.rounds[0], back[0]):
             assert np.array_equal(da.features, db.features)
             assert np.array_equal(da.labels, db.labels)
+
+
+class TestClientDatasetValidation:
+    def test_rejects_nan(self):
+        with pytest.raises(ContractError, match="client 3 round 4: features"):
+            ClientDataset(client_id=3, round=4, features=[[0.0], [np.nan]], labels=None)
+        with pytest.raises(ContractError, match="client 3 round 4: labels"):
+            ClientDataset(client_id=3, round=4, features=[[0.0], [1.0]],
+                          labels=[0.5, np.nan])
+
+    def test_rejects_inf(self):
+        with pytest.raises(ContractError, match="client 5 round 1: features"):
+            ClientDataset(client_id=5, round=1, features=[[np.inf, 0.0]], labels=None)
+        with pytest.raises(ContractError, match="client 5 round 1: labels"):
+            ClientDataset(client_id=5, round=1, features=[[1.0, 0.0]], labels=[-np.inf])
