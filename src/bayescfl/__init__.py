@@ -13,8 +13,7 @@ from .assignment import (Assignment, CostMatrix, RankedAssignments,
 from .datasets import (ClientDataset, GeneratedScenario, SkewConfig,
                        gen_feature_skew, gen_heldout, gen_label_skew,
                        gen_scenario)
-from .density import (GaussianDensity, SampleSet, fuse_local_posteriors,
-                      merge_mixture)
+from .density import GaussianDensity, fuse_local_posteriors, merge_mixture
 from .errors import (ConfigError, ContractError, DegenerateHypothesisSetError,
                      FusionDegenerateError, NumericalError, SingularModelError)
 from .hypotheses import (Candidate, Hypothesis, HypothesisSet, consensus_merge,
@@ -38,7 +37,7 @@ __all__ = [
     "m_best_heuristic",
     "ClientDataset", "GeneratedScenario", "SkewConfig", "gen_feature_skew",
     "gen_heldout", "gen_label_skew", "gen_scenario",
-    "GaussianDensity", "SampleSet", "fuse_local_posteriors", "merge_mixture",
+    "GaussianDensity", "fuse_local_posteriors", "merge_mixture",
     "ConfigError", "ContractError", "DegenerateHypothesisSetError",
     "FusionDegenerateError", "NumericalError", "SingularModelError",
     "Candidate", "Hypothesis", "HypothesisSet", "consensus_merge", "expand",

@@ -12,10 +12,8 @@ client indices, so generation is reproducible and parallelizable by client.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -265,60 +263,3 @@ def gen_heldout(cfg: SkewConfig, n_samples: int) -> tuple[ClientDataset, ...]:
     return tuple(_label_skew_client(cfg, class_means, client_dists, 0, j,
                                     n_samples, _HELDOUT)
                  for j in range(cfg.client_count))
-
-
-def export_csv(rounds, path) -> None:
-    """Columnar dump: client_id, round, true_group, label, f0..f{d-1}."""
-    rounds = [list(r) for r in rounds]
-    if not rounds or not rounds[0]:
-        raise ContractError("nothing to export")
-    dim = rounds[0][0].feature_dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client_id", "round", "true_group", "label"]
-                        + [f"f{k}" for k in range(dim)])
-        for row in rounds:
-            for ds in row:
-                for i in range(ds.n_samples):
-                    label = "" if ds.labels is None else repr(ds.labels[i].item())
-                    writer.writerow([ds.client_id, ds.round, ds.true_group, label]
-                                    + [repr(float(v)) for v in ds.features[i]])
-
-
-def import_csv(path) -> tuple[tuple[ClientDataset, ...], ...]:
-    """Inverse of export_csv; rows regroup by (round, client_id)."""
-    path = Path(path)
-    buckets: dict[tuple[int, int], dict] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 4
-        for row in reader:
-            j, t, g = int(row[0]), int(row[1]), int(row[2])
-            rec = buckets.setdefault((t, j), {"group": g, "feats": [], "labels": []})
-            rec["feats"].append([float(v) for v in row[4:4 + dim]])
-            rec["labels"].append(None if row[3] == "" else _parse_label(row[3]))
-    if not buckets:
-        raise ContractError(f"no data rows in {path}")
-    t_values = sorted({t for t, _ in buckets})
-    j_values = sorted({j for _, j in buckets})
-    rounds = []
-    for t in t_values:
-        row = []
-        for j in j_values:
-            rec = buckets[(t, j)]
-            labels = None
-            if any(v is not None for v in rec["labels"]):
-                labels = np.array(rec["labels"])
-            row.append(ClientDataset(client_id=j, round=t,
-                                     features=np.array(rec["feats"]),
-                                     labels=labels, true_group=rec["group"]))
-        rounds.append(tuple(row))
-    return tuple(rounds)
-
-
-def _parse_label(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)

@@ -7,7 +7,7 @@ operation returns a new instance. Covariances are kept as full matrices
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -53,11 +53,13 @@ class GaussianDensity:
 
     Invariants checked at construction: mean is a vector, covariance is a
     matching square matrix, symmetric to 1e-12 relative tolerance, and
-    positive-definite (a Cholesky factorization must succeed).
+    positive-definite (a Cholesky factorization must succeed). That lower
+    factor is kept, read-only, as ``chol``.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = _freeze(np.atleast_1d(self.mean))
@@ -71,19 +73,17 @@ class GaussianDensity:
         if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
             raise ContractError("covariance is not symmetric")
         try:
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ContractError("covariance is not positive-definite") from exc
+        chol.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "chol", chol)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @cached_property
-    def chol(self) -> np.ndarray:
-        return np.linalg.cholesky(self.covariance)
 
     @cached_property
     def precision(self) -> np.ndarray:
@@ -124,28 +124,6 @@ def from_info(precision: np.ndarray, shift: np.ndarray,
     mean = cho_solve((low, True), np.asarray(shift, dtype=float))
     cov, _ = spd_cholesky(cov)
     return GaussianDensity(mean, cov)
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Weighted parameter samples drawn from a cluster density."""
-
-    samples: np.ndarray   # (n, dim)
-    weights: np.ndarray   # (n,), nonnegative, sums to 1
-
-    def __post_init__(self):
-        samples = _freeze(np.atleast_2d(self.samples))
-        weights = _freeze(np.atleast_1d(self.weights))
-        if samples.shape[0] == 0:
-            raise ContractError("sample set must be nonempty")
-        if weights.shape != (samples.shape[0],):
-            raise ContractError("weights must pair one-to-one with samples")
-        if np.any(weights < 0):
-            raise ContractError("weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ContractError("weights must sum to 1")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "weights", weights)
 
 
 def fuse_local_posteriors(locals_: Sequence[GaussianDensity],

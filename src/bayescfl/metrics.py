@@ -3,8 +3,6 @@ classification metrics, parameter recovery error, and held-out likelihood."""
 
 from __future__ import annotations
 
-import itertools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,46 +12,65 @@ from .errors import ContractError
 from .models import LocalModelSpec, data_log_likelihood
 from .reports import RoundReport
 
-logger = logging.getLogger(__name__)
-
-EXHAUSTIVE_MATCH_LIMIT = 6
-
 
 def _match_pairs(table: np.ndarray, maximize: bool) -> list[tuple[int, int]]:
     """Injective row/column pairing optimizing the summed table entries.
 
-    Exhaustive over permutations up to EXHAUSTIVE_MATCH_LIMIT rows/columns,
-    greedy beyond that (the crossover is logged).
+    Exact for every shape: the Hungarian method (Kuhn 1955) with row/column
+    potentials and one shortest augmenting path per row of the smaller side,
+    O(n^2 m) for n = min(rows, cols) and m = max(rows, cols). Pairs are
+    ordered by row when rows <= cols, else by column.
     """
-    rows, cols = table.shape
-    sign = 1.0 if maximize else -1.0
-    if max(rows, cols) <= EXHAUSTIVE_MATCH_LIMIT:
-        best_val, best_pairs = -np.inf, []
-        if rows <= cols:
-            for perm in itertools.permutations(range(cols), rows):
-                val = sign * sum(table[i, perm[i]] for i in range(rows))
-                if val > best_val:
-                    best_val = val
-                    best_pairs = [(i, perm[i]) for i in range(rows)]
-        else:
-            for perm in itertools.permutations(range(rows), cols):
-                val = sign * sum(table[perm[j], j] for j in range(cols))
-                if val > best_val:
-                    best_val = val
-                    best_pairs = [(perm[j], j) for j in range(cols)]
-        return best_pairs
-    logger.info("matching %dx%d table greedily (exhaustive limit is %d)",
-                rows, cols, EXHAUSTIVE_MATCH_LIMIT)
-    work = sign * table.astype(float)
-    pairs: list[tuple[int, int]] = []
-    for _ in range(min(rows, cols)):
-        i, j = np.unravel_index(int(np.argmax(work)), work.shape)
-        if not np.isfinite(work[i, j]):
-            break
-        pairs.append((int(i), int(j)))
-        work[i, :] = -np.inf
-        work[:, j] = -np.inf
-    return pairs
+    cost = np.asarray(table, dtype=float)
+    if not np.all(np.isfinite(cost)):
+        raise ContractError("matching table entries must be finite")
+    flipped = cost.shape[0] > cost.shape[1]
+    if flipped:
+        cost = cost.T
+    n, m = cost.shape
+    rows = (-cost if maximize else cost).tolist()
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    # match[j] is the 1-based row on column j (0: free); column 0 holds the
+    # row being inserted
+    match = [0] * (m + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [inf] * (m + 1)
+        way = [0] * (m + 1)
+        used = [False] * (m + 1)
+        while match[j0]:
+            used[j0] = True
+            i0 = match[j0]
+            row, ui = rows[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    col_of = [0] * n
+    for j in range(1, m + 1):
+        if match[j]:
+            col_of[match[j] - 1] = j - 1
+    if flipped:
+        return [(c, r) for r, c in enumerate(col_of)]
+    return list(enumerate(col_of))
 
 
 def association_accuracy(report: RoundReport, truth) -> float:

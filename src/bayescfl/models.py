@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .datasets import ClientDataset
-from .density import GaussianDensity, SampleSet, spd_cholesky, symmetrize
+from .density import GaussianDensity, spd_cholesky, symmetrize
 from .errors import ContractError, SingularModelError
 
 NEWTON_MAX_ITER = 100
@@ -203,6 +203,6 @@ def assoc_log_weight_sampled(cluster: GaussianDensity, data: ClientDataset,
     if cluster.dim != spec.param_dim:
         raise ContractError(f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
-    draws = SampleSet(cluster.sample(n_samples, rng), np.full(n_samples, 1.0 / n_samples))
-    logliks = np.array([data_log_likelihood(w, data, spec) for w in draws.samples])
-    return float(logsumexp(logliks, b=draws.weights))
+    draws = cluster.sample(n_samples, rng)
+    logliks = np.array([data_log_likelihood(w, data, spec) for w in draws])
+    return float(logsumexp(logliks, b=np.full(n_samples, 1.0 / n_samples)))

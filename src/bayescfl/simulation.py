@@ -12,16 +12,16 @@ applies the mode-specific hypothesis reduction:
   multi-hypothesis  keep the best m_max trajectories
   conceptual        keep every association (exhaustive oracle; guarded)
 
-Everything is deterministic given the config seed, and the client phase is a
-pure map over (hypothesis, client) pairs, so any execution schedule yields
-identical results.
+A run is deterministic given the config seed: every sampled association
+weight draws from its own stream, seeded from the (round, hypothesis, client,
+cluster) indices.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .reports import CommLedger, RoundReport, report_from_set
 
 MODES = ("conceptual", "greedy", "consensus", "multi-hypothesis")
 CONCEPTUAL_GUARD = 10**6
+LOG_WEIGHT_FLOOR = -1e12
+MEAN_PERTURB_SCALE = 0.1     # initial cluster means, in units of the prior sigma
 _SEED_MASK = (1 << 63) - 1
 
 # seed substream tags
@@ -54,8 +56,8 @@ class WeightEstimator:
     """How clients turn cluster densities into association weights.
 
     The sampled estimator's seed is extra entropy mixed with the run seed and
-    the (round, hypothesis, client, cluster) indices, so every call site gets
-    its own reproducible stream regardless of execution schedule.
+    the (round, hypothesis, client, cluster) indices, so every sampled weight
+    has its own reproducible stream.
     """
 
     kind: str = "at-mean"        # "at-mean" | "sampled"
@@ -83,10 +85,7 @@ class RoundConfig:
     model: LocalModelSpec = LocalModelSpec("gaussian-mean", feature_dim=2,
                                            noise_variance=1.0)
     prior_sigma2: float = 10.0
-    mean_perturb_scale: float = 0.1       # times prior sigma
     prune_log_gap: float | None = None
-    participation: float = 1.0
-    log_weight_floor: float = -1e12
 
     def __post_init__(self):
         if min(self.K, self.C, self.T, self.m_max) < 1:
@@ -97,8 +96,6 @@ class RoundConfig:
             raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.warm_up_rounds < 0:
             raise ContractError("warm_up_rounds must be >= 0")
-        if self.participation != 1.0:
-            raise ContractError("only full client participation is implemented")
         if self.prior_sigma2 <= 0:
             raise ContractError("prior_sigma2 must be positive")
         if self.mode == "conceptual":
@@ -126,7 +123,7 @@ def initialize(cfg: RoundConfig) -> ServerState:
     sigma0 = float(np.sqrt(cfg.prior_sigma2))
     rng = _rng(cfg.seed, _INIT)
     cov = cfg.prior_sigma2 * np.eye(dim)
-    priors = [GaussianDensity(cfg.mean_perturb_scale * sigma0 * rng.standard_normal(dim),
+    priors = [GaussianDensity(MEAN_PERTURB_SCALE * sigma0 * rng.standard_normal(dim),
                               cov)
               for _ in range(cfg.K)]
     return ServerState(round=0,
@@ -202,35 +199,25 @@ def warm_up(clients: Sequence[ClientDataset], cfg: RoundConfig) -> list[Gaussian
 
 
 def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
-                        cfg: RoundConfig, round_index: int,
-                        mapper: Callable | None = None) -> list[np.ndarray]:
-    """One C x K log-weight matrix per live hypothesis. Pure per (p, j) job,
-    so the mapper may run jobs in any order or in parallel."""
+                        cfg: RoundConfig, round_index: int) -> list[np.ndarray]:
+    """One C x K log-weight matrix per live hypothesis."""
     est = cfg.weight_estimator
-    jobs = [(p, j) for p in range(len(hset)) for j in range(len(clients))]
-
-    def job(pj):
-        p, j = pj
-        clusters = hset.hypotheses[p].cluster_posteriors
-        row = np.empty(len(clusters))
-        for i, cluster in enumerate(clusters):
-            if est.kind == "at-mean":
-                w = assoc_log_weight_at_mean(cluster, clients[j], cfg.model)
-            else:
-                seed = int(np.random.SeedSequence(
-                    [cfg.seed & _SEED_MASK, est.seed & _SEED_MASK, _WEIGHTS,
-                     round_index, p, j, i]
-                ).generate_state(1)[0])
-                w = assoc_log_weight_sampled(cluster, clients[j], cfg.model,
-                                             est.n_samples, seed)
-            row[i] = max(w, cfg.log_weight_floor)
-        return row
-
-    rows = list((mapper or map)(job, jobs))
-    mats = [np.empty((len(clients), hset.hypotheses[p].cluster_count))
-            for p in range(len(hset))]
-    for (p, j), row in zip(jobs, rows):
-        mats[p][j] = row
+    mats = []
+    for p, hyp in enumerate(hset.hypotheses):
+        mat = np.empty((len(clients), hyp.cluster_count))
+        for j, client in enumerate(clients):
+            for i, cluster in enumerate(hyp.cluster_posteriors):
+                if est.kind == "at-mean":
+                    w = assoc_log_weight_at_mean(cluster, client, cfg.model)
+                else:
+                    seed = int(np.random.SeedSequence(
+                        [cfg.seed & _SEED_MASK, est.seed & _SEED_MASK, _WEIGHTS,
+                         round_index, p, j, i]
+                    ).generate_state(1)[0])
+                    w = assoc_log_weight_sampled(cluster, client, cfg.model,
+                                                 est.n_samples, seed)
+                mat[j, i] = max(w, LOG_WEIGHT_FLOOR)
+        mats.append(mat)
     return mats
 
 
@@ -279,15 +266,14 @@ def _comm_increment(cfg: RoundConfig, parents: int, survivors: int) -> tuple[int
 
 
 def run_round(server: ServerState, clients: Sequence[ClientDataset],
-              cfg: RoundConfig, mapper: Callable | None = None
-              ) -> tuple[ServerState, RoundReport]:
+              cfg: RoundConfig) -> tuple[ServerState, RoundReport]:
     if server.round >= cfg.T:
         raise ContractError("training horizon T already reached")
     if len(clients) != cfg.C:
         raise ContractError(f"expected {cfg.C} client datasets, got {len(clients)}")
     hset = server.hypothesis_set
 
-    mats = _client_log_weights(hset, clients, cfg, server.round, mapper)
+    mats = _client_log_weights(hset, clients, cfg, server.round)
 
     if cfg.mode == "conceptual":
         cands = _conceptual_candidates(hset, mats)
@@ -315,12 +301,11 @@ def run_round(server: ServerState, clients: Sequence[ClientDataset],
     return new_state, report
 
 
-def run_training(cfg: RoundConfig, data, true_params=None, workers: int = 0,
+def run_training(cfg: RoundConfig, data, true_params=None,
                  return_state: bool = False):
     """Fold run_round over T rounds of data (T lists of C client datasets).
 
-    Optional true_params adds a parameter_rmse metric per round; workers > 0
-    runs the client phase on a thread pool (results are schedule-independent).
+    Optional true_params adds a parameter_rmse metric per round.
     """
     rounds = [list(r) for r in data]
     if len(rounds) != cfg.T:
@@ -337,22 +322,12 @@ def run_training(cfg: RoundConfig, data, true_params=None, workers: int = 0,
         state = dataclasses.replace(
             state, hypothesis_set=HypothesisSet((root,), np.array([1.0])))
 
-    mapper = None
-    pool = None
-    if workers > 0:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=workers)
-        mapper = pool.map
-    try:
-        reports = []
-        for t in range(cfg.T):
-            state, rep = run_round(state, rounds[t], cfg, mapper)
-            if true_params is not None:
-                rep = dataclasses.replace(
-                    rep, metrics={**rep.metrics,
-                                  "parameter_rmse": parameter_rmse(rep, true_params)})
-            reports.append(rep)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    reports = []
+    for t in range(cfg.T):
+        state, rep = run_round(state, rounds[t], cfg)
+        if true_params is not None:
+            rep = dataclasses.replace(
+                rep, metrics={**rep.metrics,
+                              "parameter_rmse": parameter_rmse(rep, true_params)})
+        reports.append(rep)
     return (reports, state) if return_state else reports

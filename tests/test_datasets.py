@@ -3,8 +3,7 @@ import pytest
 
 from bayescfl import (ClientDataset, ContractError, SkewConfig, gen_feature_skew,
                       gen_label_skew)
-from bayescfl.datasets import (draw_client_distributions, export_csv,
-                               gen_heldout, import_csv,
+from bayescfl.datasets import (draw_client_distributions, gen_heldout,
                                label_skew_distributions, separated_centers)
 
 
@@ -150,31 +149,6 @@ class TestHeldout:
         train = gen_feature_skew(cfg, 1)
         held = gen_heldout(cfg, cfg.samples_per_client_per_round)
         assert not np.array_equal(train.rounds[0][0].features, held[0].features)
-
-
-class TestCsvRoundTrip:
-    def test_feature_skew(self, tmp_path):
-        scen = gen_feature_skew(feature_cfg(groups=2, clients_per_group=2,
-                                            samples_per_client_per_round=3), 2)
-        path = tmp_path / "data.csv"
-        export_csv(scen.rounds, path)
-        back = import_csv(path)
-        for ra, rb in zip(scen.rounds, back):
-            for da, db in zip(ra, rb):
-                assert da.client_id == db.client_id
-                assert da.true_group == db.true_group
-                assert np.array_equal(da.features, db.features)
-                assert db.labels is None
-
-    def test_label_skew(self, tmp_path):
-        scen = gen_label_skew(label_cfg(groups=2, clients_per_group=2,
-                                        samples_per_client_per_round=4), 1)
-        path = tmp_path / "data.csv"
-        export_csv(scen.rounds, path)
-        back = import_csv(path)
-        for da, db in zip(scen.rounds[0], back[0]):
-            assert np.array_equal(da.features, db.features)
-            assert np.array_equal(da.labels, db.labels)
 
 
 class TestClientDatasetValidation:

@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bayescfl import (CoAssociationMatrix, ContractError, LocalModelSpec,
                       RoundReport, accumulate_coassociation,
                       association_accuracy, classification_metrics,
                       heldout_log_likelihood, parameter_rmse)
+from bayescfl.metrics import _match_pairs
 from bayescfl.reports import read_ndjson, write_ndjson
 from helpers import gaussian_mean_dataset
 
@@ -60,6 +65,54 @@ class TestAssociationAccuracy:
     def test_more_clusters_than_groups(self):
         rep = report([(0, 1, 2, 3)], [1.0])
         assert association_accuracy(rep, [0, 0, 1, 1]) == 0.5
+
+    def test_exact_above_six_clusters(self):
+        # 7x7 counts: t[0,0]=10, t[0,1]=t[1,0]=9, t[1,1]=0, 1 on the rest of
+        # the diagonal. Matching greedily takes the 10 first and reaches 15;
+        # the optimum is 23.
+        labels, truth = [0] * 10, [0] * 10
+        for lab, t in ((0, 1), (1, 0)):
+            labels += [lab] * 9
+            truth += [t] * 9
+        labels += list(range(2, 7))
+        truth += list(range(2, 7))
+        rep = report([labels], [1.0])
+        assert association_accuracy(rep, truth) == 23 / 33
+
+
+def _brute_force_optimum(table: np.ndarray, maximize: bool) -> float:
+    rows, cols = table.shape
+    small, large = (table, cols) if rows <= cols else (table.T, rows)
+    sums = [sum(small[i, perm[i]] for i in range(small.shape[0]))
+            for perm in itertools.permutations(range(large), small.shape[0])]
+    return max(sums) if maximize else min(sums)
+
+
+@st.composite
+def match_tables(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.integers(0, 4).map(float)
+    entries = draw(st.lists(st.lists(cells, min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    return np.array(entries), draw(st.booleans())
+
+
+class TestMatchPairs:
+    @given(match_tables())
+    def test_reaches_brute_force_optimum(self, case):
+        table, maximize = case
+        rows, cols = table.shape
+        pairs = _match_pairs(table, maximize)
+        assert len(pairs) == min(rows, cols)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        key = 0 if rows <= cols else 1
+        assert [pair[key] for pair in pairs] == list(range(min(rows, cols)))
+        got = sum(table[i, j] for i, j in pairs)
+        assert got == _brute_force_optimum(table, maximize)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ContractError):
+            _match_pairs(np.array([[1.0, np.nan], [0.0, 2.0]]), maximize=True)
 
 
 class TestCoAssociation:
