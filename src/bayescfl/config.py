@@ -62,6 +62,25 @@ def _get(raw: dict, key: str, default=None, required: bool = False):
     return raw[key]
 
 
+def _as_int(key: str, value) -> int:
+    """A JSON integer; floats, strings and bools (which Python counts as
+    ints) are rejected instead of truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _int(raw: dict, key: str, default=None, required: bool = False) -> int:
+    return _as_int(key, _get(raw, key, default, required))
+
+
+def _bool(raw: dict, key: str, default: bool) -> bool:
+    value = _get(raw, key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def load_config(path) -> RunPlan:
     path = Path(path)
     if not path.exists():
@@ -80,18 +99,18 @@ def load_config(path) -> RunPlan:
 
 def plan_from_dict(raw: dict) -> RunPlan:
     try:
-        groups = int(_get(raw, "groups", required=True))
-        cpg = int(_get(raw, "clients_per_group", required=True))
-        c = int(_get(raw, "C", groups * cpg))
+        groups = _int(raw, "groups", required=True)
+        cpg = _int(raw, "clients_per_group", required=True)
+        c = _int(raw, "C", groups * cpg)
         if c != groups * cpg:
             raise ConfigError(
                 f"C={c} does not equal groups*clients_per_group={groups * cpg}")
-        seed = int(_get(raw, "seed", 0))
+        seed = _int(raw, "seed", 0)
 
         model_kind = str(_get(raw, "model_kind", "gaussian-mean"))
-        feature_dim = int(_get(raw, "feature_dim", 2))
+        feature_dim = _int(raw, "feature_dim", 2)
         noise_variance = float(_get(raw, "noise_variance", 1.0))
-        label_count = int(_get(raw, "label_count", 10))
+        label_count = _int(raw, "label_count", 10)
         if model_kind == "laplace-logistic":
             if _get(raw, "scheme", required=True) != "label-skew" or label_count != 2:
                 raise ConfigError(
@@ -103,18 +122,18 @@ def plan_from_dict(raw: dict) -> RunPlan:
 
         estimator_kind = str(_get(raw, "weight_estimator", "at-mean"))
         estimator = WeightEstimator(kind=estimator_kind,
-                                    n_samples=int(_get(raw, "weight_samples", 100)))
+                                    n_samples=_int(raw, "weight_samples", 100))
 
         gap = _get(raw, "prune_log_gap")
         round_config = RoundConfig(
-            K=int(_get(raw, "K", required=True)),
+            K=_int(raw, "K", required=True),
             C=c,
-            T=int(_get(raw, "T", required=True)),
-            m_max=int(_get(raw, "m_max", 1)),
+            T=_int(raw, "T", required=True),
+            m_max=_int(raw, "m_max", 1),
             mode=str(_get(raw, "mode", "greedy")),
             weight_estimator=estimator,
             fusion_mode=str(_get(raw, "fusion_mode", "prior-corrected")),
-            warm_up_rounds=int(_get(raw, "warm_up_rounds", 0)),
+            warm_up_rounds=_int(raw, "warm_up_rounds", 0),
             seed=seed,
             model=model,
             prior_sigma2=float(_get(raw, "prior_sigma2", 10.0)),
@@ -124,7 +143,7 @@ def plan_from_dict(raw: dict) -> RunPlan:
             scheme=str(_get(raw, "scheme", required=True)),
             groups=groups,
             clients_per_group=cpg,
-            samples_per_client_per_round=int(_get(raw, "samples_per_round", 50)),
+            samples_per_client_per_round=_int(raw, "samples_per_round", 50),
             alpha_group=float(_get(raw, "alpha_group", 0.1)),
             alpha_within=float(_get(raw, "alpha_within", 10.0)),
             separation=float(_get(raw, "separation", 10.0)),
@@ -133,12 +152,13 @@ def plan_from_dict(raw: dict) -> RunPlan:
             feature_dim=feature_dim,
             noise_variance=noise_variance,
             model_kind="gaussian-mean" if model_kind == "laplace-logistic" else model_kind,
-            fresh_each_round=bool(_get(raw, "fresh_each_round", True)),
+            fresh_each_round=_bool(raw, "fresh_each_round", True),
         )
         sweep = _get(raw, "sweep", {}) or {}
         sweep_modes = tuple(str(m) for m in sweep.get("mode", [round_config.mode]))
-        sweep_m_max = tuple(int(m) for m in sweep.get("m_max", [round_config.m_max]))
-        test_samples = int(_get(raw, "test_samples", 500))
+        sweep_m_max = tuple(_as_int("sweep.m_max", m)
+                            for m in sweep.get("m_max", [round_config.m_max]))
+        test_samples = _int(raw, "test_samples", 500)
         if test_samples < 1:
             raise ConfigError("test_samples must be positive")
     except ConfigError:

@@ -24,6 +24,11 @@ HypothesisId = tuple[int, int]   # (round, creation rank)
 
 @dataclass(frozen=True)
 class Hypothesis:
+    """One association trajectory. Cluster posteriors are immutable, so
+    hypotheses may share them: children start from their parent's objects,
+    and the round update hands one object to every hypothesis whose cluster
+    had the same prior and the same members."""
+
     id: HypothesisId
     parent_id: HypothesisId | None
     round: int

@@ -15,6 +15,13 @@ applies the mode-specific hypothesis reduction:
 A run is deterministic given the config seed: every sampled association
 weight draws from its own stream, seeded from the (round, hypothesis, client,
 cluster) indices.
+
+Each round computes each distinct local update, fusion and at-mean weight
+once. The children of one parent start from the parent's cluster posteriors
+and M-best siblings differ in a few labels, so most of that work repeats;
+round-scoped memos keyed on the identity of the cluster-posterior object
+share it. The same inputs reach the same pure functions, so the outputs are
+the bytes the per-hypothesis loops give.
 """
 
 from __future__ import annotations
@@ -200,15 +207,25 @@ def warm_up(clients: Sequence[ClientDataset], cfg: RoundConfig) -> list[Gaussian
 
 def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
                         cfg: RoundConfig, round_index: int) -> list[np.ndarray]:
-    """One C x K log-weight matrix per live hypothesis."""
+    """One C x K log-weight matrix per live hypothesis.
+
+    An at-mean weight is computed once per (cluster posterior, client) pair.
+    Sampled weights are never shared: each (round, p, j, i) has its own
+    seed. Keys use object ids, which stay unique because ``hset`` holds
+    every posterior for the whole call.
+    """
     est = cfg.weight_estimator
+    at_mean: dict[tuple[int, int], float] = {}
     mats = []
     for p, hyp in enumerate(hset.hypotheses):
         mat = np.empty((len(clients), hyp.cluster_count))
         for j, client in enumerate(clients):
             for i, cluster in enumerate(hyp.cluster_posteriors):
                 if est.kind == "at-mean":
-                    w = assoc_log_weight_at_mean(cluster, client, cfg.model)
+                    key = (id(cluster), j)
+                    if key not in at_mean:
+                        at_mean[key] = assoc_log_weight_at_mean(cluster, client, cfg.model)
+                    w = at_mean[key]
                 else:
                     seed = int(np.random.SeedSequence(
                         [cfg.seed & _SEED_MASK, est.seed & _SEED_MASK, _WEIGHTS,
@@ -238,18 +255,33 @@ def _conceptual_candidates(hset: HypothesisSet,
 def _update_posteriors(selected: HypothesisSet, clients: Sequence[ClientDataset],
                        cfg: RoundConfig) -> HypothesisSet:
     """Phase two: per surviving hypothesis, update every cluster's posterior
-    from its assigned clients (clusters with no clients carry over)."""
+    from its assigned clients (clusters with no clients carry over).
+
+    Each local update is computed once per (cluster posterior, client) pair
+    and each fusion once per (cluster posterior, member tuple), so siblings
+    and carried-over clusters share one immutable posterior object. Keys use
+    object ids, which stay unique because ``selected`` holds every prior
+    posterior for the whole call.
+    """
+    local: dict[tuple[int, int], GaussianDensity] = {}
+    fused: dict[tuple[int, tuple[int, ...]], GaussianDensity] = {}
     new_lists = []
     for hyp in selected.hypotheses:
         per_cluster = []
         for i, prior_i in enumerate(hyp.cluster_posteriors):
-            members = [j for j, lab in enumerate(hyp.assignment.labels) if lab == i]
+            members = tuple(j for j, lab in enumerate(hyp.assignment.labels) if lab == i)
             if not members:
                 per_cluster.append(prior_i)
                 continue
-            locals_ = [posterior_update(prior_i, clients[j], cfg.model)
-                       for j in members]
-            per_cluster.append(fuse_local_posteriors(locals_, prior_i, cfg.fusion_mode))
+            key = (id(prior_i), members)
+            if key not in fused:
+                for j in members:
+                    if (id(prior_i), j) not in local:
+                        local[id(prior_i), j] = posterior_update(prior_i, clients[j],
+                                                                 cfg.model)
+                fused[key] = fuse_local_posteriors([local[id(prior_i), j] for j in members],
+                                                   prior_i, cfg.fusion_mode)
+            per_cluster.append(fused[key])
         new_lists.append(per_cluster)
     return with_posteriors(selected, new_lists)
 

@@ -7,7 +7,9 @@ import itertools
 import numpy as np
 
 from bayescfl import Assignment, ClientDataset, CostMatrix, GaussianDensity
+from bayescfl import simulation
 from bayescfl.assignment import _total_cost
+from bayescfl.hypotheses import with_posteriors
 
 
 def brute_force_ranking(entries: np.ndarray):
@@ -51,6 +53,51 @@ def reference_m_best(L: CostMatrix, M: int) -> list[tuple[tuple[int, ...], float
                     heapq.heappush(heap, (_total_cost(entries, nxt_labels), nxt_labels, nxt))
     collected.sort(key=lambda item: (item[1], item[0]))
     return collected
+
+
+def uncached_client_log_weights(hset, clients, cfg, round_index):
+    """Phase one with one weight call per (hypothesis, client, cluster): the
+    loop that the memoized ``simulation._client_log_weights`` must match
+    exactly. Calls go through the ``simulation`` namespace, so counters
+    patched there see them."""
+    est = cfg.weight_estimator
+    mats = []
+    for p, hyp in enumerate(hset.hypotheses):
+        mat = np.empty((len(clients), hyp.cluster_count))
+        for j, client in enumerate(clients):
+            for i, cluster in enumerate(hyp.cluster_posteriors):
+                if est.kind == "at-mean":
+                    w = simulation.assoc_log_weight_at_mean(cluster, client, cfg.model)
+                else:
+                    seed = int(np.random.SeedSequence(
+                        [cfg.seed & simulation._SEED_MASK, est.seed & simulation._SEED_MASK,
+                         simulation._WEIGHTS, round_index, p, j, i]
+                    ).generate_state(1)[0])
+                    w = simulation.assoc_log_weight_sampled(cluster, client, cfg.model,
+                                                            est.n_samples, seed)
+                mat[j, i] = max(w, simulation.LOG_WEIGHT_FLOOR)
+        mats.append(mat)
+    return mats
+
+
+def uncached_update_posteriors(selected, clients, cfg):
+    """Phase two with one local update per (hypothesis, cluster, client) and
+    one fusion per (hypothesis, cluster): the loop that the memoized
+    ``simulation._update_posteriors`` must match exactly."""
+    new_lists = []
+    for hyp in selected.hypotheses:
+        per_cluster = []
+        for i, prior_i in enumerate(hyp.cluster_posteriors):
+            members = [j for j, lab in enumerate(hyp.assignment.labels) if lab == i]
+            if not members:
+                per_cluster.append(prior_i)
+                continue
+            locals_ = [simulation.posterior_update(prior_i, clients[j], cfg.model)
+                       for j in members]
+            per_cluster.append(simulation.fuse_local_posteriors(
+                locals_, prior_i, cfg.fusion_mode))
+        new_lists.append(per_cluster)
+    return with_posteriors(selected, new_lists)
 
 
 def grid_posterior_moments(prior: GaussianDensity, loglik, lo: float, hi: float,

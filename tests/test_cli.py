@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from bayescfl.cli import cli_run
-from bayescfl.config import load_config, plan_from_dict
+from bayescfl.config import canonical_dict, load_config, plan_from_dict
+from bayescfl.errors import ConfigError
+
+REPO = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = {
     "mode": "multi-hypothesis",
@@ -108,6 +112,38 @@ class TestConfigWiring:
         raw = {k: v for k, v in BASE_CONFIG.items() if k != "C"}
         plan = plan_from_dict(raw)
         assert plan.round_config.C == 4
+
+
+class TestConfigTyping:
+    @pytest.mark.parametrize("extra", [
+        {"fresh_each_round": "false"},
+        {"fresh_each_round": 0},
+        {"K": 2.9},
+        {"K": 2.0},
+        {"K": "2"},
+        {"m_max": True},
+        {"seed": False},
+        {"sweep": {"m_max": [1, 2.5]}},
+    ])
+    def test_rejects_coercible_values(self, extra):
+        with pytest.raises(ConfigError):
+            plan_from_dict(dict(BASE_CONFIG, **extra))
+
+    @pytest.mark.parametrize("extra", [{"fresh_each_round": "false"}, {"K": 2.9},
+                                       {"m_max": True}])
+    def test_cli_exits_one(self, tmp_path, extra):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **extra)))
+        assert cli_run(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("path", sorted(
+        [*(REPO / "configs").glob("*.json"), *(REPO / "perfbench" / "workloads").glob("*.json")]),
+        ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_checked_in_configs_load(self, path):
+        raw = json.loads(path.read_text())
+        echo = canonical_dict(load_config(path))
+        for key in raw.keys() & echo.keys():
+            assert echo[key] == raw[key] and type(echo[key]) is type(raw[key]), key
 
 
 class TestNumericalExit:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bayescfl import (ContractError, LocalModelSpec, RoundConfig, SkewConfig,
                       WeightEstimator, gen_scenario, initialize,
-                      posterior_update, run_training, warm_up)
+                      posterior_update, run_training, simulation, warm_up)
+from bayescfl.config import plan_from_dict
 from bayescfl.reports import trajectories
-from helpers import gaussian_mean_dataset
+from helpers import (gaussian_mean_dataset, uncached_client_log_weights,
+                     uncached_update_posteriors)
 
 GM2 = LocalModelSpec("gaussian-mean", feature_dim=2, noise_variance=1.0)
 
@@ -228,3 +232,129 @@ class TestAssociationInvariants:
         cov_b = s_b.hypothesis_set.hypotheses[0].cluster_posteriors[0].covariance
         # the naive product over-counts the per-round prior, tightening covariance
         assert np.all(np.diag(cov_b) <= np.diag(cov_a) + 1e-15)
+
+
+@st.composite
+def tiny_plans(draw):
+    kind = draw(st.sampled_from(["gaussian-mean", "bayes-linear", "laplace-logistic"]))
+    mode = draw(st.sampled_from(["multi-hypothesis", "consensus", "conceptual"]))
+    groups, cpg = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    raw = {
+        "mode": mode,
+        # at least two clusters, rounds and survivors, so parents can share
+        "K": draw(st.integers(2, 2 if mode == "conceptual" else 3)),
+        "T": draw(st.integers(2, 2 if mode == "conceptual" else 3)),
+        "m_max": draw(st.integers(2, 6)),
+        "fusion_mode": draw(st.sampled_from(["naive-product", "prior-corrected"])),
+        "weight_estimator": draw(st.sampled_from(["at-mean", "sampled"])),
+        "weight_samples": 4,
+        "warm_up_rounds": draw(st.integers(0, 1)),
+        "seed": draw(st.integers(0, 2**31)),
+        "groups": groups,
+        "clients_per_group": cpg,
+        "samples_per_round": draw(st.integers(1, 6)),
+        "separation": draw(st.sampled_from([0.5, 2.0, 10.0])),
+        "fresh_each_round": draw(st.booleans()),
+        "model_kind": kind,
+        "scheme": "label-skew" if kind == "laplace-logistic" else "feature-skew",
+        "label_count": 2,
+        "test_samples": 1,
+    }
+    return plan_from_dict(raw)
+
+
+def _run(plan):
+    scen = gen_scenario(plan.skew_config, plan.round_config.T)
+    return run_training(plan.round_config, scen.rounds,
+                        true_params=scen.group_params, return_state=True)
+
+
+class TestPhaseReuse:
+    """Each round computes every distinct local update, fusion and at-mean
+    weight once; the results must equal the per-hypothesis loops bit for bit."""
+
+    @given(plan=tiny_plans())
+    def test_matches_uncached_loops(self, plan):
+        reports, state = _run(plan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_client_log_weights", uncached_client_log_weights)
+            mp.setattr(simulation, "_update_posteriors", uncached_update_posteriors)
+            ref_reports, ref_state = _run(plan)
+        assert reports == ref_reports
+        for hyp, ref in zip(state.hypothesis_set.hypotheses,
+                            ref_state.hypothesis_set.hypotheses, strict=True):
+            for got, want in zip(hyp.cluster_posteriors, ref.cluster_posteriors,
+                                 strict=True):
+                assert np.array_equal(got.mean, want.mean)
+                assert np.array_equal(got.covariance, want.covariance)
+
+    @staticmethod
+    def _record(monkeypatch, name, key):
+        """Wrap simulation.<name>; log key(args) per call under the current
+        round, keeping the arguments alive so that no id is reused."""
+        calls, current = [], [None]
+        run_round, fn = simulation.run_round, getattr(simulation, name)
+
+        def tagged_round(server, *args, **kwargs):
+            current[0] = server.round
+            return run_round(server, *args, **kwargs)
+
+        def wrapper(*args, **kwargs):
+            calls.append((current[0], key(*args), args))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_round", tagged_round)
+        monkeypatch.setattr(simulation, name, wrapper)
+        return calls
+
+    def test_one_update_per_distinct_posterior_and_client(self, monkeypatch):
+        _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
+        cfg = round_config(K=3, C=6, m_max=6)
+        calls = self._record(monkeypatch, "posterior_update",
+                             lambda prior, data, spec: (id(prior), id(data)))
+        run_training(cfg, scen.rounds)
+        keys = [(t, key) for t, key, _ in calls]
+        assert len(keys) == len(set(keys))
+        monkeypatch.setattr(simulation, "_update_posteriors", uncached_update_posteriors)
+        calls.clear()
+        run_training(cfg, scen.rounds)
+        assert len(calls) > len(keys)    # siblings repeat work without the memo
+
+    def test_one_at_mean_weight_per_distinct_posterior_and_client(self, monkeypatch):
+        _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
+        cfg = round_config(K=3, C=6, m_max=6)
+        parents, distinct = [], []
+        run_round = simulation.run_round
+
+        def counted_round(server, *args, **kwargs):
+            hyps = server.hypothesis_set.hypotheses
+            parents.append(len(hyps))
+            distinct.append(len({id(c) for h in hyps for c in h.cluster_posteriors}))
+            return run_round(server, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_round", counted_round)
+        calls = self._record(monkeypatch, "assoc_log_weight_at_mean",
+                             lambda cluster, data, spec: (id(cluster), id(data)))
+        run_training(cfg, scen.rounds)
+        keys = [(t, key) for t, key, _ in calls]
+        assert len(keys) == len(set(keys)) == sum(distinct) * cfg.C
+        assert sum(distinct) < sum(parents) * cfg.K    # some posteriors were shared
+
+    def test_sampled_weights_keep_one_stream_each(self, monkeypatch):
+        _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
+        cfg = round_config(K=3, C=6, m_max=6,
+                           weight_estimator=WeightEstimator("sampled", n_samples=8))
+        parents = []
+        run_round = simulation.run_round
+
+        def counted_round(server, *args, **kwargs):
+            parents.append(len(server.hypothesis_set))
+            return run_round(server, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_round", counted_round)
+        calls = self._record(monkeypatch, "assoc_log_weight_sampled",
+                             lambda cluster, data, spec, n, seed: seed)
+        run_training(cfg, scen.rounds)
+        assert max(parents) > 1
+        assert len(calls) == sum(parents) * cfg.C * cfg.K
+        assert len({seed for _, seed, _ in calls}) == len(calls)
