@@ -15,6 +15,7 @@ section ({"mode": [...], "m_max": [...]}).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -74,6 +75,27 @@ def _int(raw: dict, key: str, default=None, required: bool = False) -> int:
     return _as_int(key, _get(raw, key, default, required))
 
 
+def _as_float(key: str, value) -> float:
+    """A finite JSON number; strings, bools, NaN and infinities are rejected
+    instead of coerced (NaN would pass every later range check)."""
+    # the comparison is False for NaN and infinities, and exact for big ints
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _float(raw: dict, key: str, default: float) -> float:
+    return _as_float(key, _get(raw, key, default))
+
+
+def _sweep_list(sweep: dict, key: str, default: list) -> list:
+    value = sweep.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"config key 'sweep.{key}' must be a list, got {value!r}")
+    return value
+
+
 def _bool(raw: dict, key: str, default: bool) -> bool:
     value = _get(raw, key, default)
     if not isinstance(value, bool):
@@ -109,7 +131,7 @@ def plan_from_dict(raw: dict) -> RunPlan:
 
         model_kind = str(_get(raw, "model_kind", "gaussian-mean"))
         feature_dim = _int(raw, "feature_dim", 2)
-        noise_variance = float(_get(raw, "noise_variance", 1.0))
+        noise_variance = _float(raw, "noise_variance", 1.0)
         label_count = _int(raw, "label_count", 10)
         if model_kind == "laplace-logistic":
             if _get(raw, "scheme", required=True) != "label-skew" or label_count != 2:
@@ -136,17 +158,17 @@ def plan_from_dict(raw: dict) -> RunPlan:
             warm_up_rounds=_int(raw, "warm_up_rounds", 0),
             seed=seed,
             model=model,
-            prior_sigma2=float(_get(raw, "prior_sigma2", 10.0)),
-            prune_log_gap=None if gap is None else float(gap),
+            prior_sigma2=_float(raw, "prior_sigma2", 10.0),
+            prune_log_gap=None if gap is None else _as_float("prune_log_gap", gap),
         )
         skew_config = SkewConfig(
             scheme=str(_get(raw, "scheme", required=True)),
             groups=groups,
             clients_per_group=cpg,
             samples_per_client_per_round=_int(raw, "samples_per_round", 50),
-            alpha_group=float(_get(raw, "alpha_group", 0.1)),
-            alpha_within=float(_get(raw, "alpha_within", 10.0)),
-            separation=float(_get(raw, "separation", 10.0)),
+            alpha_group=_float(raw, "alpha_group", 0.1),
+            alpha_within=_float(raw, "alpha_within", 10.0),
+            separation=_float(raw, "separation", 10.0),
             label_count=label_count,
             seed=seed,
             feature_dim=feature_dim,
@@ -154,10 +176,12 @@ def plan_from_dict(raw: dict) -> RunPlan:
             model_kind="gaussian-mean" if model_kind == "laplace-logistic" else model_kind,
             fresh_each_round=_bool(raw, "fresh_each_round", True),
         )
-        sweep = _get(raw, "sweep", {}) or {}
-        sweep_modes = tuple(str(m) for m in sweep.get("mode", [round_config.mode]))
+        sweep = _get(raw, "sweep", {})
+        if not isinstance(sweep, dict):
+            raise ConfigError(f"config key 'sweep' must be an object, got {sweep!r}")
+        sweep_modes = tuple(str(m) for m in _sweep_list(sweep, "mode", [round_config.mode]))
         sweep_m_max = tuple(_as_int("sweep.m_max", m)
-                            for m in sweep.get("m_max", [round_config.m_max]))
+                            for m in _sweep_list(sweep, "m_max", [round_config.m_max]))
         test_samples = _int(raw, "test_samples", 500)
         if test_samples < 1:
             raise ConfigError("test_samples must be positive")

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ContractError
-from .models import LocalModelSpec, data_log_likelihood
+from .models import LocalModelSpec, data_log_likelihoods
 from .reports import RoundReport
 
 
@@ -172,11 +172,10 @@ def heldout_log_likelihood(report: RoundReport, test_sets,
     log_w = np.log(np.maximum(np.asarray(report.weights, dtype=float), 1e-300))
     per_client = []
     for j, data in enumerate(test_sets):
-        terms = []
-        for h, labels in enumerate(report.assignments):
-            mean = np.asarray(report.cluster_means[h][labels[j]], dtype=float)
-            terms.append(log_w[h] + data_log_likelihood(mean, data, spec))
-        per_client.append(logsumexp(np.asarray(terms)))
+        means = [means_h[labels[j]]
+                 for means_h, labels in zip(report.cluster_means, report.assignments,
+                                            strict=True)]
+        per_client.append(logsumexp(log_w + data_log_likelihoods(means, data, spec)))
     return float(np.mean(per_client))
 
 

@@ -7,11 +7,25 @@ Three model kinds:
   laplace-logistic binary logistic regression; posterior via Laplace
                    approximation (damped Newton mode search, covariance =
                    inverse Hessian at the mode).
+
+Every likelihood goes through one batched kernel, ``_log_likelihoods``, which
+scores S parameter rows against one dataset in a single call: all Monte Carlo
+draws of a sampled weight, every cluster mean of an at-mean weight, every
+hypothesis's mean in the held-out metric, and the Newton objective. Each row
+takes the same floating-point operations in the same order as a one-row call,
+so the results are bit-identical to scoring the rows one by one. Public entry
+points validate the data once per call; the kernel itself checks nothing.
+
+The Newton line search tries the full step alone and, if it raises the
+objective, scores every halved step in one more call and takes the first that
+does not. That is the step the one-at-a-time halving loop takes, so a
+search that halves 25 times costs two objective calls, not 26.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -23,6 +37,8 @@ from .errors import ContractError, SingularModelError
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-8
 NEWTON_MAX_HALVINGS = 40
+# the line search's step scales after the full step: 2**-1, ..., 2**-40
+_HALVED_SCALES = np.ldexp(1.0, -np.arange(1, NEWTON_MAX_HALVINGS + 1))
 
 KINDS = ("gaussian-mean", "bayes-linear", "laplace-logistic")
 
@@ -72,28 +88,53 @@ def _check_data(data: ClientDataset, spec: LocalModelSpec) -> None:
             raise ContractError("laplace-logistic labels must be 0 or 1")
 
 
+def _log_likelihoods(omegas: np.ndarray, data: ClientDataset,
+                     spec: LocalModelSpec) -> np.ndarray:
+    """log p(D | omega_s) for every row of omegas (S, d), unchecked.
+
+    ``x @ omegas[:, :, None]`` is a stacked matmul that runs one gemv per
+    row, as ``x @ omega`` does for one row; ``omegas @ x.T`` would be a gemm,
+    which rounds differently. Sums run along contiguous rows, as in the
+    one-row form, so every row's result is the same bits.
+    """
+    s = omegas.shape[0]
+    if data.is_empty():
+        return np.zeros(s)   # log of an empty product
+    n = data.n_samples
+    x = data.features
+    if spec.kind == "gaussian-mean":
+        v = spec.noise_variance
+        sq = ((x[None] - omegas[:, None, :]) ** 2).reshape(s, -1).sum(axis=1)
+        return -0.5 * (n * spec.feature_dim * np.log(2.0 * np.pi * v) + sq / v)
+    z = (x @ omegas[:, :, None])[..., 0]
+    y = np.asarray(data.labels, dtype=float)
+    if spec.kind == "bayes-linear":
+        v = spec.noise_variance
+        resid = y - z
+        sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+        return -0.5 * (n * np.log(2.0 * np.pi * v) + sq / v)
+    # laplace-logistic: sum_i [y_i z_i - log(1 + exp(z_i))], z = X @ omega
+    return np.sum(y * z - np.logaddexp(0.0, z), axis=1)
+
+
+def data_log_likelihoods(omegas: np.ndarray, data: ClientDataset,
+                         spec: LocalModelSpec) -> np.ndarray:
+    """log p(D | omega_s) for each row of omegas (S, d); zeros for an empty
+    dataset."""
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 2 or omegas.shape[1] != spec.param_dim:
+        raise ContractError(f"parameters must have shape (S, {spec.param_dim})")
+    _check_data(data, spec)
+    return _log_likelihoods(omegas, data, spec)
+
+
 def data_log_likelihood(omega: np.ndarray, data: ClientDataset,
                         spec: LocalModelSpec) -> float:
     """log p(D | omega); 0 for an empty dataset (log of an empty product)."""
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (spec.param_dim,):
         raise ContractError(f"parameter must have shape ({spec.param_dim},)")
-    _check_data(data, spec)
-    if data.is_empty():
-        return 0.0
-    n = data.n_samples
-    if spec.kind == "gaussian-mean":
-        v = spec.noise_variance
-        sq = float(np.sum((data.features - omega) ** 2))
-        return -0.5 * (n * spec.feature_dim * np.log(2.0 * np.pi * v) + sq / v)
-    if spec.kind == "bayes-linear":
-        v = spec.noise_variance
-        resid = np.asarray(data.labels, dtype=float) - data.features @ omega
-        return -0.5 * (n * np.log(2.0 * np.pi * v) + float(resid @ resid) / v)
-    # laplace-logistic: sum_i [y_i z_i - log(1 + exp(z_i))], z = X @ omega
-    z = data.features @ omega
-    y = np.asarray(data.labels, dtype=float)
-    return float(np.sum(y * z - np.logaddexp(0.0, z)))
+    return float(data_log_likelihoods(omega[None], data, spec)[0])
 
 
 def _gaussian_mean_update(prior, data, spec):
@@ -119,11 +160,17 @@ def _laplace_logistic_update(prior, data, spec):
     lam0 = prior.precision
     m0 = prior.mean
 
-    def objective(w):
-        return float(0.5 * (w - m0) @ lam0 @ (w - m0)) - data_log_likelihood(w, data, spec)
+    # The negative log posterior (up to a constant) of each row of ws (S, d).
+    # A row gets the bits of 0.5 * (w - m0) @ lam0 @ (w - m0) minus its
+    # likelihood: the stacked matmuls run one gemv and one dot per row.
+    # posterior_update has checked the data; the objective does not again.
+    def objectives(ws):
+        diff = ws - m0
+        quad = ((0.5 * diff)[:, None, :] @ lam0 @ diff[:, :, None])[:, 0, 0]
+        return quad - _log_likelihoods(ws, data, spec)
 
     w = m0.copy()
-    obj = objective(w)
+    obj = objectives(w[None])[0]
     for _ in range(NEWTON_MAX_ITER):
         p = 1.0 / (1.0 + np.exp(-(x @ w)))
         grad = x.T @ (p - y) + lam0 @ (w - m0)
@@ -135,15 +182,18 @@ def _laplace_logistic_update(prior, data, spec):
         except ContractError as exc:
             raise SingularModelError("Hessian not positive-definite") from exc
         step = np.linalg.solve(hess, grad)
-        scale = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS):
-            cand = w - scale * step
-            cand_obj = objective(cand)
-            if cand_obj <= obj:
-                break
-            scale *= 0.5
-        w = w - scale * step
-        obj = objective(w)
+        # the first of the scales 1, 1/2, ..., 2**-39 whose step does not
+        # raise the objective, else 2**-40
+        full = w - step
+        full_obj = objectives(full[None])[0]
+        if full_obj <= obj:
+            w, obj = full, full_obj
+        else:
+            cands = w - _HALVED_SCALES[:, None] * step
+            cand_objs = objectives(cands)
+            passed = np.flatnonzero(cand_objs[:-1] <= obj)
+            k = passed[0] if passed.size else len(_HALVED_SCALES) - 1
+            w, obj = cands[k].copy(), cand_objs[k]
 
     p = 1.0 / (1.0 + np.exp(-(x @ w)))
     hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
@@ -183,12 +233,15 @@ def posterior_update(prior: GaussianDensity, data: ClientDataset,
     return GaussianDensity(mean, cov)
 
 
-def assoc_log_weight_at_mean(cluster: GaussianDensity, data: ClientDataset,
-                             spec: LocalModelSpec) -> float:
-    """log p(D | w_hat) with w_hat the cluster's expected parameter value."""
-    if cluster.dim != spec.param_dim:
-        raise ContractError(f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
-    return data_log_likelihood(cluster.mean, data, spec)
+def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],
+                             data: ClientDataset, spec: LocalModelSpec) -> np.ndarray:
+    """log p(D | w_hat_i) for every cluster i, with w_hat_i the cluster's
+    expected parameter value; one weight per cluster, in order."""
+    for cluster in clusters:
+        if cluster.dim != spec.param_dim:
+            raise ContractError(
+                f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
+    return data_log_likelihoods(np.array([c.mean for c in clusters]), data, spec)
 
 
 def assoc_log_weight_sampled(cluster: GaussianDensity, data: ClientDataset,
@@ -203,6 +256,5 @@ def assoc_log_weight_sampled(cluster: GaussianDensity, data: ClientDataset,
     if cluster.dim != spec.param_dim:
         raise ContractError(f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
-    draws = cluster.sample(n_samples, rng)
-    logliks = np.array([data_log_likelihood(w, data, spec) for w in draws])
+    logliks = data_log_likelihoods(cluster.sample(n_samples, rng), data, spec)
     return float(logsumexp(logliks, b=np.full(n_samples, 1.0 / n_samples)))

@@ -20,8 +20,10 @@ Each round computes each distinct local update, fusion and at-mean weight
 once. The children of one parent start from the parent's cluster posteriors
 and M-best siblings differ in a few labels, so most of that work repeats;
 round-scoped memos keyed on the identity of the cluster-posterior object
-share it. The same inputs reach the same pure functions, so the outputs are
-the bytes the per-hypothesis loops give.
+share it. Phase one is batched: one at-mean call per client scores every
+distinct cluster mean of the round, and one sampled call scores all of its
+draws (see ``models``). The same inputs reach the same arithmetic, so the
+outputs are the bytes the per-hypothesis, per-draw loops give.
 """
 
 from __future__ import annotations
@@ -209,30 +211,32 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
                         cfg: RoundConfig, round_index: int) -> list[np.ndarray]:
     """One C x K log-weight matrix per live hypothesis.
 
-    An at-mean weight is computed once per (cluster posterior, client) pair.
-    Sampled weights are never shared: each (round, p, j, i) has its own
-    seed. Keys use object ids, which stay unique because ``hset`` holds
-    every posterior for the whole call.
+    At-mean weights take one call per client, over the round's distinct
+    cluster posteriors; each hypothesis gathers its columns from that C x U
+    table. Posteriors are told apart by object id, which stays unique because
+    ``hset`` holds every one of them for the whole call. Sampled weights are
+    never shared: each (round, p, j, i) has its own seed.
     """
     est = cfg.weight_estimator
-    at_mean: dict[tuple[int, int], float] = {}
+    if est.kind == "at-mean":
+        distinct = {id(c): c for hyp in hset.hypotheses for c in hyp.cluster_posteriors}
+        column = {key: u for u, key in enumerate(distinct)}
+        clusters = list(distinct.values())
+        table = np.maximum([assoc_log_weight_at_mean(clusters, client, cfg.model)
+                            for client in clients], LOG_WEIGHT_FLOOR)
+        return [table.take([column[id(c)] for c in hyp.cluster_posteriors], axis=1)
+                for hyp in hset.hypotheses]
     mats = []
     for p, hyp in enumerate(hset.hypotheses):
         mat = np.empty((len(clients), hyp.cluster_count))
         for j, client in enumerate(clients):
             for i, cluster in enumerate(hyp.cluster_posteriors):
-                if est.kind == "at-mean":
-                    key = (id(cluster), j)
-                    if key not in at_mean:
-                        at_mean[key] = assoc_log_weight_at_mean(cluster, client, cfg.model)
-                    w = at_mean[key]
-                else:
-                    seed = int(np.random.SeedSequence(
-                        [cfg.seed & _SEED_MASK, est.seed & _SEED_MASK, _WEIGHTS,
-                         round_index, p, j, i]
-                    ).generate_state(1)[0])
-                    w = assoc_log_weight_sampled(cluster, client, cfg.model,
-                                                 est.n_samples, seed)
+                seed = int(np.random.SeedSequence(
+                    [cfg.seed & _SEED_MASK, est.seed & _SEED_MASK, _WEIGHTS,
+                     round_index, p, j, i]
+                ).generate_state(1)[0])
+                w = assoc_log_weight_sampled(cluster, client, cfg.model,
+                                             est.n_samples, seed)
                 mat[j, i] = max(w, LOG_WEIGHT_FLOOR)
         mats.append(mat)
     return mats

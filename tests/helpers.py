@@ -5,10 +5,12 @@ import heapq
 import itertools
 
 import numpy as np
+from scipy.special import logsumexp
 
 from bayescfl import Assignment, ClientDataset, CostMatrix, GaussianDensity
-from bayescfl import simulation
+from bayescfl import models, simulation
 from bayescfl.assignment import _total_cost
+from bayescfl.density import symmetrize
 from bayescfl.hypotheses import with_posteriors
 
 
@@ -55,9 +57,78 @@ def reference_m_best(L: CostMatrix, M: int) -> list[tuple[tuple[int, ...], float
     return collected
 
 
+def reference_data_log_likelihood(omega, data, spec) -> float:
+    """log p(D | omega) for one parameter row, by the one-row formulas the
+    batched ``models._log_likelihoods`` must match bit for bit."""
+    if data.is_empty():
+        return 0.0
+    n = data.n_samples
+    if spec.kind == "gaussian-mean":
+        v = spec.noise_variance
+        sq = float(np.sum((data.features - omega) ** 2))
+        return -0.5 * (n * spec.feature_dim * np.log(2.0 * np.pi * v) + sq / v)
+    if spec.kind == "bayes-linear":
+        v = spec.noise_variance
+        resid = np.asarray(data.labels, dtype=float) - data.features @ omega
+        return -0.5 * (n * np.log(2.0 * np.pi * v) + float(resid @ resid) / v)
+    z = data.features @ omega
+    y = np.asarray(data.labels, dtype=float)
+    return float(np.sum(y * z - np.logaddexp(0.0, z)))
+
+
+def reference_laplace_logistic_update(prior, data, spec, halvings=None):
+    """The Laplace mode search with one objective call per line-search step:
+    the loop that the batched ``models._laplace_logistic_update`` must match
+    bit for bit. Appends each Newton step's number of halvings to
+    ``halvings`` when given."""
+    x = data.features
+    y = np.asarray(data.labels, dtype=float)
+    lam0 = prior.precision
+    m0 = prior.mean
+
+    def objective(w):
+        return (float(0.5 * (w - m0) @ lam0 @ (w - m0))
+                - reference_data_log_likelihood(w, data, spec))
+
+    w = m0.copy()
+    obj = objective(w)
+    for _ in range(models.NEWTON_MAX_ITER):
+        p = 1.0 / (1.0 + np.exp(-(x @ w)))
+        grad = x.T @ (p - y) + lam0 @ (w - m0)
+        if float(np.linalg.norm(grad)) < models.NEWTON_GRAD_TOL:
+            break
+        hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
+        step = np.linalg.solve(hess, grad)
+        scale, halved = 1.0, 0
+        for _ in range(models.NEWTON_MAX_HALVINGS):
+            cand = w - scale * step
+            cand_obj = objective(cand)
+            if cand_obj <= obj:
+                break
+            scale *= 0.5
+            halved += 1
+        if halvings is not None:
+            halvings.append(halved)
+        w = w - scale * step
+        obj = objective(w)
+    p = 1.0 / (1.0 + np.exp(-(x @ w)))
+    hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
+    return w, symmetrize(np.linalg.inv(hess))
+
+
+def reference_assoc_log_weight_sampled(cluster, data, spec, n_samples: int,
+                                       seed: int) -> float:
+    """The sampled association weight with one likelihood call per draw: the
+    loop that the batched ``assoc_log_weight_sampled`` must match exactly."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
+    draws = cluster.sample(n_samples, rng)
+    logliks = np.array([reference_data_log_likelihood(w, data, spec) for w in draws])
+    return float(logsumexp(logliks, b=np.full(n_samples, 1.0 / n_samples)))
+
+
 def uncached_client_log_weights(hset, clients, cfg, round_index):
     """Phase one with one weight call per (hypothesis, client, cluster): the
-    loop that the memoized ``simulation._client_log_weights`` must match
+    loop that the batched ``simulation._client_log_weights`` must match
     exactly. Calls go through the ``simulation`` namespace, so counters
     patched there see them."""
     est = cfg.weight_estimator
@@ -67,7 +138,7 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
         for j, client in enumerate(clients):
             for i, cluster in enumerate(hyp.cluster_posteriors):
                 if est.kind == "at-mean":
-                    w = simulation.assoc_log_weight_at_mean(cluster, client, cfg.model)
+                    w = simulation.assoc_log_weight_at_mean([cluster], client, cfg.model)[0]
                 else:
                     seed = int(np.random.SeedSequence(
                         [cfg.seed & simulation._SEED_MASK, est.seed & simulation._SEED_MASK,

@@ -124,10 +124,35 @@ class TestConfigTyping:
         {"m_max": True},
         {"seed": False},
         {"sweep": {"m_max": [1, 2.5]}},
+        {"separation": "2"},
+        {"noise_variance": True},
+        {"separation": float("nan")},
+        {"prior_sigma2": float("nan")},
+        {"prune_log_gap": float("nan")},
+        {"prune_log_gap": "nan"},
+        {"alpha_group": float("inf")},
+        {"alpha_within": 10**400},
+        {"sweep": [1, 2]},
+        {"sweep": {"mode": "greedy"}},
+        {"sweep": {"m_max": 2}},
     ])
     def test_rejects_coercible_values(self, extra):
         with pytest.raises(ConfigError):
             plan_from_dict(dict(BASE_CONFIG, **extra))
+
+    def test_float_keys_take_json_numbers(self):
+        plan = plan_from_dict(dict(BASE_CONFIG, separation=3, prune_log_gap=5))
+        assert plan.skew_config.separation == 3.0
+        assert type(plan.skew_config.separation) is float
+        assert plan.round_config.prune_log_gap == 5.0
+
+    @pytest.mark.parametrize("sweep", [[1, 2], {"mode": "greedy"}])
+    def test_malformed_sweep_exits_one(self, tmp_path, sweep):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, sweep=sweep)))
+        out = tmp_path / "o"
+        assert cli_run(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [{"fresh_each_round": "false"}, {"K": 2.9},
                                        {"m_max": True}])

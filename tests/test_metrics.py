@@ -222,7 +222,7 @@ class TestHeldoutLogLikelihood:
                  for j in range(2)]
         want = np.mean([
             assoc_log_weight_at_mean(
-                GaussianDensity(np.array(mean), np.eye(2)), d, spec)
+                [GaussianDensity(np.array(mean), np.eye(2))], d, spec)[0]
             for d in tests])
         got = heldout_log_likelihood(rep, tests, spec)
         assert abs(got - want) < 1e-12

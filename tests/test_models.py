@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from bayescfl import (ContractError, GaussianDensity, LocalModelSpec,
-                      assoc_log_weight_at_mean, assoc_log_weight_sampled,
+from bayescfl import (ClientDataset, ContractError, GaussianDensity,
+                      LocalModelSpec, assoc_log_weight_at_mean,
+                      assoc_log_weight_sampled, data_log_likelihood,
                       posterior_update)
+from bayescfl import models
+from bayescfl.errors import SingularModelError
 from helpers import (binary_dataset, empty_dataset, gaussian_mean_dataset,
-                     grid_posterior_moments, regression_dataset)
+                     grid_posterior_moments, reference_assoc_log_weight_sampled,
+                     reference_data_log_likelihood, reference_laplace_logistic_update,
+                     regression_dataset)
 
 
 def g1(mean, var):
@@ -133,23 +140,24 @@ class TestLaplaceLogistic:
 
 class TestAssociationWeights:
     def test_empty_dataset_gives_zero(self):
-        assert assoc_log_weight_at_mean(g1(0, 1), empty_dataset(1), GM1) == 0.0
+        got = assoc_log_weight_at_mean([g1(0, 1), g1(2, 1)], empty_dataset(1), GM1)
+        assert np.array_equal(got, [0.0, 0.0])
 
     def test_standard_normal_at_mode(self):
-        got = assoc_log_weight_at_mean(g1(0.0, 1.0), gaussian_mean_dataset([0.0]), GM1)
-        np.testing.assert_allclose(got, -0.5 * np.log(2 * np.pi), atol=1e-12)
+        got = assoc_log_weight_at_mean([g1(0.0, 1.0)], gaussian_mean_dataset([0.0]), GM1)
+        assert got.shape == (1,)
+        np.testing.assert_allclose(got[0], -0.5 * np.log(2 * np.pi), atol=1e-12)
 
     def test_closer_cluster_wins(self):
         rng = np.random.default_rng(9)
         data = gaussian_mean_dataset(rng.standard_normal(20))
-        near = assoc_log_weight_at_mean(g1(0.0, 1.0), data, GM1)
-        far = assoc_log_weight_at_mean(g1(5.0, 1.0), data, GM1)
+        near, far = assoc_log_weight_at_mean([g1(0.0, 1.0), g1(5.0, 1.0)], data, GM1)
         assert near > far
 
     def test_sampled_collapses_to_mean(self):
         cluster = GaussianDensity(np.array([0.7]), np.array([[1e-12]]))
         data = gaussian_mean_dataset([0.0, 1.0, 0.5])
-        at_mean = assoc_log_weight_at_mean(cluster, data, GM1)
+        (at_mean,) = assoc_log_weight_at_mean([cluster], data, GM1)
         sampled = assoc_log_weight_sampled(cluster, data, GM1, n_samples=1, seed=4)
         assert abs(at_mean - sampled) < 1e-6
 
@@ -172,3 +180,138 @@ class TestAssociationWeights:
         got = assoc_log_weight_sampled(g1(m0, s0sq), gaussian_mean_dataset(y),
                                        spec, n_samples=10_000, seed=123)
         assert abs(got - exact) < np.log(1.02)  # 2% relative on the likelihood
+
+
+@st.composite
+def likelihood_cases(draw):
+    """A model spec, a dataset of n >= 0 rows and S parameter rows, at scales
+    from 1e-2 to 1e2 so that the sums carry rounding."""
+    kind = draw(st.sampled_from(models.KINDS))
+    d, n, s = draw(st.integers(1, 5)), draw(st.integers(0, 60)), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x_scale, w_scale = 10.0 ** draw(st.integers(-2, 2)), 10.0 ** draw(st.integers(-2, 2))
+    x = x_scale * rng.standard_normal((n, d))
+    omegas = w_scale * rng.standard_normal((s, d)) + rng.standard_normal(d)
+    if kind == "laplace-logistic":
+        spec = LocalModelSpec(kind, feature_dim=d)
+        labels = rng.integers(0, 2, n)
+    else:
+        spec = LocalModelSpec(kind, feature_dim=d, noise_variance=float(rng.uniform(0.1, 3.0)))
+        labels = None if kind == "gaussian-mean" else x_scale * rng.standard_normal(n)
+    return spec, ClientDataset(0, 0, x, labels), omegas
+
+
+def rng_features(seed, n, d, scale=1.0):
+    return scale * np.random.default_rng(seed).standard_normal((n, d))
+
+
+def logistic_case(features, separable, seed=0, prior_scale=1.0, mean_scale=0.0):
+    """A laplace-logistic spec, dataset and prior; separable labels drive the
+    mode far out, so the line search halves many times."""
+    rng = np.random.default_rng(seed)
+    n, d = features.shape
+    direction = rng.standard_normal(d)
+    labels = ((features @ direction > 0) if separable else rng.integers(0, 2, n)).astype(int)
+    low = np.tril(rng.standard_normal((d, d)))
+    prior = GaussianDensity(mean_scale * rng.standard_normal(d),
+                            prior_scale * (low @ low.T + 0.1 * np.eye(d)))
+    return LocalModelSpec("laplace-logistic", feature_dim=d), binary_dataset(features, labels), prior
+
+
+@st.composite
+def newton_cases(draw):
+    """Laplace-logistic updates from well-posed to nearly separable data, with
+    tight to diffuse priors, so that line searches halve from 0 to dozens of
+    times."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    features = rng_features(seed, n, d, 10.0 ** draw(st.integers(-1, 1)))
+    return logistic_case(features, draw(st.booleans()), seed,
+                         prior_scale=10.0 ** draw(st.integers(-2, 3)),
+                         mean_scale=draw(st.sampled_from([0.0, 1.0, 10.0])))
+
+
+class TestBatchedLikelihood:
+    """The batched kernel and every caller of it give the bits of the one-row
+    formulas and of the per-draw loop."""
+
+    @given(case=likelihood_cases())
+    def test_kernel_matches_one_row_formulas(self, case):
+        spec, data, omegas = case
+        want = np.array([reference_data_log_likelihood(w, data, spec) for w in omegas])
+        assert np.array_equal(models._log_likelihoods(omegas, data, spec), want)
+        assert np.array_equal([data_log_likelihood(w, data, spec) for w in omegas], want)
+
+    @given(case=likelihood_cases())
+    def test_at_mean_matches_one_row_formulas(self, case):
+        spec, data, omegas = case
+        clusters = [GaussianDensity(w, np.eye(spec.param_dim)) for w in omegas]
+        want = [reference_data_log_likelihood(c.mean, data, spec) for c in clusters]
+        assert np.array_equal(assoc_log_weight_at_mean(clusters, data, spec), want)
+
+    @given(case=likelihood_cases(), seed=st.integers(0, 2**64 - 1))
+    def test_sampled_matches_per_draw_loop(self, case, seed):
+        spec, data, omegas = case
+        rng = np.random.default_rng(seed % 2**32)
+        low = np.tril(rng.standard_normal((spec.param_dim, spec.param_dim)))
+        cluster = GaussianDensity(omegas[0], low @ low.T + 0.1 * np.eye(spec.param_dim))
+        s = omegas.shape[0]
+        assert assoc_log_weight_sampled(cluster, data, spec, s, seed) \
+            == reference_assoc_log_weight_sampled(cluster, data, spec, s, seed)
+
+    @given(case=newton_cases())
+    def test_newton_matches_one_step_at_a_time_loop(self, case):
+        spec, data, prior = case
+        try:
+            got = models._laplace_logistic_update(prior, data, spec)
+        except SingularModelError:
+            return    # the reference does not check the Hessian
+        mode, cov = reference_laplace_logistic_update(prior, data, spec)
+        assert np.array_equal(got[0], mode) and np.array_equal(got[1], cov)
+
+    def test_newton_objective_does_not_recheck_data(self, monkeypatch):
+        checks = []
+        check = models._check_data
+
+        def counted(*args):
+            checks.append(args)
+            check(*args)
+
+        monkeypatch.setattr(models, "_check_data", counted)
+        spec = LocalModelSpec("laplace-logistic", feature_dim=2)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((40, 2))
+        data = binary_dataset(x, (x @ [2.0, -1.0] > 0).astype(int))
+        prior = GaussianDensity(np.zeros(2), np.eye(2))
+        posterior_update(prior, data, spec)
+        assert len(checks) == 1    # posterior_update's own check only
+
+    def test_newton_line_search_scores_in_two_calls(self, monkeypatch):
+        # one objective call at the start, then per Newton step the full step
+        # alone and, if it raises the objective, every halved step at once
+        spec, data, prior = logistic_case(rng_features(2593116995, 60, 2, 10.0), separable=False,
+                                          seed=2593116995, mean_scale=10.0)
+        halvings = []
+        reference_laplace_logistic_update(prior, data, spec, halvings)
+        assert max(halvings) > 1    # some step halves more than once
+        calls = []
+        kernel = models._log_likelihoods
+
+        def counted(omegas, *args):
+            calls.append(omegas.shape[0])
+            return kernel(omegas, *args)
+
+        monkeypatch.setattr(models, "_log_likelihoods", counted)
+        posterior_update(prior, data, spec)
+        assert calls == [1] + [n for h in halvings
+                               for n in ([1] if h == 0 else [1, models.NEWTON_MAX_HALVINGS])]
+
+    def test_wrong_parameter_shapes_rejected(self):
+        data = gaussian_mean_dataset([0.0, 1.0])
+        with pytest.raises(ContractError):
+            models.data_log_likelihoods(np.zeros(1), data, GM1)
+        with pytest.raises(ContractError):
+            models.data_log_likelihoods(np.zeros((3, 2)), data, GM1)
+        with pytest.raises(ContractError):
+            assoc_log_weight_at_mean([g1(0, 1), GaussianDensity(np.zeros(2), np.eye(2))],
+                                     data, GM1)

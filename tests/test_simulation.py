@@ -194,7 +194,7 @@ class TestGreedyDecision:
         clusters = state.hypothesis_set.hypotheses[0].cluster_posteriors
         clients = list(scen.rounds[0])
         want = tuple(
-            int(np.argmax([assoc_log_weight_at_mean(c, d, GM2) for c in clusters]))
+            int(np.argmax(assoc_log_weight_at_mean(clusters, d, GM2)))
             for d in clients)
         _, rep = run_round(state, clients, cfg)
         assert rep.assignments == (want,)
@@ -321,6 +321,8 @@ class TestPhaseReuse:
         assert len(calls) > len(keys)    # siblings repeat work without the memo
 
     def test_one_at_mean_weight_per_distinct_posterior_and_client(self, monkeypatch):
+        """One at-mean call per client per round, over exactly the round's
+        distinct cluster posteriors, each passed once."""
         _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
         cfg = round_config(K=3, C=6, m_max=6)
         parents, distinct = [], []
@@ -329,16 +331,21 @@ class TestPhaseReuse:
         def counted_round(server, *args, **kwargs):
             hyps = server.hypothesis_set.hypotheses
             parents.append(len(hyps))
-            distinct.append(len({id(c) for h in hyps for c in h.cluster_posteriors}))
+            distinct.append({id(c) for h in hyps for c in h.cluster_posteriors})
             return run_round(server, *args, **kwargs)
 
         monkeypatch.setattr(simulation, "run_round", counted_round)
         calls = self._record(monkeypatch, "assoc_log_weight_at_mean",
-                             lambda cluster, data, spec: (id(cluster), id(data)))
+                             lambda clusters, data, spec:
+                             (tuple(id(c) for c in clusters), id(data)))
         run_training(cfg, scen.rounds)
-        keys = [(t, key) for t, key, _ in calls]
-        assert len(keys) == len(set(keys)) == sum(distinct) * cfg.C
-        assert sum(distinct) < sum(parents) * cfg.K    # some posteriors were shared
+        assert len(calls) == cfg.T * cfg.C
+        for t, ids in enumerate(distinct):
+            keys = [key for r, key, _ in calls if r == t]
+            assert sorted(data for _, data in keys) == sorted(id(d) for d in scen.rounds[t])
+            for clusters, _ in keys:
+                assert len(clusters) == len(ids) and set(clusters) == ids
+        assert sum(map(len, distinct)) < sum(parents) * cfg.K    # some posteriors were shared
 
     def test_sampled_weights_keep_one_stream_each(self, monkeypatch):
         _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
