@@ -17,13 +17,12 @@ from .density import GaussianDensity, fuse_local_posteriors, merge_mixture
 from .errors import (ConfigError, ContractError, DegenerateHypothesisSetError,
                      FusionDegenerateError, NumericalError, SingularModelError)
 from .hypotheses import (Candidate, Hypothesis, HypothesisSet, consensus_merge,
-                         expand, normalize, prune_top_m, select_greedy)
+                         expand, prune_top_m, select_greedy)
 from .metrics import (CoAssociationMatrix, accumulate_coassociation,
-                      association_accuracy, classification_metrics,
-                      heldout_log_likelihood, parameter_rmse)
+                      association_accuracy, heldout_log_likelihood,
+                      parameter_rmse)
 from .models import (LocalModelSpec, assoc_log_weight_at_mean,
-                     assoc_log_weight_sampled, data_log_likelihood,
-                     posterior_update)
+                     assoc_log_weight_sampled, posterior_update)
 from .reports import CommLedger, RoundReport
 from .simulation import (RoundConfig, ServerState, WeightEstimator, initialize,
                          run_round, run_training, warm_up)
@@ -41,11 +40,11 @@ __all__ = [
     "ConfigError", "ContractError", "DegenerateHypothesisSetError",
     "FusionDegenerateError", "NumericalError", "SingularModelError",
     "Candidate", "Hypothesis", "HypothesisSet", "consensus_merge", "expand",
-    "normalize", "prune_top_m", "select_greedy",
+    "prune_top_m", "select_greedy",
     "CoAssociationMatrix", "accumulate_coassociation", "association_accuracy",
-    "classification_metrics", "heldout_log_likelihood", "parameter_rmse",
+    "heldout_log_likelihood", "parameter_rmse",
     "LocalModelSpec", "assoc_log_weight_at_mean", "assoc_log_weight_sampled",
-    "data_log_likelihood", "posterior_update",
+    "posterior_update",
     "CommLedger", "RoundReport",
     "RoundConfig", "ServerState", "WeightEstimator", "initialize", "run_round",
     "run_training", "warm_up",

@@ -139,8 +139,7 @@ def plan_from_dict(raw: dict) -> RunPlan:
                     "laplace-logistic runs need scheme=label-skew and label_count=2")
         model = LocalModelSpec(
             kind=model_kind, feature_dim=feature_dim,
-            noise_variance=None if model_kind == "laplace-logistic" else noise_variance,
-            label_count=2 if model_kind == "laplace-logistic" else None)
+            noise_variance=None if model_kind == "laplace-logistic" else noise_variance)
 
         estimator_kind = str(_get(raw, "weight_estimator", "at-mean"))
         estimator = WeightEstimator(kind=estimator_kind,

@@ -24,21 +24,22 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def spd_cholesky(a: np.ndarray, jitter: float = SPD_JITTER) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of a symmetric matrix, adding jitter*I once if needed.
-
-    Returns (possibly jittered matrix, lower factor). Raises ContractError if
-    the matrix is not positive-definite even after the jitter.
+def spd_cholesky(a: np.ndarray) -> np.ndarray:
+    """A symmetric matrix that has a Cholesky factor: a itself, else
+    a + SPD_JITTER*I. Raises ContractError if the matrix is not
+    positive-definite even after the jitter.
     """
     try:
-        return a, np.linalg.cholesky(a)
+        np.linalg.cholesky(a)
+        return a
     except np.linalg.LinAlgError:
         pass
-    bumped = a + jitter * np.eye(a.shape[0])
+    bumped = a + SPD_JITTER * np.eye(a.shape[0])
     try:
-        return bumped, np.linalg.cholesky(bumped)
+        np.linalg.cholesky(bumped)
     except np.linalg.LinAlgError as exc:
         raise ContractError("matrix is not positive-definite") from exc
+    return bumped
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -112,17 +113,19 @@ class GaussianDensity:
         return self.mean + z @ self.chol.T
 
 
-def from_info(precision: np.ndarray, shift: np.ndarray,
-              error: type[Exception] = ContractError) -> GaussianDensity:
-    """Density from information form: covariance = precision^-1, mean = cov @ shift."""
+def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
+    """Density from information form: covariance = precision^-1, mean = cov @ shift.
+
+    Its one caller is fusion, so a precision that is not positive-definite
+    raises FusionDegenerateError."""
     precision = symmetrize(np.asarray(precision, dtype=float))
     try:
         low = np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
-        raise error("precision matrix is not positive-definite") from exc
+        raise FusionDegenerateError("precision matrix is not positive-definite") from exc
     cov = symmetrize(cho_solve((low, True), np.eye(precision.shape[0])))
     mean = cho_solve((low, True), np.asarray(shift, dtype=float))
-    cov, _ = spd_cholesky(cov)
+    cov = spd_cholesky(cov)
     return GaussianDensity(mean, cov)
 
 
@@ -155,7 +158,7 @@ def fuse_local_posteriors(locals_: Sequence[GaussianDensity],
         n_extra = len(locals_) - 1
         precision -= n_extra * lam0
         shift -= n_extra * eta0
-    return from_info(precision, shift, error=FusionDegenerateError)
+    return from_info(precision, shift)
 
 
 def merge_mixture(weights: Sequence[float],
@@ -185,5 +188,5 @@ def merge_mixture(weights: Sequence[float],
         mean += wi * c.mean
         second += wi * (c.covariance + np.outer(c.mean, c.mean))
     cov = symmetrize(second - np.outer(mean, mean))
-    cov, _ = spd_cholesky(cov)
+    cov = spd_cholesky(cov)
     return GaussianDensity(mean, cov)

@@ -131,12 +131,6 @@ def expand(hset: HypothesisSet,
     return kept
 
 
-def normalize(hset: HypothesisSet) -> HypothesisSet:
-    """Recompute normalized weights as the softmax of the stored log-weights."""
-    return HypothesisSet(hset.hypotheses, softmax_weights(
-        [h.log_weight for h in hset.hypotheses]))
-
-
 def softmax_weights(log_weights: Sequence[float]) -> np.ndarray:
     lw = np.asarray(log_weights, dtype=float)
     if not np.any(np.isfinite(lw)):

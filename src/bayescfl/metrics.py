@@ -1,5 +1,5 @@
-"""Evaluation: association accuracy, co-association accumulation,
-classification metrics, parameter recovery error, and held-out likelihood."""
+"""Evaluation: association accuracy, co-association accumulation, parameter
+recovery error, and held-out likelihood."""
 
 from __future__ import annotations
 
@@ -126,25 +126,6 @@ def accumulate_coassociation(matrix: CoAssociationMatrix,
         same = lab[:, None] == lab[None, :]
         out += weight * same
     return CoAssociationMatrix(out, matrix.rounds_accumulated + 1)
-
-
-def classification_metrics(predictions, labels,
-                           label_count: int | None = None) -> tuple[float, float]:
-    """(micro accuracy, macro F1). Classes without support contribute F1=0."""
-    preds = np.asarray(predictions, dtype=int)
-    labs = np.asarray(labels, dtype=int)
-    if preds.shape != labs.shape or preds.size == 0:
-        raise ContractError("predictions and labels must be nonempty and equal length")
-    n_classes = label_count if label_count is not None \
-        else int(max(preds.max(), labs.max())) + 1
-    micro = float(np.mean(preds == labs))
-    f1s = []
-    for c in range(n_classes):
-        tp = int(np.sum((preds == c) & (labs == c)))
-        fp = int(np.sum((preds == c) & (labs != c)))
-        fn = int(np.sum((preds != c) & (labs == c)))
-        f1s.append(0.0 if 2 * tp + fp + fn == 0 else 2 * tp / (2 * tp + fp + fn))
-    return micro, float(np.mean(f1s))
 
 
 def parameter_rmse(report: RoundReport, true_params) -> float:

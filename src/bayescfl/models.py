@@ -50,7 +50,6 @@ class LocalModelSpec:
     kind: str
     feature_dim: int
     noise_variance: float | None = None
-    label_count: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -60,12 +59,6 @@ class LocalModelSpec:
         if self.kind in ("gaussian-mean", "bayes-linear"):
             if self.noise_variance is None or self.noise_variance <= 0:
                 raise ContractError(f"{self.kind} requires a positive noise_variance")
-        if self.kind == "laplace-logistic":
-            # The inferred weight vector lives in feature space, which pins the
-            # model to two classes (labels 0/1).
-            if self.label_count not in (None, 2):
-                raise ContractError("laplace-logistic supports label_count=2 only")
-            object.__setattr__(self, "label_count", 2)
 
     @property
     def param_dim(self) -> int:
@@ -126,15 +119,6 @@ def data_log_likelihoods(omegas: np.ndarray, data: ClientDataset,
         raise ContractError(f"parameters must have shape (S, {spec.param_dim})")
     _check_data(data, spec)
     return _log_likelihoods(omegas, data, spec)
-
-
-def data_log_likelihood(omega: np.ndarray, data: ClientDataset,
-                        spec: LocalModelSpec) -> float:
-    """log p(D | omega); 0 for an empty dataset (log of an empty product)."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (spec.param_dim,):
-        raise ContractError(f"parameter must have shape ({spec.param_dim},)")
-    return float(data_log_likelihoods(omega[None], data, spec)[0])
 
 
 def _gaussian_mean_update(prior, data, spec):
@@ -224,11 +208,11 @@ def posterior_update(prior: GaussianDensity, data: ClientDataset,
         lam, eta = _bayes_linear_update(prior, data, spec)
     else:
         mode, cov = _laplace_logistic_update(prior, data, spec)
-        cov, _ = spd_cholesky(cov)
+        cov = spd_cholesky(cov)
         return GaussianDensity(mode, cov)
     lam = symmetrize(lam)
     cov = symmetrize(np.linalg.inv(lam))
-    cov, _ = spd_cholesky(cov)
+    cov = spd_cholesky(cov)
     mean = np.linalg.solve(lam, eta)
     return GaussianDensity(mean, cov)
 

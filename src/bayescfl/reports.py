@@ -89,7 +89,6 @@ class RoundReport:
 
 
 def report_from_set(hset: HypothesisSet, mode: str,
-                    metrics: dict[str, float] | None = None,
                     comm: dict[str, int] | None = None) -> RoundReport:
     return RoundReport(
         round=hset.round,
@@ -102,7 +101,6 @@ def report_from_set(hset: HypothesisSet, mode: str,
         cluster_means=tuple(
             tuple(tuple(float(v) for v in g.mean) for g in h.cluster_posteriors)
             for h in hset.hypotheses),
-        metrics=dict(metrics or {}),
         comm=dict(comm or {}),
     )
 

@@ -64,14 +64,13 @@ def _rng(*keys: int) -> np.random.Generator:
 class WeightEstimator:
     """How clients turn cluster densities into association weights.
 
-    The sampled estimator's seed is extra entropy mixed with the run seed and
-    the (round, hypothesis, client, cluster) indices, so every sampled weight
-    has its own reproducible stream.
+    Each sampled weight draws its n_samples parameters from its own
+    reproducible stream, seeded from the run seed and the (round,
+    hypothesis, client, cluster) indices.
     """
 
     kind: str = "at-mean"        # "at-mean" | "sampled"
     n_samples: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("at-mean", "sampled"):
@@ -115,14 +114,10 @@ class RoundConfig:
 
 @dataclass(frozen=True)
 class ServerState:
-    round: int
-    hypothesis_set: HypothesisSet
-    prior: GaussianDensity
-    comm: CommLedger
+    """The live hypotheses (their round is the server's) and the ledger."""
 
-    def __post_init__(self):
-        if self.hypothesis_set.round != self.round:
-            raise ContractError("hypothesis set round must equal the server round")
+    hypothesis_set: HypothesisSet
+    comm: CommLedger
 
 
 def initialize(cfg: RoundConfig) -> ServerState:
@@ -135,10 +130,7 @@ def initialize(cfg: RoundConfig) -> ServerState:
     priors = [GaussianDensity(MEAN_PERTURB_SCALE * sigma0 * rng.standard_normal(dim),
                               cov)
               for _ in range(cfg.K)]
-    return ServerState(round=0,
-                       hypothesis_set=root_set(priors),
-                       prior=GaussianDensity(np.zeros(dim), cov),
-                       comm=CommLedger())
+    return ServerState(hypothesis_set=root_set(priors), comm=CommLedger())
 
 
 def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -192,7 +184,8 @@ def warm_up(clients: Sequence[ClientDataset], cfg: RoundConfig) -> list[Gaussian
     if cfg.warm_up_rounds < 1:
         raise ContractError("warm_up requires warm_up_rounds >= 1")
     base = initialize(cfg)
-    flat = base.prior
+    dim = cfg.model.param_dim
+    flat = GaussianDensity(np.zeros(dim), cfg.prior_sigma2 * np.eye(dim))
     locals_ = [posterior_update(flat, d, cfg.model) for d in clients]
     means = np.stack([g.mean for g in locals_])
     labels = _kmeans_labels(means, cfg.K, _rng(cfg.seed, _WARMUP))
@@ -232,8 +225,7 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
         for j, client in enumerate(clients):
             for i, cluster in enumerate(hyp.cluster_posteriors):
                 seed = int(np.random.SeedSequence(
-                    [cfg.seed & _SEED_MASK, est.seed & _SEED_MASK, _WEIGHTS,
-                     round_index, p, j, i]
+                    [cfg.seed & _SEED_MASK, 0, _WEIGHTS, round_index, p, j, i]
                 ).generate_state(1)[0])
                 w = assoc_log_weight_sampled(cluster, client, cfg.model,
                                              est.n_samples, seed)
@@ -303,13 +295,13 @@ def _comm_increment(cfg: RoundConfig, parents: int, survivors: int) -> tuple[int
 
 def run_round(server: ServerState, clients: Sequence[ClientDataset],
               cfg: RoundConfig) -> tuple[ServerState, RoundReport]:
-    if server.round >= cfg.T:
+    hset = server.hypothesis_set
+    if hset.round >= cfg.T:
         raise ContractError("training horizon T already reached")
     if len(clients) != cfg.C:
         raise ContractError(f"expected {cfg.C} client datasets, got {len(clients)}")
-    hset = server.hypothesis_set
 
-    mats = _client_log_weights(hset, clients, cfg, server.round)
+    mats = _client_log_weights(hset, clients, cfg, hset.round)
 
     if cfg.mode == "conceptual":
         cands = _conceptual_candidates(hset, mats)
@@ -332,8 +324,7 @@ def run_round(server: ServerState, clients: Sequence[ClientDataset],
     report = report_from_set(updated, cfg.mode, comm=comm.snapshot())
     report = dataclasses.replace(
         report, metrics={"association_accuracy": association_accuracy(report, truth)})
-    new_state = ServerState(round=server.round + 1, hypothesis_set=carried,
-                            prior=server.prior, comm=comm)
+    new_state = ServerState(hypothesis_set=carried, comm=comm)
     return new_state, report
 
 

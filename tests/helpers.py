@@ -141,8 +141,8 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
                     w = simulation.assoc_log_weight_at_mean([cluster], client, cfg.model)[0]
                 else:
                     seed = int(np.random.SeedSequence(
-                        [cfg.seed & simulation._SEED_MASK, est.seed & simulation._SEED_MASK,
-                         simulation._WEIGHTS, round_index, p, j, i]
+                        [cfg.seed & simulation._SEED_MASK, 0, simulation._WEIGHTS,
+                         round_index, p, j, i]
                     ).generate_state(1)[0])
                     w = simulation.assoc_log_weight_sampled(cluster, client, cfg.model,
                                                             est.n_samples, seed)
@@ -171,9 +171,10 @@ def uncached_update_posteriors(selected, clients, cfg):
     return with_posteriors(selected, new_lists)
 
 
-def grid_posterior_moments(prior: GaussianDensity, loglik, lo: float, hi: float,
+def grid_posterior_moments(prior: GaussianDensity, logliks, lo: float, hi: float,
                            n: int = 801):
-    """Posterior mean/covariance by dense grid integration (1-D or 2-D)."""
+    """Posterior mean/covariance by dense grid integration (1-D or 2-D);
+    ``logliks`` maps the (N, dim) grid points to their N log-likelihoods."""
     dim = prior.dim
     axis = np.linspace(lo, hi, n)
     if dim == 1:
@@ -183,7 +184,7 @@ def grid_posterior_moments(prior: GaussianDensity, loglik, lo: float, hi: float,
         pts = np.column_stack([xx.ravel(), yy.ravel()])
     else:
         raise ValueError("grid oracle supports 1-D and 2-D only")
-    log_post = prior.log_pdf(pts) + np.array([loglik(w) for w in pts])
+    log_post = prior.log_pdf(pts) + logliks(pts)
     log_post -= log_post.max()
     dens = np.exp(log_post)
     dens /= dens.sum()

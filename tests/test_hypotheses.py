@@ -6,9 +6,9 @@ import pytest
 from bayescfl import (Assignment, ContractError, CostMatrix,
                       DegenerateHypothesisSetError, GaussianDensity,
                       Hypothesis, HypothesisSet, best_assignment,
-                      consensus_merge, expand, normalize, prune_top_m,
-                      select_greedy)
-from bayescfl.hypotheses import Candidate, materialize, root_set
+                      consensus_merge, expand, prune_top_m, select_greedy)
+from bayescfl.hypotheses import (Candidate, materialize, root_set,
+                                 softmax_weights)
 
 COSTS_3X2 = np.array([[5.0, 8.0], [8.0, 2.0], [4.0, 8.0]])
 
@@ -29,22 +29,26 @@ def make_set(log_weights, k=2, round_=1, c=3):
     return HypothesisSet(hyps, w / w.sum())
 
 
+def normalized(hset):
+    """The set with its weights recomputed from its stored log-weights."""
+    return HypothesisSet(hset.hypotheses,
+                         softmax_weights([h.log_weight for h in hset.hypotheses]))
+
+
 class TestNormalize:
     def test_single_hypothesis(self):
-        hset = normalize(make_set([-3.0]))
-        np.testing.assert_allclose(hset.normalized_weights, [1.0])
+        np.testing.assert_allclose(softmax_weights([-3.0]), [1.0])
 
     def test_equal_log_weights(self):
-        hset = normalize(make_set([-2.0, -2.0]))
-        np.testing.assert_allclose(hset.normalized_weights, [0.5, 0.5])
+        np.testing.assert_allclose(softmax_weights([-2.0, -2.0]), [0.5, 0.5])
 
     def test_softmax_by_hand(self):
-        hset = normalize(make_set([0.0, np.log(3.0)]))
-        np.testing.assert_allclose(hset.normalized_weights, [0.25, 0.75], atol=1e-12)
+        np.testing.assert_allclose(softmax_weights([0.0, np.log(3.0)]), [0.25, 0.75],
+                                   atol=1e-12)
 
     def test_all_minus_inf(self):
         with pytest.raises(DegenerateHypothesisSetError):
-            normalize(make_set([-np.inf, -np.inf]))
+            softmax_weights([-np.inf, -np.inf])
 
 
 class TestExpand:
@@ -168,7 +172,7 @@ class TestConsensusMerge:
                        assignment=Assignment((0, 1)), log_weight=-float(i),
                        cluster_posteriors=post)
             for i in range(2))
-        hset = normalize(HypothesisSet(hyps, np.array([0.5, 0.5])))
+        hset = normalized(HypothesisSet(hyps, np.array([0.5, 0.5])))
         merged = consensus_merge(hset)
         assert len(merged) == 1
         for i in range(2):
@@ -204,7 +208,7 @@ class TestConsensusMerge:
                        log_weight=float(rng.normal()),
                        cluster_posteriors=posts[i])
             for i in range(m))
-        hset = normalize(HypothesisSet(hyps, np.full(m, 1.0 / m)))
+        hset = normalized(HypothesisSet(hyps, np.full(m, 1.0 / m)))
         merged = consensus_merge(hset)
         w = hset.normalized_weights
         for i in range(k):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from bayescfl import (CoAssociationMatrix, ContractError, LocalModelSpec,
                       RoundReport, accumulate_coassociation,
-                      association_accuracy, classification_metrics,
-                      heldout_log_likelihood, parameter_rmse)
+                      association_accuracy, heldout_log_likelihood,
+                      parameter_rmse)
 from bayescfl.metrics import _match_pairs
 from bayescfl.reports import read_ndjson, write_ndjson
 from helpers import gaussian_mean_dataset
@@ -148,44 +148,6 @@ class TestCoAssociation:
         assert matrix.rounds_accumulated == 7
         assert np.all(matrix.entries <= 7.0 + 1e-9)
         np.testing.assert_allclose(matrix.entries, matrix.entries.T, atol=1e-12)
-
-
-class TestClassificationMetrics:
-    def test_all_correct(self):
-        assert classification_metrics([0, 1, 2], [0, 1, 2]) == (1.0, 1.0)
-
-    def test_degenerate_binary_predictor(self):
-        micro, macro = classification_metrics([0, 0, 0, 0], [0, 0, 1, 1])
-        assert micro == 0.5
-        assert abs(macro - (2 / 3 + 0.0) / 2) < 1e-12
-
-    def test_single_sample(self):
-        micro, macro = classification_metrics([1], [1], label_count=3)
-        assert micro == 1.0
-        assert abs(macro - 1.0 / 3) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            classification_metrics([], [])
-
-    def test_micro_is_exact_ratio(self):
-        rng = np.random.default_rng(10)
-        preds = rng.integers(0, 4, size=137)
-        labs = rng.integers(0, 4, size=137)
-        micro, _ = classification_metrics(preds, labs)
-        assert micro == float(np.sum(preds == labs)) / 137
-
-    def test_against_sklearn(self):
-        sklearn_metrics = pytest.importorskip("sklearn.metrics")
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            preds = rng.integers(0, 5, size=60)
-            labs = rng.integers(0, 5, size=60)
-            micro, macro = classification_metrics(preds, labs, label_count=5)
-            assert abs(micro - sklearn_metrics.accuracy_score(labs, preds)) < 1e-12
-            want = sklearn_metrics.f1_score(labs, preds, labels=range(5),
-                                            average="macro", zero_division=0)
-            assert abs(macro - want) < 1e-12
 
 
 class TestParameterRmse:

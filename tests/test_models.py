@@ -4,11 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from bayescfl import (ClientDataset, ContractError, GaussianDensity,
-                      LocalModelSpec, assoc_log_weight_at_mean,
-                      assoc_log_weight_sampled, data_log_likelihood,
-                      posterior_update)
+from bayescfl import (ClientDataset, ConfigError, ContractError,
+                      GaussianDensity, LocalModelSpec, assoc_log_weight_at_mean,
+                      assoc_log_weight_sampled, posterior_update)
 from bayescfl import models
+from bayescfl.config import plan_from_dict
 from bayescfl.errors import SingularModelError
 from helpers import (binary_dataset, empty_dataset, gaussian_mean_dataset,
                      grid_posterior_moments, reference_assoc_log_weight_sampled,
@@ -33,10 +33,13 @@ class TestSpecValidation:
             LocalModelSpec("gaussian-mean", feature_dim=1)
 
     def test_logistic_is_binary(self):
-        with pytest.raises(ContractError):
-            LocalModelSpec("laplace-logistic", feature_dim=2, label_count=3)
-        spec = LocalModelSpec("laplace-logistic", feature_dim=2)
-        assert spec.label_count == 2
+        raw = {"K": 2, "T": 1, "groups": 2, "clients_per_group": 1,
+               "scheme": "label-skew", "model_kind": "laplace-logistic"}
+        for label_count in (3, 10):
+            with pytest.raises(ConfigError, match="label_count=2"):
+                plan_from_dict(dict(raw, label_count=label_count))
+        plan = plan_from_dict(dict(raw, label_count=2))
+        assert plan.round_config.model.kind == "laplace-logistic"
 
 
 class TestPosteriorUpdate:
@@ -64,9 +67,8 @@ class TestPosteriorUpdate:
         data = gaussian_mean_dataset(rng.normal(size=4))
         post = posterior_update(prior, data, spec)
 
-        from bayescfl import data_log_likelihood
         mean, cov = grid_posterior_moments(
-            prior, lambda w: data_log_likelihood(w, data, spec), -10, 10, 4001)
+            prior, lambda ws: models.data_log_likelihoods(ws, data, spec), -10, 10, 4001)
         np.testing.assert_allclose(post.mean, mean, rtol=1e-3, atol=1e-4)
         np.testing.assert_allclose(post.covariance, cov, rtol=1e-3, atol=1e-4)
 
@@ -79,9 +81,8 @@ class TestPosteriorUpdate:
         data = regression_dataset(x, y)
         post = posterior_update(prior, data, spec)
 
-        from bayescfl import data_log_likelihood
         mean, cov = grid_posterior_moments(
-            prior, lambda w: data_log_likelihood(w, data, spec), -8, 8, 401)
+            prior, lambda ws: models.data_log_likelihoods(ws, data, spec), -8, 8, 401)
         np.testing.assert_allclose(post.mean, mean, rtol=1e-3, atol=1e-3)
         np.testing.assert_allclose(post.covariance, cov, rtol=1e-3, atol=1e-3)
 
@@ -125,9 +126,8 @@ class TestLaplaceLogistic:
         data = binary_dataset(x, y)
         post = posterior_update(prior, data, spec)
 
-        from bayescfl import data_log_likelihood
         mean, cov = grid_posterior_moments(
-            prior, lambda w: data_log_likelihood(w, data, spec), -10, 10, 4001)
+            prior, lambda ws: models.data_log_likelihoods(ws, data, spec), -10, 10, 4001)
         # Laplace is an approximation: generous tolerance
         np.testing.assert_allclose(post.mean, mean, atol=0.1)
         np.testing.assert_allclose(post.covariance, cov, rtol=0.25)
@@ -240,7 +240,7 @@ class TestBatchedLikelihood:
         spec, data, omegas = case
         want = np.array([reference_data_log_likelihood(w, data, spec) for w in omegas])
         assert np.array_equal(models._log_likelihoods(omegas, data, spec), want)
-        assert np.array_equal([data_log_likelihood(w, data, spec) for w in omegas], want)
+        assert np.array_equal(models.data_log_likelihoods(omegas, data, spec), want)
 
     @given(case=likelihood_cases())
     def test_at_mean_matches_one_row_formulas(self, case):

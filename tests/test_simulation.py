@@ -59,7 +59,8 @@ class TestInitialize:
 
     def test_prior_scale(self):
         state = initialize(round_config())
-        np.testing.assert_allclose(state.prior.covariance, 10.0 * np.eye(2))
+        for prior in state.hypothesis_set.hypotheses[0].cluster_posteriors:
+            np.testing.assert_allclose(prior.covariance, 10.0 * np.eye(2))
 
 
 class TestDeterminismAndSchedule:
@@ -296,7 +297,7 @@ class TestPhaseReuse:
         run_round, fn = simulation.run_round, getattr(simulation, name)
 
         def tagged_round(server, *args, **kwargs):
-            current[0] = server.round
+            current[0] = server.hypothesis_set.round
             return run_round(server, *args, **kwargs)
 
         def wrapper(*args, **kwargs):
