@@ -178,6 +178,9 @@ def plan_from_dict(raw: dict) -> RunPlan:
         sweep = _get(raw, "sweep", {})
         if not isinstance(sweep, dict):
             raise ConfigError(f"config key 'sweep' must be an object, got {sweep!r}")
+        unknown = set(sweep) - {"mode", "m_max"}
+        if unknown:
+            raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
         sweep_modes = tuple(str(m) for m in _sweep_list(sweep, "mode", [round_config.mode]))
         sweep_m_max = tuple(_as_int("sweep.m_max", m)
                             for m in _sweep_list(sweep, "m_max", [round_config.m_max]))
@@ -194,9 +197,11 @@ def plan_from_dict(raw: dict) -> RunPlan:
 
 
 def canonical_dict(plan: RunPlan) -> dict:
-    """Config echo for summaries: stable key order, plain JSON types."""
+    """Config echo for summaries: stable key order, plain JSON types.
+    prune_log_gap is echoed only when set, so echoes without it keep their
+    bytes."""
     rc, sc = plan.round_config, plan.skew_config
-    return {
+    echo = {
         "mode": rc.mode, "K": rc.K, "C": rc.C, "T": rc.T, "m_max": rc.m_max,
         "weight_estimator": rc.weight_estimator.kind,
         "weight_samples": rc.weight_estimator.n_samples,
@@ -211,3 +216,6 @@ def canonical_dict(plan: RunPlan) -> dict:
         "fresh_each_round": sc.fresh_each_round,
         "test_samples": plan.test_samples,
     }
+    if rc.prune_log_gap is not None:
+        echo["prune_log_gap"] = rc.prune_log_gap
+    return echo

@@ -33,8 +33,7 @@ def spd_cholesky(a: np.ndarray) -> np.ndarray:
         np.linalg.cholesky(a)
         return a
     except np.linalg.LinAlgError:
-        pass
-    bumped = a + SPD_JITTER * np.eye(a.shape[0])
+        bumped = a + SPD_JITTER * np.eye(a.shape[0])
     try:
         np.linalg.cholesky(bumped)
     except np.linalg.LinAlgError as exc:

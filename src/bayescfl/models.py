@@ -11,15 +11,19 @@ Three model kinds:
 Every likelihood goes through one batched kernel, ``_log_likelihoods``, which
 scores S parameter rows against one dataset in a single call: all Monte Carlo
 draws of a sampled weight, every cluster mean of an at-mean weight, every
-hypothesis's mean in the held-out metric, and the Newton objective. Each row
-takes the same floating-point operations in the same order as a one-row call,
-so the results are bit-identical to scoring the rows one by one. Public entry
-points validate the data once per call; the kernel itself checks nothing.
+hypothesis's mean in the held-out metric, and (one row at a time) the Newton
+objective. Each row takes the same floating-point operations in the same order
+as a one-row call, so the results are bit-identical to scoring the rows one by
+one. Public entry points validate the data once per call; the kernel itself
+checks nothing.
 
-The Newton line search tries the full step alone and, if it raises the
-objective, scores every halved step in one more call and takes the first that
-does not. That is the step the one-at-a-time halving loop takes, so a
-search that halves 25 times costs two objective calls, not 26.
+The Laplace mode search is a damped Newton loop that stops on the Newton
+decrement (Boyd & Vandenberghe, Convex Optimization, section 9.5): once
+g' H^-1 g, twice the decrease the full step predicts, is at most
+NEWTON_DECREMENT_TOL * max(1, |f|), that decrease lies below what the
+objective f can resolve, so the loop takes the full step and stops. Before
+that, each step halves from the full Newton step until the objective does not
+rise, at most NEWTON_MAX_HALVINGS times.
 """
 
 from __future__ import annotations
@@ -35,10 +39,8 @@ from .density import GaussianDensity, spd_cholesky, symmetrize
 from .errors import ContractError, SingularModelError
 
 NEWTON_MAX_ITER = 100
-NEWTON_GRAD_TOL = 1e-8
 NEWTON_MAX_HALVINGS = 40
-# the line search's step scales after the full step: 2**-1, ..., 2**-40
-_HALVED_SCALES = np.ldexp(1.0, -np.arange(1, NEWTON_MAX_HALVINGS + 1))
+NEWTON_DECREMENT_TOL = 1e-10
 
 KINDS = ("gaussian-mean", "bayes-linear", "laplace-logistic")
 
@@ -144,40 +146,34 @@ def _laplace_logistic_update(prior, data, spec):
     lam0 = prior.precision
     m0 = prior.mean
 
-    # The negative log posterior (up to a constant) of each row of ws (S, d).
-    # A row gets the bits of 0.5 * (w - m0) @ lam0 @ (w - m0) minus its
-    # likelihood: the stacked matmuls run one gemv and one dot per row.
-    # posterior_update has checked the data; the objective does not again.
-    def objectives(ws):
-        diff = ws - m0
-        quad = ((0.5 * diff)[:, None, :] @ lam0 @ diff[:, :, None])[:, 0, 0]
-        return quad - _log_likelihoods(ws, data, spec)
+    # The negative log posterior of w, up to a constant. posterior_update has
+    # checked the data; the objective does not again.
+    def objective(w):
+        diff = w - m0
+        return 0.5 * diff @ lam0 @ diff - _log_likelihoods(w[None], data, spec)[0]
 
     w = m0.copy()
-    obj = objectives(w[None])[0]
+    obj = objective(w)
     for _ in range(NEWTON_MAX_ITER):
         p = 1.0 / (1.0 + np.exp(-(x @ w)))
         grad = x.T @ (p - y) + lam0 @ (w - m0)
-        if float(np.linalg.norm(grad)) < NEWTON_GRAD_TOL:
-            break
         hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
         try:
             spd_cholesky(hess)
         except ContractError as exc:
             raise SingularModelError("Hessian not positive-definite") from exc
         step = np.linalg.solve(hess, grad)
+        if grad @ step <= NEWTON_DECREMENT_TOL * max(1.0, abs(obj)):
+            w = w - step
+            break
         # the first of the scales 1, 1/2, ..., 2**-39 whose step does not
         # raise the objective, else 2**-40
-        full = w - step
-        full_obj = objectives(full[None])[0]
-        if full_obj <= obj:
-            w, obj = full, full_obj
-        else:
-            cands = w - _HALVED_SCALES[:, None] * step
-            cand_objs = objectives(cands)
-            passed = np.flatnonzero(cand_objs[:-1] <= obj)
-            k = passed[0] if passed.size else len(_HALVED_SCALES) - 1
-            w, obj = cands[k].copy(), cand_objs[k]
+        for halvings in range(NEWTON_MAX_HALVINGS + 1):
+            cand = w - 0.5 ** halvings * step
+            cand_obj = objective(cand)
+            if cand_obj <= obj or halvings == NEWTON_MAX_HALVINGS:
+                break
+        w, obj = cand, cand_obj
 
     p = 1.0 / (1.0 + np.exp(-(x @ w)))
     hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)

@@ -102,8 +102,11 @@ class RoundConfig:
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.fusion_mode not in ("naive-product", "prior-corrected"):
             raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
-        if self.warm_up_rounds < 0:
-            raise ContractError("warm_up_rounds must be >= 0")
+        if self.warm_up_rounds not in (0, 1):
+            raise ContractError("warm_up_rounds must be 0 or 1 (one warm-up round exists)")
+        # NaN fails the comparison too
+        if self.prune_log_gap is not None and not self.prune_log_gap >= 0:
+            raise ContractError("prune_log_gap must be >= 0")
         if self.prior_sigma2 <= 0:
             raise ContractError("prior_sigma2 must be positive")
         if self.mode == "conceptual":
@@ -224,6 +227,7 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
         mat = np.empty((len(clients), hyp.cluster_count))
         for j, client in enumerate(clients):
             for i, cluster in enumerate(hyp.cluster_posteriors):
+                # the 0 holds the place of a retired key, so streams keep their seeds
                 seed = int(np.random.SeedSequence(
                     [cfg.seed & _SEED_MASK, 0, _WEIGHTS, round_index, p, j, i]
                 ).generate_state(1)[0])

@@ -76,11 +76,11 @@ def reference_data_log_likelihood(omega, data, spec) -> float:
     return float(np.sum(y * z - np.logaddexp(0.0, z)))
 
 
-def reference_laplace_logistic_update(prior, data, spec, halvings=None):
-    """The Laplace mode search with one objective call per line-search step:
-    the loop that the batched ``models._laplace_logistic_update`` must match
-    bit for bit. Appends each Newton step's number of halvings to
-    ``halvings`` when given."""
+def reference_laplace_logistic_update(prior, data, spec):
+    """The Laplace mode search, written from the one-row likelihood formula,
+    with the same stop on the Newton decrement and the same step halving:
+    the loop that ``models._laplace_logistic_update`` must match bit for
+    bit."""
     x = data.features
     y = np.asarray(data.labels, dtype=float)
     lam0 = prior.precision
@@ -95,20 +95,16 @@ def reference_laplace_logistic_update(prior, data, spec, halvings=None):
     for _ in range(models.NEWTON_MAX_ITER):
         p = 1.0 / (1.0 + np.exp(-(x @ w)))
         grad = x.T @ (p - y) + lam0 @ (w - m0)
-        if float(np.linalg.norm(grad)) < models.NEWTON_GRAD_TOL:
-            break
         hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
         step = np.linalg.solve(hess, grad)
-        scale, halved = 1.0, 0
+        if grad @ step <= models.NEWTON_DECREMENT_TOL * max(1.0, abs(obj)):
+            w = w - step
+            break
+        scale = 1.0
         for _ in range(models.NEWTON_MAX_HALVINGS):
-            cand = w - scale * step
-            cand_obj = objective(cand)
-            if cand_obj <= obj:
+            if objective(w - scale * step) <= obj:
                 break
             scale *= 0.5
-            halved += 1
-        if halvings is not None:
-            halvings.append(halved)
         w = w - scale * step
         obj = objective(w)
     p = 1.0 / (1.0 + np.exp(-(x @ w)))

@@ -108,6 +108,11 @@ class TestConfigWiring:
         assert plan.round_config.seed == 99
         assert plan.skew_config.seed == 99
 
+    def test_echo_has_prune_log_gap_when_set(self):
+        assert "prune_log_gap" not in canonical_dict(plan_from_dict(BASE_CONFIG))
+        echo = canonical_dict(plan_from_dict(dict(BASE_CONFIG, prune_log_gap=0.5)))
+        assert echo["prune_log_gap"] == 0.5
+
     def test_c_defaults_to_product(self):
         raw = {k: v for k, v in BASE_CONFIG.items() if k != "C"}
         plan = plan_from_dict(raw)
@@ -135,6 +140,7 @@ class TestConfigTyping:
         {"sweep": [1, 2]},
         {"sweep": {"mode": "greedy"}},
         {"sweep": {"m_max": 2}},
+        {"sweep": {"modes": ["consensus", "multi-hypothesis"], "mmax": [1, 4]}},
     ])
     def test_rejects_coercible_values(self, extra):
         with pytest.raises(ConfigError):
@@ -146,7 +152,8 @@ class TestConfigTyping:
         assert type(plan.skew_config.separation) is float
         assert plan.round_config.prune_log_gap == 5.0
 
-    @pytest.mark.parametrize("sweep", [[1, 2], {"mode": "greedy"}])
+    @pytest.mark.parametrize("sweep", [[1, 2], {"mode": "greedy"},
+                                       {"mode": ["greedy"], "mmax": [1, 4]}])
     def test_malformed_sweep_exits_one(self, tmp_path, sweep):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(dict(BASE_CONFIG, sweep=sweep)))

@@ -207,7 +207,7 @@ def rng_features(seed, n, d, scale=1.0):
 
 def logistic_case(features, separable, seed=0, prior_scale=1.0, mean_scale=0.0):
     """A laplace-logistic spec, dataset and prior; separable labels drive the
-    mode far out, so the line search halves many times."""
+    mode far out, so the line search halves."""
     rng = np.random.default_rng(seed)
     n, d = features.shape
     direction = rng.standard_normal(d)
@@ -221,7 +221,7 @@ def logistic_case(features, separable, seed=0, prior_scale=1.0, mean_scale=0.0):
 @st.composite
 def newton_cases(draw):
     """Laplace-logistic updates from well-posed to nearly separable data, with
-    tight to diffuse priors, so that line searches halve from 0 to dozens of
+    tight to diffuse priors, so that line searches halve from 0 to a dozen
     times."""
     d, n = draw(st.integers(1, 4)), draw(st.integers(1, 60))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -286,14 +286,13 @@ class TestBatchedLikelihood:
         posterior_update(prior, data, spec)
         assert len(checks) == 1    # posterior_update's own check only
 
-    def test_newton_line_search_scores_in_two_calls(self, monkeypatch):
-        # one objective call at the start, then per Newton step the full step
-        # alone and, if it raises the objective, every halved step at once
-        spec, data, prior = logistic_case(rng_features(2593116995, 60, 2, 10.0), separable=False,
-                                          seed=2593116995, mean_scale=10.0)
-        halvings = []
-        reference_laplace_logistic_update(prior, data, spec, halvings)
-        assert max(halvings) > 1    # some step halves more than once
+    def test_newton_stops_at_float_precision(self, monkeypatch):
+        # Near this mode the objective cannot resolve a gradient norm of
+        # 1e-8: an absolute gradient test ran all NEWTON_MAX_ITER steps here,
+        # halving most of them 20+ times, and stopped at a norm of 5e-8.
+        x = np.random.default_rng(10).normal([1, 1], 1, (30, 2))
+        spec = LocalModelSpec("laplace-logistic", feature_dim=2)
+        prior = GaussianDensity(np.zeros(2), 10.0 * np.eye(2))
         calls = []
         kernel = models._log_likelihoods
 
@@ -302,9 +301,11 @@ class TestBatchedLikelihood:
             return kernel(omegas, *args)
 
         monkeypatch.setattr(models, "_log_likelihoods", counted)
-        posterior_update(prior, data, spec)
-        assert calls == [1] + [n for h in halvings
-                               for n in ([1] if h == 0 else [1, models.NEWTON_MAX_HALVINGS])]
+        post = posterior_update(prior, binary_dataset(x, np.ones(30, dtype=int)), spec)
+        assert 0 < len(calls) <= 10 and set(calls) == {1}
+        p = 1 / (1 + np.exp(-(x @ post.mean)))
+        grad = x.T @ (p - 1) + prior.precision @ (post.mean - prior.mean)
+        assert np.linalg.norm(grad) < 1e-12
 
     def test_wrong_parameter_shapes_rejected(self):
         data = gaussian_mean_dataset([0.0, 1.0])

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bayescfl import (ContractError, LocalModelSpec, RoundConfig, SkewConfig,
-                      WeightEstimator, gen_scenario, initialize,
+from bayescfl import (ConfigError, ContractError, LocalModelSpec, RoundConfig,
+                      SkewConfig, WeightEstimator, gen_scenario, initialize,
                       posterior_update, run_training, simulation, warm_up)
 from bayescfl.config import plan_from_dict
 from bayescfl.reports import trajectories
@@ -38,6 +38,18 @@ class TestConfigValidation:
     def test_estimator_validation(self):
         with pytest.raises(ContractError):
             WeightEstimator(kind="mode")
+
+    @pytest.mark.parametrize("kw", [{"prune_log_gap": -1.0},
+                                    {"prune_log_gap": float("nan")},
+                                    {"warm_up_rounds": 3}])
+    def test_out_of_range_values_name_their_key(self, kw):
+        (key,) = kw
+        with pytest.raises(ContractError, match=key):
+            round_config(**kw)
+        # the config file reaches the same check, and exits 1
+        with pytest.raises(ConfigError, match=key):
+            plan_from_dict({"K": 2, "T": 1, "groups": 2, "clients_per_group": 1,
+                            "scheme": "feature-skew", **kw})
 
 
 class TestInitialize:
