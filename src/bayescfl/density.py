@@ -12,7 +12,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import ContractError, FusionDegenerateError
 
@@ -24,21 +23,43 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def spd_cholesky(a: np.ndarray) -> np.ndarray:
-    """A symmetric matrix that has a Cholesky factor: a itself, else
-    a + SPD_JITTER*I. Raises ContractError if the matrix is not
-    positive-definite even after the jitter.
+def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric matrix that has a Cholesky factor, with that lower factor:
+    a itself, else a + SPD_JITTER*I. Raises ContractError if the matrix is
+    not positive-definite even after the jitter.
     """
     try:
-        np.linalg.cholesky(a)
-        return a
+        return a, np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         bumped = a + SPD_JITTER * np.eye(a.shape[0])
     try:
-        np.linalg.cholesky(bumped)
+        return bumped, np.linalg.cholesky(bumped)
     except np.linalg.LinAlgError as exc:
         raise ContractError("matrix is not positive-definite") from exc
-    return bumped
+
+
+def logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """log sum(b * exp(a)) over a 1-D array, for weights b >= 0 (default 1).
+
+    Takes the steps of scipy.special.logsumexp (scipy 1.17), so results keep
+    its bits: entries with b == 0 drop out, the entries at the maximum are
+    summed apart from the shifted rest, and a result that is not finite falls
+    back to the direct log of the sum.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kept = a if b is None else np.where(b == 0, -np.inf, a)
+        top = np.max(kept)
+        at_top = kept == top
+        m = np.sum(at_top, dtype=float) if b is None else np.sum(b * at_top)
+        shifted = np.exp(np.where(at_top, -np.inf, kept) - top)
+        s = np.sum(shifted if b is None else b * shifted)
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
+    return float(out)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -54,7 +75,8 @@ class GaussianDensity:
     Invariants checked at construction: mean is a vector, covariance is a
     matching square matrix, symmetric to 1e-12 relative tolerance, and
     positive-definite (a Cholesky factorization must succeed). That lower
-    factor is kept, read-only, as ``chol``.
+    factor is kept, read-only, as ``chol``; ``spd_gaussian`` hands in the
+    factor it has already computed, so no covariance is factorized twice.
     """
 
     mean: np.ndarray
@@ -72,10 +94,12 @@ class GaussianDensity:
         scale = max(1.0, float(np.max(np.abs(cov))))
         if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
             raise ContractError("covariance is not symmetric")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ContractError("covariance is not positive-definite") from exc
+        chol = self.__dict__.get("chol")
+        if chol is None:
+            try:
+                chol = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError as exc:
+                raise ContractError("covariance is not positive-definite") from exc
         chol.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -87,8 +111,7 @@ class GaussianDensity:
 
     @cached_property
     def precision(self) -> np.ndarray:
-        eye = np.eye(self.dim)
-        return symmetrize(cho_solve((self.chol, True), eye))
+        return symmetrize(np.linalg.inv(self.covariance))
 
     @cached_property
     def log_det_cov(self) -> float:
@@ -102,7 +125,7 @@ class GaussianDensity:
         """Log density at one point (shape (dim,)) or a batch (shape (n, dim))."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         diff = pts - self.mean
-        sol = solve_triangular(self.chol, diff.T, lower=True)
+        sol = np.linalg.solve(self.chol, diff.T)
         maha = np.sum(sol**2, axis=0)
         out = -0.5 * (self.dim * np.log(2.0 * np.pi) + self.log_det_cov + maha)
         return out[0] if np.asarray(x).ndim == 1 else out
@@ -112,6 +135,16 @@ class GaussianDensity:
         return self.mean + z @ self.chol.T
 
 
+def spd_gaussian(mean: np.ndarray, cov: np.ndarray) -> GaussianDensity:
+    """N(mean, cov), with cov made positive-definite by the jitter rule of
+    ``spd_cholesky`` and the density built from that one factorization."""
+    cov, chol = spd_cholesky(cov)
+    density = object.__new__(GaussianDensity)
+    object.__setattr__(density, "chol", chol)
+    density.__init__(mean, cov)
+    return density
+
+
 def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
     """Density from information form: covariance = precision^-1, mean = cov @ shift.
 
@@ -119,13 +152,12 @@ def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
     raises FusionDegenerateError."""
     precision = symmetrize(np.asarray(precision, dtype=float))
     try:
-        low = np.linalg.cholesky(precision)
+        np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
         raise FusionDegenerateError("precision matrix is not positive-definite") from exc
-    cov = symmetrize(cho_solve((low, True), np.eye(precision.shape[0])))
-    mean = cho_solve((low, True), np.asarray(shift, dtype=float))
-    cov = spd_cholesky(cov)
-    return GaussianDensity(mean, cov)
+    cov = symmetrize(np.linalg.inv(precision))
+    mean = np.linalg.solve(precision, np.asarray(shift, dtype=float))
+    return spd_gaussian(mean, cov)
 
 
 def fuse_local_posteriors(locals_: Sequence[GaussianDensity],
@@ -186,6 +218,4 @@ def merge_mixture(weights: Sequence[float],
     for wi, c in zip(w, components):
         mean += wi * c.mean
         second += wi * (c.covariance + np.outer(c.mean, c.mean))
-    cov = symmetrize(second - np.outer(mean, mean))
-    cov = spd_cholesky(cov)
-    return GaussianDensity(mean, cov)
+    return spd_gaussian(mean, symmetrize(second - np.outer(mean, mean)))

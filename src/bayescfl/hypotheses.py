@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .assignment import Assignment, build_cost_matrix, m_best_exact
-from .density import GaussianDensity, merge_mixture
+from .density import GaussianDensity, logsumexp, merge_mixture
 from .errors import ContractError, DegenerateHypothesisSetError
 
 HypothesisId = tuple[int, int]   # (round, creation rank)

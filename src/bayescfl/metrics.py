@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .density import logsumexp
 from .errors import ContractError
 from .models import LocalModelSpec, data_log_likelihoods
 from .reports import RoundReport

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .datasets import ClientDataset
-from .density import GaussianDensity, spd_cholesky, symmetrize
+from .density import (GaussianDensity, logsumexp, spd_cholesky, spd_gaussian,
+                      symmetrize)
 from .errors import ContractError, SingularModelError
 
 NEWTON_MAX_ITER = 100
@@ -204,13 +204,11 @@ def posterior_update(prior: GaussianDensity, data: ClientDataset,
         lam, eta = _bayes_linear_update(prior, data, spec)
     else:
         mode, cov = _laplace_logistic_update(prior, data, spec)
-        cov = spd_cholesky(cov)
-        return GaussianDensity(mode, cov)
+        return spd_gaussian(mode, cov)
     lam = symmetrize(lam)
     cov = symmetrize(np.linalg.inv(lam))
-    cov = spd_cholesky(cov)
     mean = np.linalg.solve(lam, eta)
-    return GaussianDensity(mean, cov)
+    return spd_gaussian(mean, cov)
 
 
 def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],
@@ -237,4 +235,4 @@ def assoc_log_weight_sampled(cluster: GaussianDensity, data: ClientDataset,
         raise ContractError(f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
     logliks = data_log_likelihoods(cluster.sample(n_samples, rng), data, spec)
-    return float(logsumexp(logliks, b=np.full(n_samples, 1.0 / n_samples)))
+    return logsumexp(logliks, np.full(n_samples, 1.0 / n_samples))

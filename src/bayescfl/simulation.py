@@ -174,33 +174,27 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
     return labels
 
 
-def warm_up(clients: Sequence[ClientDataset], cfg: RoundConfig) -> list[GaussianDensity]:
+def warm_up(clients: Sequence[ClientDataset],
+            cfg: RoundConfig) -> list[GaussianDensity | None]:
     """Cluster the clients' flat-prior posterior means with k-means, then fuse
     each group into one warmed prior per cluster.
 
     Fusion here is always the naive product: the warmed prior must not depend
     on how many identical members a group happens to have, and the product of
-    identical locals keeps their common mean exactly. Groups that end up empty
-    (only possible with fewer clients than clusters) fall back to the
-    corresponding initialize() prior.
+    identical locals keeps their common mean exactly. A group that ends up
+    empty (only possible with fewer clients than clusters) gives None, and
+    run_training keeps that cluster's initialize() prior.
     """
     if cfg.warm_up_rounds < 1:
         raise ContractError("warm_up requires warm_up_rounds >= 1")
-    base = initialize(cfg)
     dim = cfg.model.param_dim
     flat = GaussianDensity(np.zeros(dim), cfg.prior_sigma2 * np.eye(dim))
     locals_ = [posterior_update(flat, d, cfg.model) for d in clients]
     means = np.stack([g.mean for g in locals_])
     labels = _kmeans_labels(means, cfg.K, _rng(cfg.seed, _WARMUP))
-    fallback = base.hypothesis_set.hypotheses[0].cluster_posteriors
-    warmed = []
-    for i in range(cfg.K):
-        members = [g for g, lab in zip(locals_, labels) if lab == i]
-        if members:
-            warmed.append(fuse_local_posteriors(members, flat, "naive-product"))
-        else:
-            warmed.append(fallback[i])
-    return warmed
+    groups = [[g for g, lab in zip(locals_, labels) if lab == i] for i in range(cfg.K)]
+    return [fuse_local_posteriors(members, flat, "naive-product") if members else None
+            for members in groups]
 
 
 def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
@@ -347,8 +341,9 @@ def run_training(cfg: RoundConfig, data, true_params=None,
 
     state = initialize(cfg)
     if cfg.warm_up_rounds >= 1:
-        warmed = warm_up(rounds[0], cfg)
         root = state.hypothesis_set.hypotheses[0]
+        warmed = [w if w is not None else prior
+                  for w, prior in zip(warm_up(rounds[0], cfg), root.cluster_posteriors)]
         root = dataclasses.replace(root, cluster_posteriors=tuple(warmed))
         state = dataclasses.replace(
             state, hypothesis_set=HypothesisSet((root,), np.array([1.0])))

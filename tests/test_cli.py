@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,3 +231,19 @@ class TestSweep:
         assert len(index["runs"]) == 4
         assert (out / "greedy-m1" / "rounds.ndjson").exists()
         assert (out / "multi-hypothesis-m2" / "summary.json").exists()
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """The run and oracle commands need numpy only: a fresh interpreter that
+    runs both has loaded no scipy module."""
+    script = f"""
+import sys
+from bayescfl.cli import cli_run
+tiny = {str(REPO / "configs" / "tiny.json")!r}
+assert cli_run(["run", "--config", tiny, "--out", {str(tmp_path / "out")!r}]) == 0
+assert cli_run(["oracle", "--config", tiny]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

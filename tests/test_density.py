@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bayescfl import (ContractError, FusionDegenerateError, GaussianDensity,
                       LocalModelSpec, fuse_local_posteriors, merge_mixture,
                       posterior_update)
+from bayescfl.density import SPD_JITTER, logsumexp, spd_gaussian
+from bayescfl.simulation import LOG_WEIGHT_FLOOR
 from helpers import gaussian_mean_dataset, regression_dataset
 
 
@@ -164,3 +169,64 @@ class TestFusion:
             fuse_local_posteriors([g1(0, 1)],
                                   GaussianDensity(np.zeros(2), np.eye(2)),
                                   "naive-product")
+
+
+class TestSpdGaussian:
+    def test_one_factorization_per_density(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+        g = spd_gaussian(np.ones(2), cov)
+        assert len(calls) == 1
+        assert np.array_equal(g.chol, cholesky(cov))
+        assert np.array_equal(g.covariance, cov)
+        assert not g.chol.flags.writeable
+
+    def test_jitter_makes_a_singular_covariance_usable(self):
+        cov = np.ones((2, 2))
+        with pytest.raises(ContractError):
+            GaussianDensity(np.zeros(2), cov)
+        g = spd_gaussian(np.zeros(2), cov)
+        assert np.array_equal(g.covariance, cov + SPD_JITTER * np.eye(2))
+        assert np.array_equal(g.chol, np.linalg.cholesky(g.covariance))
+
+    def test_not_positive_definite_after_jitter_raises(self):
+        with pytest.raises(ContractError):
+            spd_gaussian(np.zeros(2), -np.eye(2))
+
+
+@st.composite
+def logsumexp_inputs(draw):
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 4))
+    a = draw(st.floats(-1e3, 1e3)) + scale * rng.standard_normal(n)
+    shape = draw(st.sampled_from(["plain", "ties", "some -inf", "all -inf", "floor"]))
+    if shape == "ties":
+        a[rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = a.max()
+    elif shape == "some -inf":
+        a[rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = -np.inf
+    elif shape == "all -inf":
+        a[:] = -np.inf
+    elif shape == "floor":
+        a[:] = LOG_WEIGHT_FLOOR
+    b = np.full(n, 1.0 / n) if draw(st.booleans()) else None
+    return a, b
+
+
+class TestLogsumexp:
+    """The numpy logsumexp must give scipy's bits, so that the weights,
+    held-out likelihoods and sampled association weights do not move."""
+
+    @given(inputs=logsumexp_inputs())
+    def test_matches_scipy_bit_for_bit(self, inputs):
+        a, b = inputs
+        with np.errstate(divide="ignore"):
+            want = scipy.special.logsumexp(a, b=b)
+        assert np.array_equal(logsumexp(a, b), want)

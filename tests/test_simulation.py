@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 from bayescfl import (ConfigError, ContractError, LocalModelSpec, RoundConfig,
                       SkewConfig, WeightEstimator, gen_scenario, initialize,
                       posterior_update, run_training, simulation, warm_up)
+from bayescfl.cli import cli_run
 from bayescfl.config import plan_from_dict
 from bayescfl.reports import trajectories
 from helpers import (gaussian_mean_dataset, uncached_client_log_weights,
                      uncached_update_posteriors)
 
+REPO = Path(__file__).resolve().parents[1]
 GM2 = LocalModelSpec("gaussian-mean", feature_dim=2, noise_variance=1.0)
 
 
@@ -196,6 +200,40 @@ class TestWarmUp:
         cfg = round_config(warm_up_rounds=1, T=2)
         reps = run_training(cfg, scen.rounds)
         assert len(reps) == 2
+
+    def test_empty_group_keeps_its_initialize_prior(self):
+        _, scen = scenario(groups=1, cpg=2, T=1)
+        cfg = round_config(K=3, C=2, T=1, warm_up_rounds=1)
+        warmed = warm_up(list(scen.rounds[0]), cfg)
+        assert sum(g is None for g in warmed) == 1
+        starts = []
+        run_round = simulation.run_round
+
+        def first_state(server, *args, **kwargs):
+            starts.append(server.hypothesis_set.hypotheses[0].cluster_posteriors)
+            return run_round(server, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "run_round", first_state)
+            run_training(cfg, scen.rounds)
+        fallback = initialize(cfg).hypothesis_set.hypotheses[0].cluster_posteriors
+        for got, w, prior in zip(starts[0], warmed, fallback, strict=True):
+            want = prior if w is None else w
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.covariance, want.covariance)
+
+    def test_one_initialize_per_run(self, monkeypatch, tmp_path):
+        calls = []
+        initialize_ = simulation.initialize
+
+        def counted(cfg):
+            calls.append(cfg)
+            return initialize_(cfg)
+
+        monkeypatch.setattr(simulation, "initialize", counted)
+        assert cli_run(["run", "--config", str(REPO / "configs" / "demo.json"),
+                        "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 class TestGreedyDecision:
