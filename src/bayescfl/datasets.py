@@ -12,7 +12,6 @@ client indices, so generation is reproducible and parallelizable by client.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,10 +141,10 @@ def separated_centers(count: int, dim: int, spacing: float,
     return pts - pts.mean(axis=0)
 
 
-def _feature_skew_client(cfg: SkewConfig, params: np.ndarray, t: int, j: int,
-                         n: int, stream: int) -> ClientDataset:
+def _feature_skew_client(cfg: SkewConfig, params: np.ndarray, src: int, t: int,
+                         j: int, n: int, stream: int) -> ClientDataset:
     g = j // cfg.clients_per_group
-    rng = _rng(cfg.seed, stream, t, j)
+    rng = _rng(cfg.seed, stream, src, j)
     sigma = cfg.noise_sigma
     if cfg.model_kind == "gaussian-mean":
         feats = params[g] + sigma * rng.standard_normal((n, cfg.feature_dim))
@@ -153,7 +152,7 @@ def _feature_skew_client(cfg: SkewConfig, params: np.ndarray, t: int, j: int,
     else:  # bayes-linear
         feats = rng.standard_normal((n, cfg.feature_dim))
         labels = feats @ params[g] + sigma * rng.standard_normal(n)
-    return ClientDataset(client_id=j, round=max(t, 0), features=feats,
+    return ClientDataset(client_id=j, round=t, features=feats,
                          labels=labels, true_group=g)
 
 
@@ -168,12 +167,8 @@ def gen_feature_skew(cfg: SkewConfig, T: int) -> GeneratedScenario:
     rounds = []
     for t in range(T):
         src = t if cfg.fresh_each_round else 0
-        row = tuple(
-            dataclasses.replace(
-                _feature_skew_client(cfg, params, src, j, n, _ROUNDS), round=t)
-            for j in range(cfg.client_count)
-        )
-        rounds.append(row)
+        rounds.append(tuple(_feature_skew_client(cfg, params, src, t, j, n, _ROUNDS)
+                            for j in range(cfg.client_count)))
     return GeneratedScenario(rounds=tuple(rounds), group_params=params)
 
 
@@ -209,12 +204,12 @@ def label_skew_distributions(cfg: SkewConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _label_skew_client(cfg: SkewConfig, class_means: np.ndarray,
-                       client_dists: np.ndarray, t: int, j: int,
+                       client_dists: np.ndarray, src: int, t: int, j: int,
                        n: int, stream: int) -> ClientDataset:
-    rng = _rng(cfg.seed, stream, t, j)
+    rng = _rng(cfg.seed, stream, src, j)
     labels = rng.choice(cfg.label_count, size=n, p=client_dists[j])
     feats = class_means[labels] + cfg.noise_sigma * rng.standard_normal((n, cfg.feature_dim))
-    return ClientDataset(client_id=j, round=max(t, 0), features=feats,
+    return ClientDataset(client_id=j, round=t, features=feats,
                          labels=labels, true_group=j // cfg.clients_per_group)
 
 
@@ -230,13 +225,9 @@ def gen_label_skew(cfg: SkewConfig, T: int) -> GeneratedScenario:
     rounds = []
     for t in range(T):
         src = t if cfg.fresh_each_round else 0
-        row = tuple(
-            dataclasses.replace(
-                _label_skew_client(cfg, class_means, client_dists, src, j, n, _ROUNDS),
-                round=t)
-            for j in range(cfg.client_count)
-        )
-        rounds.append(row)
+        rounds.append(tuple(
+            _label_skew_client(cfg, class_means, client_dists, src, t, j, n, _ROUNDS)
+            for j in range(cfg.client_count)))
     return GeneratedScenario(rounds=tuple(rounds), class_means=class_means,
                              group_label_dists=group_dists,
                              client_label_dists=client_dists)
@@ -254,12 +245,12 @@ def gen_heldout(cfg: SkewConfig, n_samples: int) -> tuple[ClientDataset, ...]:
         spacing = cfg.separation * cfg.noise_sigma
         params = separated_centers(cfg.groups, cfg.feature_dim, spacing,
                                    _rng(cfg.seed, _PARAMS))
-        return tuple(_feature_skew_client(cfg, params, 0, j, n_samples, _HELDOUT)
+        return tuple(_feature_skew_client(cfg, params, 0, 0, j, n_samples, _HELDOUT)
                      for j in range(cfg.client_count))
     spacing = cfg.separation * cfg.noise_sigma
     class_means = separated_centers(cfg.label_count, cfg.feature_dim, spacing,
                                     _rng(cfg.seed, _PARAMS))
     _, client_dists = label_skew_distributions(cfg)
-    return tuple(_label_skew_client(cfg, class_means, client_dists, 0, j,
+    return tuple(_label_skew_client(cfg, class_means, client_dists, 0, 0, j,
                                     n_samples, _HELDOUT)
                  for j in range(cfg.client_count))

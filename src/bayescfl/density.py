@@ -3,6 +3,12 @@
 Densities are value objects: arrays are frozen at construction and every
 operation returns a new instance. Covariances are kept as full matrices
 (dimensions stay small at simulation scale).
+
+Local updates and fusion work in information form (precision, precision @
+mean), where a product of Gaussians is a sum (Bishop, PRML section 2.3.6).
+``from_info`` is the one place a pair becomes a density, which keeps that
+pair; a density built from moments inverts its covariance once, when its
+information form is first read.
 """
 
 from __future__ import annotations
@@ -117,9 +123,13 @@ class GaussianDensity:
     def log_det_cov(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
+    @cached_property
+    def _shift(self) -> np.ndarray:
+        return self.precision @ self.mean
+
     def info_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(precision, precision @ mean)."""
-        return self.precision, self.precision @ self.mean
+        """(precision, precision @ mean), as given to ``from_info`` if built there."""
+        return self.precision, self._shift
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         """Log density at one point (shape (dim,)) or a batch (shape (n, dim))."""
@@ -148,16 +158,20 @@ def spd_gaussian(mean: np.ndarray, cov: np.ndarray) -> GaussianDensity:
 def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
     """Density from information form: covariance = precision^-1, mean = cov @ shift.
 
-    Its one caller is fusion, so a precision that is not positive-definite
-    raises FusionDegenerateError."""
-    precision = symmetrize(np.asarray(precision, dtype=float))
+    Every local update and fusion ends here, and the density keeps the pair.
+    A precision that fails the Cholesky test raises FusionDegenerateError, from
+    fusion or a conjugate update; the Laplace update tests its Hessian first
+    and raises SingularModelError."""
+    precision = _freeze(symmetrize(np.asarray(precision, dtype=float)))
     try:
         np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
         raise FusionDegenerateError("precision matrix is not positive-definite") from exc
     cov = symmetrize(np.linalg.inv(precision))
-    mean = np.linalg.solve(precision, np.asarray(shift, dtype=float))
-    return spd_gaussian(mean, cov)
+    density = spd_gaussian(cov @ shift, cov)
+    object.__setattr__(density, "precision", precision)
+    object.__setattr__(density, "_shift", _freeze(shift))
+    return density
 
 
 def fuse_local_posteriors(locals_: Sequence[GaussianDensity],

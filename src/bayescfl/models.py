@@ -17,6 +17,10 @@ as a one-row call, so the results are bit-identical to scoring the rows one by
 one. Public entry points validate the data once per call; the kernel itself
 checks nothing.
 
+Every posterior update ends in ``density.from_info``. For the conjugate kinds
+its pair is the prior's plus the data's, so fusion and later rounds only add;
+for laplace-logistic it is the checked Hessian at the mode and Hessian @ mode.
+
 The Laplace mode search is a damped Newton loop that stops on the Newton
 decrement (Boyd & Vandenberghe, Convex Optimization, section 9.5): once
 g' H^-1 g, twice the decrease the full step predicts, is at most
@@ -34,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import ClientDataset
-from .density import (GaussianDensity, logsumexp, spd_cholesky, spd_gaussian,
+from .density import (GaussianDensity, from_info, logsumexp, spd_cholesky,
                       symmetrize)
 from .errors import ContractError, SingularModelError
 
@@ -123,21 +127,15 @@ def data_log_likelihoods(omegas: np.ndarray, data: ClientDataset,
     return _log_likelihoods(omegas, data, spec)
 
 
-def _gaussian_mean_update(prior, data, spec):
-    lam0, eta0 = prior.info_form()
-    n = data.n_samples
-    lam = lam0 + (n / spec.noise_variance) * np.eye(spec.param_dim)
-    eta = eta0 + data.features.sum(axis=0) / spec.noise_variance
-    return lam, eta
-
-
-def _bayes_linear_update(prior, data, spec):
-    lam0, eta0 = prior.info_form()
+def _conjugate_data_info(data, spec):
+    """What one dataset adds to the prior's information pair: (n/v I, sum x / v)
+    for gaussian-mean, (X'X / v, X'y / v) for bayes-linear."""
     x = data.features
+    v = spec.noise_variance
+    if spec.kind == "gaussian-mean":
+        return (data.n_samples / v) * np.eye(spec.param_dim), x.sum(axis=0) / v
     y = np.asarray(data.labels, dtype=float)
-    lam = lam0 + (x.T @ x) / spec.noise_variance
-    eta = eta0 + (x.T @ y) / spec.noise_variance
-    return lam, eta
+    return (x.T @ x) / v, (x.T @ y) / v
 
 
 def _laplace_logistic_update(prior, data, spec):
@@ -178,37 +176,33 @@ def _laplace_logistic_update(prior, data, spec):
     p = 1.0 / (1.0 + np.exp(-(x @ w)))
     hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
     try:
-        spd_cholesky(hess)
+        hess, _ = spd_cholesky(hess)
     except ContractError as exc:
         raise SingularModelError("Hessian not positive-definite at the mode") from exc
-    cov = symmetrize(np.linalg.inv(hess))
-    return w, cov
+    return w, hess
 
 
 def posterior_update(prior: GaussianDensity, data: ClientDataset,
                      spec: LocalModelSpec) -> GaussianDensity:
     """p(w | D) from the prior and one client dataset.
 
-    Exact in information form for the conjugate kinds; Laplace approximation
-    (mode + inverse Hessian) for laplace-logistic. An empty dataset returns
-    the prior itself.
+    Exact in information form for the conjugate kinds: the prior's pair plus
+    the data's. Laplace approximation (mode, Hessian at the mode) for
+    laplace-logistic. An empty dataset returns the prior itself.
     """
     if prior.dim != spec.param_dim:
         raise ContractError(f"prior dim {prior.dim} != parameter dim {spec.param_dim}")
     _check_data(data, spec)
     if data.is_empty():
         return prior
-    if spec.kind == "gaussian-mean":
-        lam, eta = _gaussian_mean_update(prior, data, spec)
-    elif spec.kind == "bayes-linear":
-        lam, eta = _bayes_linear_update(prior, data, spec)
+    if spec.kind == "laplace-logistic":
+        mode, lam = _laplace_logistic_update(prior, data, spec)
+        eta = lam @ mode
     else:
-        mode, cov = _laplace_logistic_update(prior, data, spec)
-        return spd_gaussian(mode, cov)
-    lam = symmetrize(lam)
-    cov = symmetrize(np.linalg.inv(lam))
-    mean = np.linalg.solve(lam, eta)
-    return spd_gaussian(mean, cov)
+        lam0, eta0 = prior.info_form()
+        lam, eta = _conjugate_data_info(data, spec)
+        lam, eta = lam0 + lam, eta0 + eta
+    return from_info(lam, eta)
 
 
 def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],

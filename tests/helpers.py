@@ -79,8 +79,8 @@ def reference_data_log_likelihood(omega, data, spec) -> float:
 def reference_laplace_logistic_update(prior, data, spec):
     """The Laplace mode search, written from the one-row likelihood formula,
     with the same stop on the Newton decrement and the same step halving:
-    the loop that ``models._laplace_logistic_update`` must match bit for
-    bit."""
+    the loop whose mode and Hessian at the mode
+    ``models._laplace_logistic_update`` must match bit for bit."""
     x = data.features
     y = np.asarray(data.labels, dtype=float)
     lam0 = prior.precision
@@ -108,8 +108,7 @@ def reference_laplace_logistic_update(prior, data, spec):
         w = w - scale * step
         obj = objective(w)
     p = 1.0 / (1.0 + np.exp(-(x @ w)))
-    hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
-    return w, symmetrize(np.linalg.inv(hess))
+    return w, symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
 
 
 def reference_assoc_log_weight_sampled(cluster, data, spec, n_samples: int,

@@ -4,9 +4,9 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bayescfl import (ContractError, FusionDegenerateError, GaussianDensity,
-                      LocalModelSpec, fuse_local_posteriors, merge_mixture,
-                      posterior_update)
+from bayescfl import (ClientDataset, ContractError, FusionDegenerateError,
+                      GaussianDensity, LocalModelSpec, density, fuse_local_posteriors,
+                      merge_mixture, posterior_update)
 from bayescfl.density import SPD_JITTER, logsumexp, spd_gaussian
 from bayescfl.simulation import LOG_WEIGHT_FLOOR
 from helpers import gaussian_mean_dataset, regression_dataset
@@ -98,6 +98,21 @@ class TestMergeMixture:
         np.testing.assert_allclose(a.covariance, b.covariance, atol=1e-10)
 
 
+@st.composite
+def fusion_cases(draw):
+    """A conjugate spec, a prior and 2-5 client datasets of 1-6 rows each."""
+    kind = draw(st.sampled_from(["gaussian-mean", "bayes-linear"]))
+    d, clients = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = LocalModelSpec(kind, feature_dim=d, noise_variance=float(rng.uniform(0.1, 3.0)))
+    chunks = []
+    for _ in range(clients):
+        x = rng.standard_normal((int(rng.integers(1, 7)), d))
+        y = None if kind == "gaussian-mean" else rng.standard_normal(x.shape[0])
+        chunks.append(ClientDataset(0, 0, x, y))
+    return spec, random_density(rng, d), chunks
+
+
 class TestFusion:
     def test_single_local_identity(self):
         rng = np.random.default_rng(5)
@@ -145,6 +160,41 @@ class TestFusion:
             spec)
         np.testing.assert_allclose(fused.mean, joint.mean, atol=1e-9)
         np.testing.assert_allclose(fused.covariance, joint.covariance, atol=1e-9)
+
+    def test_fusing_local_updates_inverts_nothing(self, monkeypatch):
+        # local posteriors keep their information pair, so fusion only adds;
+        # the one inverse left is from_info's, which turns the sum into moments
+        rng = np.random.default_rng(19)
+        spec = LocalModelSpec("gaussian-mean", feature_dim=2, noise_variance=0.7)
+        prior = random_density(rng, 2)
+        locs = [posterior_update(prior, gaussian_mean_dataset(rng.standard_normal((3, 2))),
+                                 spec) for _ in range(4)]
+        inverted, fused = [], []
+        inv = np.linalg.inv
+
+        def counted(a):
+            inverted.append(a)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(density, "from_info", lambda *pair: fused.append(pair))
+        fuse_local_posteriors(locs, prior, "naive-product")
+        assert not inverted
+        lam, eta = fused[0]
+        assert np.array_equal(lam, sum(g.info_form()[0] for g in locs))
+        assert np.array_equal(eta, sum(g.info_form()[1] for g in locs))
+
+    @given(case=fusion_cases())
+    def test_prior_corrected_equals_union_update(self, case):
+        spec, prior, chunks = case
+        locs = [posterior_update(prior, chunk, spec) for chunk in chunks]
+        fused = fuse_local_posteriors(locs, prior, "prior-corrected")
+        union = ClientDataset(0, 0, np.vstack([c.features for c in chunks]),
+                              None if spec.kind == "gaussian-mean"
+                              else np.concatenate([c.labels for c in chunks]))
+        joint = posterior_update(prior, union, spec)
+        np.testing.assert_allclose(fused.mean, joint.mean, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(fused.covariance, joint.covariance, rtol=1e-9, atol=1e-9)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(17)

@@ -58,6 +58,27 @@ class TestPosteriorUpdate:
             posterior_update(GaussianDensity(np.zeros(2), np.eye(2)),
                              gaussian_mean_dataset([2.0]), GM1)
 
+    @pytest.mark.parametrize("kind", ["gaussian-mean", "bayes-linear"])
+    def test_conjugate_update_adds_information(self, kind):
+        # the posterior keeps the pair it was built from: prior's plus data's
+        rng = np.random.default_rng(31)
+        d, v = 3, 0.7
+        spec = LocalModelSpec(kind, feature_dim=d, noise_variance=v)
+        low = np.tril(rng.standard_normal((d, d)))
+        prior = GaussianDensity(rng.standard_normal(d), low @ low.T + np.eye(d))
+        x = rng.standard_normal((7, d))
+        if kind == "gaussian-mean":
+            data = gaussian_mean_dataset(x)
+            lam, eta = (7 / v) * np.eye(d), x.sum(axis=0) / v
+        else:
+            y = rng.standard_normal(7)
+            data = regression_dataset(x, y)
+            lam, eta = (x.T @ x) / v, (x.T @ y) / v
+        lam0, eta0 = prior.info_form()
+        got_lam, got_eta = posterior_update(prior, data, spec).info_form()
+        assert np.array_equal(got_lam, lam0 + lam)
+        assert np.array_equal(got_eta, eta0 + eta)
+
     @pytest.mark.parametrize("trial", range(5))
     def test_gaussian_mean_grid_oracle_1d(self, trial):
         rng = np.random.default_rng(100 + trial)
@@ -266,8 +287,8 @@ class TestBatchedLikelihood:
             got = models._laplace_logistic_update(prior, data, spec)
         except SingularModelError:
             return    # the reference does not check the Hessian
-        mode, cov = reference_laplace_logistic_update(prior, data, spec)
-        assert np.array_equal(got[0], mode) and np.array_equal(got[1], cov)
+        mode, hess = reference_laplace_logistic_update(prior, data, spec)
+        assert np.array_equal(got[0], mode) and np.array_equal(got[1], hess)
 
     def test_newton_objective_does_not_recheck_data(self, monkeypatch):
         checks = []
