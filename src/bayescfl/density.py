@@ -7,8 +7,9 @@ operation returns a new instance. Covariances are kept as full matrices
 Local updates and fusion work in information form (precision, precision @
 mean), where a product of Gaussians is a sum (Bishop, PRML section 2.3.6).
 ``from_info`` is the one place a pair becomes a density, which keeps that
-pair; a density built from moments inverts its covariance once, when its
-information form is first read.
+pair (the Laplace update, whose Hessian has passed its own Cholesky test,
+enters it past that test); a density built from moments inverts its
+covariance once, when its information form is first read.
 """
 
 from __future__ import annotations
@@ -44,28 +45,33 @@ def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError("matrix is not positive-definite") from exc
 
 
-def logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """log sum(b * exp(a)) over a 1-D array, for weights b >= 0 (default 1).
+def logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
+    """log sum(b * exp(a)) along the last axis of a, for weights b >= 0
+    (default 1) that broadcast against a: a float for 1-D a, one value per
+    row for 2-D a.
 
     Takes the steps of scipy.special.logsumexp (scipy 1.17), so results keep
     its bits: entries with b == 0 drop out, the entries at the maximum are
     summed apart from the shifted rest, and a result that is not finite falls
-    back to the direct log of the sum.
+    back to the direct log of the sum. Each row of a 2-D a gets the bits of
+    the 1-D call on that row.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kept = a if b is None else np.where(b == 0, -np.inf, a)
-        top = np.max(kept)
+        top = np.max(kept, axis=-1, keepdims=True)
         at_top = kept == top
-        m = np.sum(at_top, dtype=float) if b is None else np.sum(b * at_top)
+        m = (np.sum(at_top, axis=-1, dtype=float) if b is None
+             else np.sum(b * at_top, axis=-1))
         shifted = np.exp(np.where(at_top, -np.inf, kept) - top)
-        s = np.sum(shifted if b is None else b * shifted)
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + top
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
-    return float(out)
+        s = np.sum(shifted if b is None else b * shifted, axis=-1)
+        s = np.where(s != 0, s / m, s)
+        out = np.log1p(s) + np.log(m) + top[..., 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a), axis=-1))
+            out = np.where(bad, direct, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -158,15 +164,21 @@ def spd_gaussian(mean: np.ndarray, cov: np.ndarray) -> GaussianDensity:
 def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
     """Density from information form: covariance = precision^-1, mean = cov @ shift.
 
-    Every local update and fusion ends here, and the density keeps the pair.
-    A precision that fails the Cholesky test raises FusionDegenerateError, from
-    fusion or a conjugate update; the Laplace update tests its Hessian first
-    and raises SingularModelError."""
-    precision = _freeze(symmetrize(np.asarray(precision, dtype=float)))
+    Every fusion and conjugate update ends here, and the density keeps the
+    pair. A precision that fails the Cholesky test raises
+    FusionDegenerateError. The Laplace update tests its Hessian itself
+    (SingularModelError) and goes straight to ``_from_tested_info``."""
+    precision = symmetrize(np.asarray(precision, dtype=float))
     try:
         np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
         raise FusionDegenerateError("precision matrix is not positive-definite") from exc
+    return _from_tested_info(precision, shift)
+
+
+def _from_tested_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
+    """``from_info`` for a symmetric precision that has passed a Cholesky test."""
+    precision = _freeze(precision)
     cov = symmetrize(np.linalg.inv(precision))
     density = spd_gaussian(cov @ shift, cov)
     object.__setattr__(density, "precision", precision)

@@ -9,17 +9,24 @@ Three model kinds:
                    inverse Hessian at the mode).
 
 Every likelihood goes through one batched kernel, ``_log_likelihoods``, which
-scores S parameter rows against one dataset in a single call: all Monte Carlo
-draws of a sampled weight, every cluster mean of an at-mean weight, every
-hypothesis's mean in the held-out metric, and (one row at a time) the Newton
-objective. Each row takes the same floating-point operations in the same order
-as a one-row call, so the results are bit-identical to scoring the rows one by
-one. Public entry points validate the data once per call; the kernel itself
-checks nothing.
+scores S parameter rows against one dataset in a single call: the Monte Carlo
+draws of every (cluster, seed) pair of a sampled weight call, every cluster
+mean of an at-mean weight, every hypothesis's mean in the held-out metric, and
+(one row at a time) the Newton objective. Each row takes the same
+floating-point operations in the same order as a one-row call, so the results
+are bit-identical to scoring the rows one by one. Public entry points validate
+the data once per call; the kernel itself checks nothing.
+
+The logistic likelihood's softplus log(1 + exp(z)) is computed as
+max(z, 0) + log1p(exp(-|z|)), which numpy runs as vector loops where
+``np.logaddexp(0, z)`` calls libm once per element; the two agree to within
+3 ulp. The form is elementwise, so rows still match the one-row formula bit
+for bit.
 
 Every posterior update ends in ``density.from_info``. For the conjugate kinds
 its pair is the prior's plus the data's, so fusion and later rounds only add;
-for laplace-logistic it is the checked Hessian at the mode and Hessian @ mode.
+for laplace-logistic it is the Hessian at the mode and Hessian @ mode, whose
+one Cholesky test is the one the mode search runs.
 
 The Laplace mode search is a damped Newton loop that stops on the Newton
 decrement (Boyd & Vandenberghe, Convex Optimization, section 9.5): once
@@ -38,8 +45,8 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import ClientDataset
-from .density import (GaussianDensity, from_info, logsumexp, spd_cholesky,
-                      symmetrize)
+from .density import (GaussianDensity, _from_tested_info, from_info, logsumexp,
+                      spd_cholesky, symmetrize)
 from .errors import ContractError, SingularModelError
 
 NEWTON_MAX_ITER = 100
@@ -113,7 +120,12 @@ def _log_likelihoods(omegas: np.ndarray, data: ClientDataset,
         sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
         return -0.5 * (n * np.log(2.0 * np.pi * v) + sq / v)
     # laplace-logistic: sum_i [y_i z_i - log(1 + exp(z_i))], z = X @ omega
-    return np.sum(y * z - np.logaddexp(0.0, z), axis=1)
+    return np.sum(y * z - _softplus(z), axis=1)
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + exp(z)) elementwise, within 3 ulp of ``np.logaddexp(0, z)``."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def data_log_likelihoods(omegas: np.ndarray, data: ClientDataset,
@@ -197,12 +209,10 @@ def posterior_update(prior: GaussianDensity, data: ClientDataset,
         return prior
     if spec.kind == "laplace-logistic":
         mode, lam = _laplace_logistic_update(prior, data, spec)
-        eta = lam @ mode
-    else:
-        lam0, eta0 = prior.info_form()
-        lam, eta = _conjugate_data_info(data, spec)
-        lam, eta = lam0 + lam, eta0 + eta
-    return from_info(lam, eta)
+        return _from_tested_info(lam, lam @ mode)
+    lam0, eta0 = prior.info_form()
+    lam, eta = _conjugate_data_info(data, spec)
+    return from_info(lam0 + lam, eta0 + eta)
 
 
 def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],
@@ -216,17 +226,29 @@ def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],
     return data_log_likelihoods(np.array([c.mean for c in clusters]), data, spec)
 
 
-def assoc_log_weight_sampled(cluster: GaussianDensity, data: ClientDataset,
-                             spec: LocalModelSpec, n_samples: int,
-                             seed: int) -> float:
-    """Monte Carlo association weight: log mean_l p(D | w_l), w_l ~ cluster.
+def assoc_log_weight_sampled(clusters: Sequence[GaussianDensity],
+                             data: ClientDataset, spec: LocalModelSpec,
+                             n_samples: int, seeds: Sequence[int]) -> np.ndarray:
+    """Monte Carlo association weights: log mean_l p(D | w_l), w_l ~ cluster,
+    one per (cluster, seed) pair, in order.
 
-    Equal sample weights; deterministic for a fixed seed.
+    Equal sample weights. Each pair draws its n_samples parameters from its
+    own generator, seeded by its seed alone, so its weight is deterministic
+    for a fixed seed and does not depend on the other pairs.
     """
     if n_samples < 1:
         raise ContractError("n_samples must be >= 1")
-    if cluster.dim != spec.param_dim:
-        raise ContractError(f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
-    logliks = data_log_likelihoods(cluster.sample(n_samples, rng), data, spec)
-    return logsumexp(logliks, np.full(n_samples, 1.0 / n_samples))
+    if len(clusters) != len(seeds):
+        raise ContractError(f"{len(clusters)} clusters but {len(seeds)} seeds")
+    for cluster in clusters:
+        if cluster.dim != spec.param_dim:
+            raise ContractError(
+                f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
+    _check_data(data, spec)
+    draws = np.empty((len(clusters), n_samples, spec.param_dim))
+    for draw, cluster, seed in zip(draws, clusters, seeds):
+        rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
+        draw[:] = cluster.sample(n_samples, rng)
+    logliks = _log_likelihoods(draws.reshape(-1, spec.param_dim), data, spec)
+    return logsumexp(logliks.reshape(len(clusters), n_samples),
+                     np.full(n_samples, 1.0 / n_samples))

@@ -21,9 +21,10 @@ once. The children of one parent start from the parent's cluster posteriors
 and M-best siblings differ in a few labels, so most of that work repeats;
 round-scoped memos keyed on the identity of the cluster-posterior object
 share it. Phase one is batched: one at-mean call per client scores every
-distinct cluster mean of the round, and one sampled call scores all of its
-draws (see ``models``). The same inputs reach the same arithmetic, so the
-outputs are the bytes the per-hypothesis, per-draw loops give.
+distinct cluster mean of the round, and one sampled call per client scores
+the draws of every (hypothesis, cluster) pair, each pair from its own stream
+(see ``models``). The same inputs reach the same arithmetic, so the outputs
+are the bytes the per-hypothesis, per-draw loops give.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
     At-mean weights take one call per client, over the round's distinct
     cluster posteriors; each hypothesis gathers its columns from that C x U
     table. Posteriors are told apart by object id, which stays unique because
-    ``hset`` holds every one of them for the whole call. Sampled weights are
+    ``hset`` holds every one of them for the whole call. Sampled weights take
+    one call per client too, over every (hypothesis, cluster) pair, but are
     never shared: each (round, p, j, i) has its own seed.
     """
     est = cfg.weight_estimator
@@ -216,20 +218,20 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
                             for client in clients], LOG_WEIGHT_FLOOR)
         return [table.take([column[id(c)] for c in hyp.cluster_posteriors], axis=1)
                 for hyp in hset.hypotheses]
-    mats = []
-    for p, hyp in enumerate(hset.hypotheses):
-        mat = np.empty((len(clients), hyp.cluster_count))
-        for j, client in enumerate(clients):
-            for i, cluster in enumerate(hyp.cluster_posteriors):
-                # the 0 holds the place of a retired key, so streams keep their seeds
-                seed = int(np.random.SeedSequence(
-                    [cfg.seed & _SEED_MASK, 0, _WEIGHTS, round_index, p, j, i]
-                ).generate_state(1)[0])
-                w = assoc_log_weight_sampled(cluster, client, cfg.model,
-                                             est.n_samples, seed)
-                mat[j, i] = max(w, LOG_WEIGHT_FLOOR)
-        mats.append(mat)
-    return mats
+    pairs = [(p, i, cluster) for p, hyp in enumerate(hset.hypotheses)
+             for i, cluster in enumerate(hyp.cluster_posteriors)]
+    clusters = [cluster for _, _, cluster in pairs]
+    rows = []
+    for j, client in enumerate(clients):
+        # the 0 holds the place of a retired key, so streams keep their seeds
+        seeds = [int(np.random.SeedSequence(
+                     [cfg.seed & _SEED_MASK, 0, _WEIGHTS, round_index, p, j, i]
+                 ).generate_state(1)[0]) for p, i, _ in pairs]
+        rows.append(assoc_log_weight_sampled(clusters, client, cfg.model,
+                                             est.n_samples, seeds))
+    table = np.maximum(rows, LOG_WEIGHT_FLOOR)
+    ends = np.cumsum([hyp.cluster_count for hyp in hset.hypotheses])
+    return np.split(table, ends[:-1], axis=1)
 
 
 def _conceptual_candidates(hset: HypothesisSet,

@@ -73,7 +73,8 @@ def reference_data_log_likelihood(omega, data, spec) -> float:
         return -0.5 * (n * np.log(2.0 * np.pi * v) + float(resid @ resid) / v)
     z = data.features @ omega
     y = np.asarray(data.labels, dtype=float)
-    return float(np.sum(y * z - np.logaddexp(0.0, z)))
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return float(np.sum(y * z - softplus))
 
 
 def reference_laplace_logistic_update(prior, data, spec):
@@ -113,8 +114,9 @@ def reference_laplace_logistic_update(prior, data, spec):
 
 def reference_assoc_log_weight_sampled(cluster, data, spec, n_samples: int,
                                        seed: int) -> float:
-    """The sampled association weight with one likelihood call per draw: the
-    loop that the batched ``assoc_log_weight_sampled`` must match exactly."""
+    """One pair's sampled association weight, with one likelihood call per
+    draw: the loop that the batched ``assoc_log_weight_sampled`` must match
+    exactly for each of its (cluster, seed) pairs."""
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
     draws = cluster.sample(n_samples, rng)
     logliks = np.array([reference_data_log_likelihood(w, data, spec) for w in draws])
@@ -139,8 +141,8 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
                         [cfg.seed & simulation._SEED_MASK, 0, simulation._WEIGHTS,
                          round_index, p, j, i]
                     ).generate_state(1)[0])
-                    w = simulation.assoc_log_weight_sampled(cluster, client, cfg.model,
-                                                            est.n_samples, seed)
+                    w = simulation.assoc_log_weight_sampled([cluster], client, cfg.model,
+                                                            est.n_samples, [seed])[0]
                 mat[j, i] = max(w, simulation.LOG_WEIGHT_FLOOR)
         mats.append(mat)
     return mats

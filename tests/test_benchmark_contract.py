@@ -2,9 +2,10 @@
 
 ``perfbench/probe.py`` wraps names in the program's module namespaces. A
 refactor that drops one of them, or stops calling it, leaves that layer
-without spans; this test runs the probe on ``configs/tiny.json`` and fails
-then. It reads ``perfbench/`` and changes nothing there. It checks no trace
-coverage: tiny.json trains for a few ms, so ``initialize`` dominates it.
+without spans; these tests run the probe on ``configs/tiny.json`` and on a
+shrunk copy of the logistic-sampled workload, and fail then. They read
+``perfbench/`` and change nothing there. They check no trace coverage: these
+runs train for a few ms, so ``initialize`` dominates them.
 """
 
 import json
@@ -18,18 +19,33 @@ SPANS = ("models.posterior_update", "density.fuse", "models.assoc_weight",
          "assignment.m_best", "hypotheses.expand", "hypotheses.prune",
          "reports.report_from_set", "metrics.accuracy", "metrics.heldout_ll",
          "reports.write")
+LOGISTIC_SPANS = ("models.assoc_weight", "models.posterior_update", "density.fuse",
+                  "density.merge", "hypotheses.consensus_merge", "hypotheses.prune")
 
 
-def test_traced_probe_sees_every_layer(tmp_path):
+def traced_probe(tmp_path, config):
     result = tmp_path / "result.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "probe.py"), "--root", str(ROOT),
          "--result", str(result), "--trace", "--",
-         "run", "--config", str(ROOT / "configs" / "tiny.json"), "--out", str(tmp_path / "out")],
+         "run", "--config", str(config), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(result.read_text())
     assert probe["rc"] == 0
-    names = {span[0] for span in probe["spans"]}
+    return probe, {span[0] for span in probe["spans"]}
+
+
+def test_traced_probe_sees_every_layer(tmp_path):
+    probe, names = traced_probe(tmp_path, ROOT / "configs" / "tiny.json")
     assert set(SPANS) <= names, sorted(set(SPANS) - names)
     assert probe["counts"]["density.gaussians_built"] > 0
+
+
+def test_traced_probe_sees_the_logistic_sampled_layers(tmp_path):
+    raw = json.loads((ROOT / "perfbench" / "workloads" / "logistic_sampled.json").read_text())
+    raw.update(T=2, groups=2, clients_per_group=2, weight_samples=8)
+    config = tmp_path / "logistic_sampled.json"
+    config.write_text(json.dumps(raw))
+    _, names = traced_probe(tmp_path, config)
+    assert set(LOGISTIC_SPANS) <= names, sorted(set(LOGISTIC_SPANS) - names)

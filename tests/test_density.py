@@ -280,3 +280,31 @@ class TestLogsumexp:
         with np.errstate(divide="ignore"):
             want = scipy.special.logsumexp(a, b=b)
         assert np.array_equal(logsumexp(a, b), want)
+
+    @given(rows=st.integers(1, 8), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["plain", "ties", "zeros in b", "all -inf", "floor"]),
+           weights=st.sampled_from(["none", "shared", "per row"]))
+    def test_rows_match_the_one_row_call(self, rows, n, seed, shape, weights):
+        """Along the last axis of a 2-D input, every row gets the bits of the
+        1-D call on that row."""
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1e3, 1e3, (rows, 1)) + 10.0 ** rng.uniform(-3, 4) * \
+            rng.standard_normal((rows, n))
+        b = {"none": None, "shared": np.full(n, 1.0 / n),
+             "per row": rng.uniform(0.0, 2.0, (rows, n))}[weights]
+        r = int(rng.integers(rows))
+        if shape == "ties":
+            a[r, rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = a[r].max()
+        elif shape == "zeros in b":
+            b = rng.uniform(0.0, 2.0, a.shape) if b is None else np.broadcast_to(b, a.shape).copy()
+            b[r, rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = 0.0
+        elif shape == "all -inf":
+            a[r] = -np.inf
+        elif shape == "floor":
+            a[r] = LOG_WEIGHT_FLOOR
+        got = logsumexp(a, b)
+        assert got.shape == (rows,)
+        want = [logsumexp(a[k], None if b is None else np.broadcast_to(b, a.shape)[k])
+                for k in range(rows)]
+        # a row whose weights are all 0 gives NaN in both (0 * exp(a) with exp(a) = inf)
+        assert np.array_equal(got, want, equal_nan=True)

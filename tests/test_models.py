@@ -179,14 +179,14 @@ class TestAssociationWeights:
         cluster = GaussianDensity(np.array([0.7]), np.array([[1e-12]]))
         data = gaussian_mean_dataset([0.0, 1.0, 0.5])
         (at_mean,) = assoc_log_weight_at_mean([cluster], data, GM1)
-        sampled = assoc_log_weight_sampled(cluster, data, GM1, n_samples=1, seed=4)
+        (sampled,) = assoc_log_weight_sampled([cluster], data, GM1, n_samples=1, seeds=[4])
         assert abs(at_mean - sampled) < 1e-6
 
     def test_sampled_deterministic(self):
         cluster = g1(0.0, 2.0)
         data = gaussian_mean_dataset([0.3, -0.2])
-        a = assoc_log_weight_sampled(cluster, data, GM1, n_samples=64, seed=77)
-        b = assoc_log_weight_sampled(cluster, data, GM1, n_samples=64, seed=77)
+        a = assoc_log_weight_sampled([cluster], data, GM1, n_samples=64, seeds=[77])
+        b = assoc_log_weight_sampled([cluster], data, GM1, n_samples=64, seeds=[77])
         assert a == b
 
     def test_sampled_matches_closed_form_marginal(self):
@@ -198,8 +198,8 @@ class TestAssociationWeights:
         exact = multivariate_normal(
             np.full(5, m0), v * np.eye(5) + s0sq * np.ones((5, 5))).logpdf(y)
         spec = LocalModelSpec("gaussian-mean", feature_dim=1, noise_variance=v)
-        got = assoc_log_weight_sampled(g1(m0, s0sq), gaussian_mean_dataset(y),
-                                       spec, n_samples=10_000, seed=123)
+        (got,) = assoc_log_weight_sampled([g1(m0, s0sq)], gaussian_mean_dataset(y),
+                                          spec, n_samples=10_000, seeds=[123])
         assert abs(got - exact) < np.log(1.02)  # 2% relative on the likelihood
 
 
@@ -270,15 +270,34 @@ class TestBatchedLikelihood:
         want = [reference_data_log_likelihood(c.mean, data, spec) for c in clusters]
         assert np.array_equal(assoc_log_weight_at_mean(clusters, data, spec), want)
 
-    @given(case=likelihood_cases(), seed=st.integers(0, 2**64 - 1))
-    def test_sampled_matches_per_draw_loop(self, case, seed):
+    @given(case=likelihood_cases(),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    def test_sampled_matches_per_draw_loop(self, case, seeds):
+        """One call over 1-6 (cluster, seed) pairs gives, pair by pair, the
+        bits of the per-draw loop."""
         spec, data, omegas = case
-        rng = np.random.default_rng(seed % 2**32)
-        low = np.tril(rng.standard_normal((spec.param_dim, spec.param_dim)))
-        cluster = GaussianDensity(omegas[0], low @ low.T + 0.1 * np.eye(spec.param_dim))
+        d = spec.param_dim
+        clusters = []
+        for k, seed in enumerate(seeds):
+            low = np.tril(np.random.default_rng(seed % 2**32).standard_normal((d, d)))
+            clusters.append(GaussianDensity(omegas[k % len(omegas)],
+                                            low @ low.T + 0.1 * np.eye(d)))
         s = omegas.shape[0]
-        assert assoc_log_weight_sampled(cluster, data, spec, s, seed) \
-            == reference_assoc_log_weight_sampled(cluster, data, spec, s, seed)
+        want = [reference_assoc_log_weight_sampled(c, data, spec, s, seed)
+                for c, seed in zip(clusters, seeds)]
+        assert np.array_equal(assoc_log_weight_sampled(clusters, data, spec, s, seeds), want)
+
+    def test_softplus_within_4_ulp_of_logaddexp(self):
+        rng = np.random.default_rng(12)
+        z = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17,
+             36.0, -36.0, 709.0, -709.0, 745.0, -745.0],
+            rng.uniform(-745.0, 745.0, 200_000),
+            rng.standard_normal(200_000) * 10.0 ** rng.uniform(-20.0, 2.8, 200_000)])
+        got, want = models._softplus(z), np.logaddexp(0.0, z)
+        assert np.all(got >= 0) and np.all(want >= 0)
+        # both are non-negative, so their bit patterns order like their values
+        assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 4
 
     @given(case=newton_cases())
     def test_newton_matches_one_step_at_a_time_loop(self, case):
@@ -337,3 +356,8 @@ class TestBatchedLikelihood:
         with pytest.raises(ContractError):
             assoc_log_weight_at_mean([g1(0, 1), GaussianDensity(np.zeros(2), np.eye(2))],
                                      data, GM1)
+        with pytest.raises(ContractError):
+            assoc_log_weight_sampled([GaussianDensity(np.zeros(2), np.eye(2))], data,
+                                     GM1, 4, [1])
+        with pytest.raises(ContractError):    # one seed per cluster
+            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], data, GM1, 4, [1])

@@ -411,8 +411,10 @@ class TestPhaseReuse:
 
         monkeypatch.setattr(simulation, "run_round", counted_round)
         calls = self._record(monkeypatch, "assoc_log_weight_sampled",
-                             lambda cluster, data, spec, n, seed: seed)
+                             lambda clusters, data, spec, n, seeds: seeds)
         run_training(cfg, scen.rounds)
         assert max(parents) > 1
-        assert len(calls) == sum(parents) * cfg.C * cfg.K
-        assert len({seed for _, seed, _ in calls}) == len(calls)
+        assert len(calls) == cfg.T * cfg.C    # one call per client per round
+        seeds = [seed for _, call_seeds, _ in calls for seed in call_seeds]
+        assert len(seeds) == sum(parents) * cfg.C * cfg.K
+        assert len(set(seeds)) == len(seeds)
