@@ -125,12 +125,12 @@ def m_best_exact(L: CostMatrix, M: int) -> RankedAssignments:
 
     After the M-th pop, popping goes on while the next incremental cost is
     within a rounding slack of the M-th, for at most M more states. The
-    popped states' costs are then recomputed with ``_total_cost``, sorted by
-    (cost, labels) and cut to M. If the window closes before that bound, the
-    result is exactly the first-M prefix of every assignment sorted by that
-    key. Otherwise (more than M assignments within rounding of the M-th
-    cost) the tail may differ from that prefix by rounding-level cost
-    differences and their label order.
+    popped states' costs are then recomputed in one row sum, which gives the
+    bits of ``_total_cost``, sorted by (cost, labels) and cut to M. If the
+    window closes before that bound, the result is exactly the first-M prefix
+    of every assignment sorted by that key. Otherwise (more than M
+    assignments within rounding of the M-th cost) the tail may differ from
+    that prefix by rounding-level cost differences and their label order.
     """
     if M < 1:
         raise ContractError("M must be >= 1")
@@ -138,14 +138,16 @@ def m_best_exact(L: CostMatrix, M: int) -> RankedAssignments:
     C, K = entries.shape
     order = np.argsort(entries, axis=1, kind="stable")
     ranked = np.take_along_axis(entries, order, axis=1)
-    incs = (ranked - ranked[:, :1]).tolist()
-    order_rows = order.tolist()
-    # elem[j][r] for r >= 1 compares like the labels with client j moved to
+    incs = ranked - ranked[:, :1]
+    # elem[j, r] for r >= 1 compares like the labels with client j moved to
     # rank r: its sign says whether that label is above the optimum's, its
     # magnitude puts lower client indices first; 0 ends a key.
-    elem = [[(C - j) * K * (1 if lbl > row[0] else -1) + lbl for lbl in row]
-            for j, row in enumerate(order_rows)]
-    active = sorted(range(C), key=lambda j: (incs[j][1], elem[j][1])) if K > 1 else []
+    sign = np.where(order > order[:, :1], 1, -1)
+    elem = (C - np.arange(C))[:, None] * K * sign + order
+    # the elements are unique, so this is the order of sorting the clients
+    # by (first increment, its element)
+    active = np.lexsort((elem[:, 1], incs[:, 1])).tolist() if K > 1 else []
+    incs, elem = incs.tolist(), elem.tolist()
     base_scale = float(np.abs(ranked[:, 0]).sum())
 
     def window(cost: float) -> float:
@@ -183,15 +185,14 @@ def m_best_exact(L: CostMatrix, M: int) -> RankedAssignments:
             heapq.heappush(heap, (cost + incs[nxt][1], insert(key, elem[nxt][1]),
                                   t + 1, 1, cost, key))
 
-    best = [row[0] for row in order_rows]
-    items = []
-    for _, key in popped:
-        labels = best.copy()
-        for e in key[:-1]:
-            labels[C - abs(e // K)] = e % K
-        labels = tuple(labels)
-        items.append((_total_cost(entries, labels), labels))
-    items.sort()
+    # every popped state's labels: the optimum's, overwritten by its key
+    flat = np.array([e for _, key in popped for e in key[:-1]], dtype=np.int64)
+    labels = np.tile(order[:, 0], (len(popped), 1))
+    labels[np.repeat(np.arange(len(popped)), [len(key) - 1 for _, key in popped]),
+           C - np.abs(flat // K)] = flat % K
+    # each row sums like ``_total_cost`` on that row's labels
+    costs = entries[np.arange(C), labels].sum(axis=1)
+    items = sorted(zip(costs.tolist(), map(tuple, labels.tolist())))
     return RankedAssignments(tuple((Assignment(lbl), cost) for cost, lbl in items[:M]))
 
 

@@ -154,7 +154,13 @@ class GaussianDensity:
 def spd_gaussian(mean: np.ndarray, cov: np.ndarray) -> GaussianDensity:
     """N(mean, cov), with cov made positive-definite by the jitter rule of
     ``spd_cholesky`` and the density built from that one factorization."""
-    cov, chol = spd_cholesky(cov)
+    return _factored_gaussian(mean, *spd_cholesky(cov))
+
+
+def _factored_gaussian(mean: np.ndarray, cov: np.ndarray,
+                       chol: np.ndarray) -> GaussianDensity:
+    """N(mean, cov) on chol, a lower Cholesky factor of cov computed before,
+    so that densities sharing one covariance share one factorization."""
     density = object.__new__(GaussianDensity)
     object.__setattr__(density, "chol", chol)
     density.__init__(mean, cov)

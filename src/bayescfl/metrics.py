@@ -83,9 +83,9 @@ def association_accuracy(report: RoundReport, truth) -> float:
         if len(labels) != len(truth):
             raise ContractError("assignment length must match the client count")
         k = max(max(labels) + 1, 1)
-        table = np.zeros((k, g))
-        for lab, t in zip(labels, truth):
-            table[lab, t] += 1
+        # table[lab, t] counts the clients with that label and that group
+        cells = np.asarray(labels) * g + truth
+        table = np.bincount(cells, minlength=k * g).reshape(k, g).astype(float)
         pairs = _match_pairs(table, maximize=True)
         matched = sum(table[i, j] for i, j in pairs)
         total += weight * matched / len(truth)

@@ -11,11 +11,11 @@ Three model kinds:
 Every likelihood goes through one batched kernel, ``_log_likelihoods``, which
 scores S parameter rows against one dataset in a single call: the Monte Carlo
 draws of every (cluster, seed) pair of a sampled weight call, every cluster
-mean of an at-mean weight, every hypothesis's mean in the held-out metric, and
-(one row at a time) the Newton objective. Each row takes the same
-floating-point operations in the same order as a one-row call, so the results
-are bit-identical to scoring the rows one by one. Public entry points validate
-the data once per call; the kernel itself checks nothing.
+mean against one client of an at-mean call, every hypothesis's mean in the
+held-out metric, and (one row at a time) the Newton objective. Each row takes
+the same floating-point operations in the same order as a one-row call, so
+the results are bit-identical to scoring the rows one by one. Public entry
+points validate each dataset once; the kernel itself checks nothing.
 
 The logistic likelihood's softplus log(1 + exp(z)) is computed as
 max(z, 0) + log1p(exp(-|z|)), which numpy runs as vector loops where
@@ -150,6 +150,9 @@ def _conjugate_data_info(data, spec):
     return (x.T @ x) / v, (x.T @ y) / v
 
 
+# 1 / (1 + exp(-z)) overflows to inf on a far Newton step: p -> 0 is the
+# right limit, so the update ignores that overflow
+@np.errstate(over="ignore")
 def _laplace_logistic_update(prior, data, spec):
     x = data.features
     y = np.asarray(data.labels, dtype=float)
@@ -216,14 +219,25 @@ def posterior_update(prior: GaussianDensity, data: ClientDataset,
 
 
 def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],
-                             data: ClientDataset, spec: LocalModelSpec) -> np.ndarray:
-    """log p(D | w_hat_i) for every cluster i, with w_hat_i the cluster's
-    expected parameter value; one weight per cluster, in order."""
+                             clients: Sequence[ClientDataset],
+                             spec: LocalModelSpec) -> np.ndarray:
+    """log p(D_j | w_hat_i) for every client j and cluster i, with w_hat_i the
+    cluster's expected parameter value: a C x U table, one row per client and
+    one column per cluster, in order.
+
+    The clusters are checked and their means stacked once per call; each
+    client's data is checked and scored against all means in one kernel call.
+    """
     for cluster in clusters:
         if cluster.dim != spec.param_dim:
             raise ContractError(
                 f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
-    return data_log_likelihoods(np.array([c.mean for c in clusters]), data, spec)
+    means = np.array([c.mean for c in clusters]).reshape(len(clusters), spec.param_dim)
+    table = np.empty((len(clients), len(clusters)))
+    for row, data in zip(table, clients):
+        _check_data(data, spec)
+        row[:] = _log_likelihoods(means, data, spec)
+    return table
 
 
 def assoc_log_weight_sampled(clusters: Sequence[GaussianDensity],

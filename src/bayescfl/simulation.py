@@ -20,11 +20,12 @@ Each round computes each distinct local update, fusion and at-mean weight
 once. The children of one parent start from the parent's cluster posteriors
 and M-best siblings differ in a few labels, so most of that work repeats;
 round-scoped memos keyed on the identity of the cluster-posterior object
-share it. Phase one is batched: one at-mean call per client scores every
-distinct cluster mean of the round, and one sampled call per client scores
-the draws of every (hypothesis, cluster) pair, each pair from its own stream
-(see ``models``). The same inputs reach the same arithmetic, so the outputs
-are the bytes the per-hypothesis, per-draw loops give.
+share it. Phase one is batched: one at-mean call per round scores every
+client against every distinct cluster mean of the round, and one sampled call
+per client scores the draws of every (hypothesis, cluster) pair, each pair
+from its own stream (see ``models``). The same inputs reach the same
+arithmetic, so the outputs are the bytes the per-hypothesis, per-draw loops
+give.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import numpy as np
 
 from .assignment import count_hypotheses_constrained, enumerate_assignments
 from .datasets import ClientDataset
-from .density import GaussianDensity, fuse_local_posteriors
+from .density import (GaussianDensity, _factored_gaussian, fuse_local_posteriors,
+                      spd_cholesky)
 from .errors import ContractError
 from .hypotheses import (Candidate, HypothesisSet, consensus_merge, expand,
                          materialize, prune_top_m, root_set, select_greedy,
@@ -130,10 +132,9 @@ def initialize(cfg: RoundConfig) -> ServerState:
     dim = cfg.model.param_dim
     sigma0 = float(np.sqrt(cfg.prior_sigma2))
     rng = _rng(cfg.seed, _INIT)
-    cov = cfg.prior_sigma2 * np.eye(dim)
-    priors = [GaussianDensity(MEAN_PERTURB_SCALE * sigma0 * rng.standard_normal(dim),
-                              cov)
-              for _ in range(cfg.K)]
+    cov, chol = spd_cholesky(cfg.prior_sigma2 * np.eye(dim))
+    means = MEAN_PERTURB_SCALE * sigma0 * rng.standard_normal((cfg.K, dim))
+    priors = [_factored_gaussian(mean, cov, chol) for mean in means]
     return ServerState(hypothesis_set=root_set(priors), comm=CommLedger())
 
 
@@ -202,20 +203,21 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
                         cfg: RoundConfig, round_index: int) -> list[np.ndarray]:
     """One C x K log-weight matrix per live hypothesis.
 
-    At-mean weights take one call per client, over the round's distinct
-    cluster posteriors; each hypothesis gathers its columns from that C x U
-    table. Posteriors are told apart by object id, which stays unique because
-    ``hset`` holds every one of them for the whole call. Sampled weights take
-    one call per client too, over every (hypothesis, cluster) pair, but are
-    never shared: each (round, p, j, i) has its own seed.
+    At-mean weights take one call per round, over all clients and the
+    round's distinct cluster posteriors; each hypothesis gathers its columns
+    from the C x U table it returns. Posteriors are told apart by object id,
+    which stays unique because ``hset`` holds every one of them for the whole
+    call. Sampled weights take one call per client, over every (hypothesis,
+    cluster) pair, but are never shared: each (round, p, j, i) has its own
+    seed.
     """
     est = cfg.weight_estimator
     if est.kind == "at-mean":
         distinct = {id(c): c for hyp in hset.hypotheses for c in hyp.cluster_posteriors}
         column = {key: u for u, key in enumerate(distinct)}
         clusters = list(distinct.values())
-        table = np.maximum([assoc_log_weight_at_mean(clusters, client, cfg.model)
-                            for client in clients], LOG_WEIGHT_FLOOR)
+        table = np.maximum(assoc_log_weight_at_mean(clusters, clients, cfg.model),
+                           LOG_WEIGHT_FLOOR)
         return [table.take([column[id(c)] for c in hyp.cluster_posteriors], axis=1)
                 for hyp in hset.hypotheses]
     pairs = [(p, i, cluster) for p, hyp in enumerate(hset.hypotheses)
@@ -263,9 +265,11 @@ def _update_posteriors(selected: HypothesisSet, clients: Sequence[ClientDataset]
     fused: dict[tuple[int, tuple[int, ...]], GaussianDensity] = {}
     new_lists = []
     for hyp in selected.hypotheses:
+        groups = [[] for _ in hyp.cluster_posteriors]
+        for j, lab in enumerate(hyp.assignment.labels):
+            groups[lab].append(j)
         per_cluster = []
-        for i, prior_i in enumerate(hyp.cluster_posteriors):
-            members = tuple(j for j, lab in enumerate(hyp.assignment.labels) if lab == i)
+        for prior_i, members in zip(hyp.cluster_posteriors, map(tuple, groups)):
             if not members:
                 per_cluster.append(prior_i)
                 continue

@@ -12,6 +12,7 @@ from bayescfl import models, simulation
 from bayescfl.assignment import _total_cost
 from bayescfl.density import symmetrize
 from bayescfl.hypotheses import with_posteriors
+from bayescfl.metrics import _match_pairs
 
 
 def brute_force_ranking(entries: np.ndarray):
@@ -77,6 +78,7 @@ def reference_data_log_likelihood(omega, data, spec) -> float:
     return float(np.sum(y * z - softplus))
 
 
+@np.errstate(over="ignore")    # p -> 0 on a far step, as in the update
 def reference_laplace_logistic_update(prior, data, spec):
     """The Laplace mode search, written from the one-row likelihood formula,
     with the same stop on the Newton decrement and the same step halving:
@@ -135,7 +137,7 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
         for j, client in enumerate(clients):
             for i, cluster in enumerate(hyp.cluster_posteriors):
                 if est.kind == "at-mean":
-                    w = simulation.assoc_log_weight_at_mean([cluster], client, cfg.model)[0]
+                    w = simulation.assoc_log_weight_at_mean([cluster], [client], cfg.model)[0, 0]
                 else:
                     seed = int(np.random.SeedSequence(
                         [cfg.seed & simulation._SEED_MASK, 0, simulation._WEIGHTS,
@@ -166,6 +168,21 @@ def uncached_update_posteriors(selected, clients, cfg):
                 locals_, prior_i, cfg.fusion_mode))
         new_lists.append(per_cluster)
     return with_posteriors(selected, new_lists)
+
+
+def reference_association_accuracy(report, truth) -> float:
+    """Association accuracy with each hypothesis's label x group table built
+    by one increment per client: the loop that the bincount table of
+    ``metrics.association_accuracy`` must match exactly."""
+    truth = [int(t) for t in truth]
+    total = 0.0
+    for labels, weight in zip(report.assignments, report.weights):
+        table = np.zeros((max(labels) + 1, max(truth) + 1))
+        for lab, t in zip(labels, truth):
+            table[lab, t] += 1
+        matched = sum(table[i, j] for i, j in _match_pairs(table, maximize=True))
+        total += weight * matched / len(truth)
+    return float(total)
 
 
 def grid_posterior_moments(prior: GaussianDensity, logliks, lo: float, hi: float,

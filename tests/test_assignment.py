@@ -162,6 +162,23 @@ class TestMBestAgainstReference:
         L = CostMatrix(entries)
         assert _labelled(m_best_exact(L, 16)) == reference_m_best(L, 16)
 
+    @pytest.mark.parametrize("kind", ["integer-ties", "mixed-scales", "scaled-ties",
+                                      "ulp-ties"])
+    @pytest.mark.parametrize("C,K,M", [(30, 1, 5), (4, 3, 3**4 + 10), (40, 8, 20),
+                                       (120, 8, 16)])
+    def test_costs_are_total_cost_bits(self, kind, C, K, M):
+        # every returned cost, near-ties included, is the bits of the
+        # assignment's own entry sum
+        rng = np.random.default_rng(C * K + M)
+        if kind == "ulp-ties":
+            entries = 1000.0 + rng.integers(0, 2, (C, K)) * np.spacing(1000.0)
+        else:
+            entries = _random_costs(rng, C, K, kind)
+        ranked = m_best_exact(CostMatrix(entries), M)
+        assert len(ranked) == min(M, K**C)
+        for a, cost in ranked:
+            assert cost == _total_cost(entries, a.labels)
+
 
 class TestMBestNearTies:
     """More than M assignments within rounding of the M-th cost: the search
@@ -216,6 +233,18 @@ class TestMBestProperties:
         assert all(a <= b for a, b in zip(costs, costs[1:]))
         assert len({a.labels for a, _ in ranked}) == len(ranked)
         assert ranked[0] == best_assignment(L)
+
+    @given(C=st.integers(1, 60), K=st.integers(1, 8), M=st.integers(1, 40),
+           ties=st.booleans(), scale=st.integers(-3, 4), seed=st.integers(0, 2**32 - 1))
+    def test_costs_are_total_cost_bits(self, C, K, M, ties, scale, seed):
+        entries = np.random.default_rng(seed).standard_normal((C, K))
+        if ties:
+            entries = np.round(entries * 2)
+        entries = entries * 10.0 ** scale
+        ranked = m_best_exact(CostMatrix(entries), M)
+        assert len(ranked) == min(M, K**C)
+        for a, cost in ranked:
+            assert cost == _total_cost(entries, a.labels)
 
 
 class TestMBestHeuristic:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bayescfl import (ClientDataset, ContractError, FusionDegenerateError,
@@ -86,6 +86,21 @@ class TestMergeMixture:
             np.testing.assert_allclose(merged.mean, mean, atol=1e-10)
             got_second = merged.covariance + np.outer(merged.mean, merged.mean)
             np.testing.assert_allclose(got_second, second, atol=1e-10)
+
+    @given(dim=st.integers(1, 4), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           raw=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+    def test_moment_preservation_property(self, dim, m, seed, raw):
+        rng = np.random.default_rng(seed)
+        comps = [random_density(rng, dim) for _ in range(m)]
+        assume(sum(raw[:m]) > 0.01)
+        w = np.array(raw[:m]) / sum(raw[:m])
+        merged = merge_mixture(w, comps)
+        mean = sum(wi * c.mean for wi, c in zip(w, comps))
+        second = sum(wi * (c.covariance + np.outer(c.mean, c.mean))
+                     for wi, c in zip(w, comps))
+        np.testing.assert_allclose(merged.mean, mean, atol=1e-10)
+        got_second = merged.covariance + np.outer(merged.mean, merged.mean)
+        np.testing.assert_allclose(got_second, second, atol=1e-10)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(3)

@@ -1,4 +1,6 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from bayescfl import (CoAssociationMatrix, ContractError, LocalModelSpec,
                       parameter_rmse)
 from bayescfl.metrics import _match_pairs
 from bayescfl.reports import read_ndjson, write_ndjson
-from helpers import gaussian_mean_dataset
+from bayescfl.simulation import MODES
+from helpers import gaussian_mean_dataset, reference_association_accuracy
 
 
 def report(assignments, weights, cluster_means=None, round_=1):
@@ -31,7 +34,31 @@ def report(assignments, weights, cluster_means=None, round_=1):
     )
 
 
+def _normalized(raw):
+    return tuple(w / sum(raw) for w in raw)
+
+
+@st.composite
+def accuracy_cases(draw):
+    """1-3 hypotheses over 1-30 clients in 1-5 true groups; labels come from
+    a drawn subset of 0-8, so clusters may outnumber groups and some labels
+    below the largest go unused."""
+    c, g = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    truth = draw(st.lists(st.integers(0, g - 1), min_size=c, max_size=c))
+    used = draw(st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True))
+    n = draw(st.integers(1, 3))
+    assignments = [draw(st.lists(st.sampled_from(used), min_size=c, max_size=c))
+                   for _ in range(n)]
+    weights = _normalized(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return report(assignments, weights), truth
+
+
 class TestAssociationAccuracy:
+    @given(case=accuracy_cases())
+    def test_matches_loop_built_table(self, case):
+        rep, truth = case
+        assert association_accuracy(rep, truth) == reference_association_accuracy(rep, truth)
+
     def test_perfect_up_to_relabeling(self):
         rep = report([(2, 2, 0, 0, 1, 1)], [1.0])
         assert association_accuracy(rep, [0, 0, 1, 1, 2, 2]) == 1.0
@@ -184,13 +211,47 @@ class TestHeldoutLogLikelihood:
                  for j in range(2)]
         want = np.mean([
             assoc_log_weight_at_mean(
-                [GaussianDensity(np.array(mean), np.eye(2))], d, spec)[0]
+                [GaussianDensity(np.array(mean), np.eye(2))], [d], spec)[0, 0]
             for d in tests])
         got = heldout_log_likelihood(rep, tests, spec)
         assert abs(got - want) < 1e-12
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def round_reports(draw):
+    """A report of 1-4 hypotheses over 1-6 clients, 1-4 clusters of dim
+    1-3, with any finite floats, ids and metric names."""
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def rows(elements, length):
+        return tuple(draw(st.lists(elements, min_size=length, max_size=length)))
+
+    return RoundReport(
+        round=draw(st.integers(0, 10**6)),
+        mode=draw(st.sampled_from(MODES)),
+        hypothesis_ids=rows(st.text(max_size=8), n),
+        parent_ids=rows(st.none() | st.text(max_size=8), n),
+        assignments=tuple(rows(st.integers(0, k - 1), c) for _ in range(n)),
+        weights=_normalized(rows(st.floats(0.01, 1.0), n)),
+        log_weights=rows(finite, n),
+        cluster_means=tuple(tuple(rows(finite, d) for _ in range(k)) for _ in range(n)),
+        metrics=draw(st.dictionaries(st.text(max_size=8), finite, max_size=3)),
+        comm=draw(st.dictionaries(st.text(max_size=8), st.integers(0, 2**62), max_size=3)),
+    )
+
+
 class TestReportRoundTrip:
+    @given(reps=st.lists(round_reports(), min_size=1, max_size=3))
+    def test_ndjson_round_trip(self, reps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rounds.ndjson"
+            write_ndjson(reps, path)
+            assert read_ndjson(path) == reps
+
     def test_ndjson(self, tmp_path):
         reps = [report([(0, 1), (1, 0)], [0.6, 0.4],
                        cluster_means=(((0.1, 0.2), (0.3, 0.4)),

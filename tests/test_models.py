@@ -161,24 +161,24 @@ class TestLaplaceLogistic:
 
 class TestAssociationWeights:
     def test_empty_dataset_gives_zero(self):
-        got = assoc_log_weight_at_mean([g1(0, 1), g1(2, 1)], empty_dataset(1), GM1)
+        got = assoc_log_weight_at_mean([g1(0, 1), g1(2, 1)], [empty_dataset(1)], GM1)[0]
         assert np.array_equal(got, [0.0, 0.0])
 
     def test_standard_normal_at_mode(self):
-        got = assoc_log_weight_at_mean([g1(0.0, 1.0)], gaussian_mean_dataset([0.0]), GM1)
+        got = assoc_log_weight_at_mean([g1(0.0, 1.0)], [gaussian_mean_dataset([0.0])], GM1)[0]
         assert got.shape == (1,)
         np.testing.assert_allclose(got[0], -0.5 * np.log(2 * np.pi), atol=1e-12)
 
     def test_closer_cluster_wins(self):
         rng = np.random.default_rng(9)
         data = gaussian_mean_dataset(rng.standard_normal(20))
-        near, far = assoc_log_weight_at_mean([g1(0.0, 1.0), g1(5.0, 1.0)], data, GM1)
+        near, far = assoc_log_weight_at_mean([g1(0.0, 1.0), g1(5.0, 1.0)], [data], GM1)[0]
         assert near > far
 
     def test_sampled_collapses_to_mean(self):
         cluster = GaussianDensity(np.array([0.7]), np.array([[1e-12]]))
         data = gaussian_mean_dataset([0.0, 1.0, 0.5])
-        (at_mean,) = assoc_log_weight_at_mean([cluster], data, GM1)
+        (at_mean,) = assoc_log_weight_at_mean([cluster], [data], GM1)[0]
         (sampled,) = assoc_log_weight_sampled([cluster], data, GM1, n_samples=1, seeds=[4])
         assert abs(at_mean - sampled) < 1e-6
 
@@ -252,6 +252,30 @@ def newton_cases(draw):
                          mean_scale=draw(st.sampled_from([0.0, 1.0, 10.0])))
 
 
+@st.composite
+def at_mean_rounds(draw):
+    """A model spec, 1-20 cluster posteriors and a round of 1-6 clients of
+    unequal sizes, one of them empty."""
+    kind = draw(st.sampled_from(models.KINDS))
+    d, u = draw(st.integers(1, 5)), draw(st.integers(1, 20))
+    sizes = draw(st.lists(st.integers(1, 40), max_size=5, unique=True))
+    sizes.insert(draw(st.integers(0, len(sizes))), 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-2, 2))
+    if kind == "laplace-logistic":
+        spec = LocalModelSpec(kind, feature_dim=d)
+    else:
+        spec = LocalModelSpec(kind, feature_dim=d, noise_variance=float(rng.uniform(0.1, 3.0)))
+    clients = []
+    for n in sizes:
+        x = scale * rng.standard_normal((n, d))
+        labels = (rng.integers(0, 2, n) if kind == "laplace-logistic"
+                  else None if kind == "gaussian-mean" else scale * rng.standard_normal(n))
+        clients.append(ClientDataset(0, 0, x, labels))
+    clusters = [GaussianDensity(rng.standard_normal(d), np.eye(d)) for _ in range(u)]
+    return spec, clusters, clients
+
+
 class TestBatchedLikelihood:
     """The batched kernel and every caller of it give the bits of the one-row
     formulas and of the per-draw loop."""
@@ -268,7 +292,18 @@ class TestBatchedLikelihood:
         spec, data, omegas = case
         clusters = [GaussianDensity(w, np.eye(spec.param_dim)) for w in omegas]
         want = [reference_data_log_likelihood(c.mean, data, spec) for c in clusters]
-        assert np.array_equal(assoc_log_weight_at_mean(clusters, data, spec), want)
+        assert np.array_equal(assoc_log_weight_at_mean(clusters, [data], spec)[0], want)
+
+    @given(case=at_mean_rounds())
+    def test_at_mean_round_table_rows_match_kernel(self, case):
+        """One call over a round gives a C x U table whose row j is the
+        kernel's bits for client j against every cluster mean."""
+        spec, clusters, clients = case
+        means = np.array([c.mean for c in clusters])
+        table = assoc_log_weight_at_mean(clusters, clients, spec)
+        assert table.shape == (len(clients), len(clusters))
+        for row, client in zip(table, clients, strict=True):
+            assert np.array_equal(row, models._log_likelihoods(means, client, spec))
 
     @given(case=likelihood_cases(),
            seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
@@ -355,7 +390,7 @@ class TestBatchedLikelihood:
             models.data_log_likelihoods(np.zeros((3, 2)), data, GM1)
         with pytest.raises(ContractError):
             assoc_log_weight_at_mean([g1(0, 1), GaussianDensity(np.zeros(2), np.eye(2))],
-                                     data, GM1)
+                                     [data], GM1)
         with pytest.raises(ContractError):
             assoc_log_weight_sampled([GaussianDensity(np.zeros(2), np.eye(2))], data,
                                      GM1, 4, [1])

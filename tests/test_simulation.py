@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bayescfl import (ConfigError, ContractError, LocalModelSpec, RoundConfig,
-                      SkewConfig, WeightEstimator, gen_scenario, initialize,
-                      posterior_update, run_training, simulation, warm_up)
+from bayescfl import (ConfigError, ContractError, GaussianDensity, LocalModelSpec,
+                      RoundConfig, SkewConfig, WeightEstimator, gen_scenario,
+                      initialize, posterior_update, run_training, simulation, warm_up)
 from bayescfl.cli import cli_run
 from bayescfl.config import plan_from_dict
 from bayescfl.reports import trajectories
@@ -77,6 +77,21 @@ class TestInitialize:
         state = initialize(round_config())
         for prior in state.hypothesis_set.hypotheses[0].cluster_posteriors:
             np.testing.assert_allclose(prior.covariance, 10.0 * np.eye(2))
+
+    def test_priors_match_one_draw_per_cluster_on_one_factor(self):
+        # one (K, dim) draw gives the bits of K draws of dim, and the priors
+        # share one factor that equals each covariance's own Cholesky factor
+        model = LocalModelSpec("gaussian-mean", feature_dim=3, noise_variance=1.0)
+        cfg = round_config(K=5, model=model, prior_sigma2=2.5, seed=11)
+        priors = initialize(cfg).hypothesis_set.hypotheses[0].cluster_posteriors
+        rng = simulation._rng(cfg.seed, simulation._INIT)
+        scale = simulation.MEAN_PERTURB_SCALE * float(np.sqrt(2.5))
+        for prior in priors:
+            want = GaussianDensity(scale * rng.standard_normal(3), 2.5 * np.eye(3))
+            assert np.array_equal(prior.mean, want.mean)
+            assert np.array_equal(prior.covariance, want.covariance)
+            assert np.array_equal(prior.chol, want.chol)
+            assert prior.chol is priors[0].chol
 
 
 class TestDeterminismAndSchedule:
@@ -245,7 +260,7 @@ class TestGreedyDecision:
         clusters = state.hypothesis_set.hypotheses[0].cluster_posteriors
         clients = list(scen.rounds[0])
         want = tuple(
-            int(np.argmax(assoc_log_weight_at_mean(clusters, d, GM2)))
+            int(np.argmax(assoc_log_weight_at_mean(clusters, [d], GM2)[0]))
             for d in clients)
         _, rep = run_round(state, clients, cfg)
         assert rep.assignments == (want,)
@@ -372,8 +387,9 @@ class TestPhaseReuse:
         assert len(calls) > len(keys)    # siblings repeat work without the memo
 
     def test_one_at_mean_weight_per_distinct_posterior_and_client(self, monkeypatch):
-        """One at-mean call per client per round, over exactly the round's
-        distinct cluster posteriors, each passed once."""
+        """One at-mean call per round, over all the round's clients in order
+        and exactly the round's distinct cluster posteriors, each passed
+        once."""
         _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
         cfg = round_config(K=3, C=6, m_max=6)
         parents, distinct = [], []
@@ -387,15 +403,14 @@ class TestPhaseReuse:
 
         monkeypatch.setattr(simulation, "run_round", counted_round)
         calls = self._record(monkeypatch, "assoc_log_weight_at_mean",
-                             lambda clusters, data, spec:
-                             (tuple(id(c) for c in clusters), id(data)))
+                             lambda clusters, clients, spec:
+                             (tuple(id(c) for c in clusters), tuple(id(d) for d in clients)))
         run_training(cfg, scen.rounds)
-        assert len(calls) == cfg.T * cfg.C
-        for t, ids in enumerate(distinct):
-            keys = [key for r, key, _ in calls if r == t]
-            assert sorted(data for _, data in keys) == sorted(id(d) for d in scen.rounds[t])
-            for clusters, _ in keys:
-                assert len(clusters) == len(ids) and set(clusters) == ids
+        assert [r for r, _, _ in calls] == list(range(cfg.T))
+        for (_, (clusters, clients), _), ids, data in zip(calls, distinct, scen.rounds,
+                                                          strict=True):
+            assert clients == tuple(id(d) for d in data)
+            assert len(clusters) == len(ids) and set(clusters) == ids
         assert sum(map(len, distinct)) < sum(parents) * cfg.K    # some posteriors were shared
 
     def test_sampled_weights_keep_one_stream_each(self, monkeypatch):
