@@ -54,7 +54,9 @@ def logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
     its bits: entries with b == 0 drop out, the entries at the maximum are
     summed apart from the shifted rest, and a result that is not finite falls
     back to the direct log of the sum. Each row of a 2-D a gets the bits of
-    the 1-D call on that row.
+    the 1-D call on that row. One departure: a row whose weights are all 0 is
+    an empty sum and gives -inf, where scipy gives NaN if some exp(a)
+    overflows (0 * inf) or a holds NaN.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -71,6 +73,9 @@ def logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
         if np.any(bad):
             direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a), axis=-1))
             out = np.where(bad, direct, out)
+            if b is not None:
+                out = np.where(np.all(np.broadcast_to(b == 0, a.shape), axis=-1),
+                               -np.inf, out)
     return float(out) if out.ndim == 0 else out
 
 

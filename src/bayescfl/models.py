@@ -34,7 +34,12 @@ g' H^-1 g, twice the decrease the full step predicts, is at most
 NEWTON_DECREMENT_TOL * max(1, |f|), that decrease lies below what the
 objective f can resolve, so the loop takes the full step and stops. Before
 that, each step halves from the full Newton step until the objective does not
-rise, at most NEWTON_MAX_HALVINGS times.
+rise, at most NEWTON_MAX_HALVINGS times. ``posterior_update`` takes one pair
+or sequences of pairs; the Laplace problems of one dataset size run in one
+masked loop on stacked (B, n, d) arrays. Each problem keeps its own stop, its
+own halvings and its own Cholesky test, and every stacked matmul, solve and
+row sum runs one problem's operations in that problem's order, so each mode
+and Hessian is the bits of the one-problem loop.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 
 from .datasets import ClientDataset
 from .density import (GaussianDensity, _from_tested_info, from_info, logsumexp,
-                      spd_cholesky, symmetrize)
+                      spd_cholesky)
 from .errors import ContractError, SingularModelError
 
 NEWTON_MAX_ITER = 100
@@ -112,14 +117,20 @@ def _log_likelihoods(omegas: np.ndarray, data: ClientDataset,
         v = spec.noise_variance
         sq = ((x[None] - omegas[:, None, :]) ** 2).reshape(s, -1).sum(axis=1)
         return -0.5 * (n * spec.feature_dim * np.log(2.0 * np.pi * v) + sq / v)
-    z = (x @ omegas[:, :, None])[..., 0]
     y = np.asarray(data.labels, dtype=float)
-    if spec.kind == "bayes-linear":
-        v = spec.noise_variance
-        resid = y - z
-        sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-        return -0.5 * (n * np.log(2.0 * np.pi * v) + sq / v)
-    # laplace-logistic: sum_i [y_i z_i - log(1 + exp(z_i))], z = X @ omega
+    if spec.kind == "laplace-logistic":
+        return _logistic_log_likelihoods(x, y, omegas)
+    v = spec.noise_variance
+    resid = y - (x @ omegas[:, :, None])[..., 0]
+    sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+    return -0.5 * (n * np.log(2.0 * np.pi * v) + sq / v)
+
+
+def _logistic_log_likelihoods(x, y, omegas):
+    """sum_i [y_i z_i - log(1 + exp(z_i))], z = x @ omega, for every row of
+    omegas (S, d): against one dataset (x (n, d), y (n,)) or, row by row,
+    against a stack of S datasets of one size (x (S, n, d), y (S, n))."""
+    z = (x @ omegas[:, :, None])[..., 0]
     return np.sum(y * z - _softplus(z), axis=1)
 
 
@@ -150,72 +161,149 @@ def _conjugate_data_info(data, spec):
     return (x.T @ x) / v, (x.T @ y) / v
 
 
+def _laplace_objective(x, y, lam0, m0, w):
+    """The negative log posterior, up to a constant, of every stacked problem
+    at its row of w: x (B, n, d), y (B, n), lam0 (B, d, d), m0 and w (B, d).
+
+    Each problem takes the operations of the one-problem form
+    ``0.5 * diff @ lam0 @ diff - _log_likelihoods(w[None], data, spec)[0]``,
+    so its value is the same bits. The data were checked by the caller.
+    """
+    diff = w - m0
+    quad = ((0.5 * diff)[:, None, :] @ lam0 @ diff[:, :, None])[:, 0, 0]
+    return quad - _logistic_log_likelihoods(x, y, w)
+
+
+def _hessians(x, p, lam0):
+    """X' diag(p (1 - p)) X + lam0 for every stacked problem, symmetrized."""
+    hess = x.transpose(0, 2, 1) @ (x * (p * (1.0 - p))[:, :, None]) + lam0
+    return (hess + hess.transpose(0, 2, 1)) / 2.0
+
+
+def _test_hessians(hess):
+    """The Cholesky test of every stacked Hessian; one that fails, even after
+    the jitter of ``spd_cholesky``, raises SingularModelError."""
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        for h in hess:
+            try:
+                spd_cholesky(h)
+            except ContractError as exc:
+                raise SingularModelError("Hessian not positive-definite") from exc
+
+
 # 1 / (1 + exp(-z)) overflows to inf on a far Newton step: p -> 0 is the
 # right limit, so the update ignores that overflow
 @np.errstate(over="ignore")
-def _laplace_logistic_update(prior, data, spec):
-    x = data.features
-    y = np.asarray(data.labels, dtype=float)
-    lam0 = prior.precision
-    m0 = prior.mean
+def _laplace_logistic_modes(priors, datasets):
+    """Mode and tested Hessian at the mode of every Laplace problem, for
+    nonempty datasets of one size n: one masked Newton loop on stacked
+    (B, n, d) arrays.
 
-    # The negative log posterior of w, up to a constant. posterior_update has
-    # checked the data; the objective does not again.
-    def objective(w):
-        diff = w - m0
-        return 0.5 * diff @ lam0 @ diff - _log_likelihoods(w[None], data, spec)[0]
+    Every problem takes the steps of the one-problem loop: its own decrement
+    stop, and its own halving sequence, in which the problems still pending
+    are re-evaluated at scales 1, 1/2, ... until their objective does not
+    rise. A problem leaves the stack when it stops, so its mode and Hessian
+    are the bits that loop gives.
+    """
+    x_all = np.stack([d.features for d in datasets])
+    y_all = np.stack([np.asarray(d.labels, dtype=float) for d in datasets])
+    lam0_all = np.stack([prior.precision for prior in priors])
+    m0_all = np.stack([prior.mean for prior in priors])
+    modes = np.empty_like(m0_all)
 
-    w = m0.copy()
-    obj = objective(w)
+    live = np.arange(len(priors))
+    x, y, lam0, m0, w = x_all, y_all, lam0_all, m0_all, m0_all.copy()
+    obj = _laplace_objective(x, y, lam0, m0, w)
     for _ in range(NEWTON_MAX_ITER):
-        p = 1.0 / (1.0 + np.exp(-(x @ w)))
-        grad = x.T @ (p - y) + lam0 @ (w - m0)
-        hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
+        p = 1.0 / (1.0 + np.exp(-(x @ w[:, :, None])[..., 0]))
+        grad = ((x.transpose(0, 2, 1) @ (p - y)[:, :, None])[..., 0]
+                + (lam0 @ (w - m0)[:, :, None])[..., 0])
+        hess = _hessians(x, p, lam0)
+        _test_hessians(hess)
         try:
-            spd_cholesky(hess)
-        except ContractError as exc:
-            raise SingularModelError("Hessian not positive-definite") from exc
-        step = np.linalg.solve(hess, grad)
-        if grad @ step <= NEWTON_DECREMENT_TOL * max(1.0, abs(obj)):
-            w = w - step
-            break
+            step = np.linalg.solve(hess, grad[:, :, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            # a Hessian that passed only with the jitter can still be singular
+            raise SingularModelError("Hessian is singular") from exc
+        decrement = (grad[:, None, :] @ step[:, :, None])[:, 0, 0]
+        # fmax keeps 1.0 for a NaN objective, as max(1.0, nan) does
+        done = decrement <= NEWTON_DECREMENT_TOL * np.fmax(1.0, np.abs(obj))
         # the first of the scales 1, 1/2, ..., 2**-39 whose step does not
         # raise the objective, else 2**-40
+        pending = np.flatnonzero(~done)
         for halvings in range(NEWTON_MAX_HALVINGS + 1):
-            cand = w - 0.5 ** halvings * step
-            cand_obj = objective(cand)
-            if cand_obj <= obj or halvings == NEWTON_MAX_HALVINGS:
+            if not pending.size:
                 break
-        w, obj = cand, cand_obj
+            cand = w[pending] - 0.5 ** halvings * step[pending]
+            cand_obj = _laplace_objective(x[pending], y[pending], lam0[pending],
+                                          m0[pending], cand)
+            accept = cand_obj <= obj[pending]
+            if halvings == NEWTON_MAX_HALVINGS:
+                accept[:] = True
+            taken = pending[accept]
+            w[taken], obj[taken] = cand[accept], cand_obj[accept]
+            pending = pending[~accept]
+        if np.any(done):
+            modes[live[done]] = w[done] - step[done]
+            keep = ~done
+            live, x, y, lam0, m0, w, obj = (a[keep] for a in (live, x, y, lam0, m0, w, obj))
+            if not live.size:
+                break
+    modes[live] = w
 
-    p = 1.0 / (1.0 + np.exp(-(x @ w)))
-    hess = symmetrize(x.T @ (x * (p * (1.0 - p))[:, None]) + lam0)
-    try:
-        hess, _ = spd_cholesky(hess)
-    except ContractError as exc:
-        raise SingularModelError("Hessian not positive-definite at the mode") from exc
-    return w, hess
+    p = 1.0 / (1.0 + np.exp(-(x_all @ modes[:, :, None])[..., 0]))
+    out = []
+    for mode, hess in zip(modes, _hessians(x_all, p, lam0_all)):
+        try:
+            hess, _ = spd_cholesky(hess)
+        except ContractError as exc:
+            raise SingularModelError("Hessian not positive-definite at the mode") from exc
+        out.append((mode, hess))
+    return out
 
 
-def posterior_update(prior: GaussianDensity, data: ClientDataset,
-                     spec: LocalModelSpec) -> GaussianDensity:
-    """p(w | D) from the prior and one client dataset.
+def posterior_update(prior: GaussianDensity | Sequence[GaussianDensity],
+                     data: ClientDataset | Sequence[ClientDataset],
+                     spec: LocalModelSpec) -> GaussianDensity | list[GaussianDensity]:
+    """p(w | D) from the prior and one client dataset; or, given equal-length
+    sequences of priors and datasets, the list of posteriors of each pair.
 
     Exact in information form for the conjugate kinds: the prior's pair plus
-    the data's. Laplace approximation (mode, Hessian at the mode) for
-    laplace-logistic. An empty dataset returns the prior itself.
+    the data's, one pair at a time. Laplace approximation (mode, Hessian at
+    the mode) for laplace-logistic: the problems of one dataset size run in
+    one masked Newton loop (``_laplace_logistic_modes``), and each gets the
+    bits of its own one-problem loop. An empty dataset returns its prior
+    itself. The single form is the sequence form on one pair.
     """
-    if prior.dim != spec.param_dim:
-        raise ContractError(f"prior dim {prior.dim} != parameter dim {spec.param_dim}")
-    _check_data(data, spec)
-    if data.is_empty():
-        return prior
-    if spec.kind == "laplace-logistic":
-        mode, lam = _laplace_logistic_update(prior, data, spec)
-        return _from_tested_info(lam, lam @ mode)
-    lam0, eta0 = prior.info_form()
-    lam, eta = _conjugate_data_info(data, spec)
-    return from_info(lam0 + lam, eta0 + eta)
+    if isinstance(prior, GaussianDensity):
+        return posterior_update([prior], [data], spec)[0]
+    priors, datasets = list(prior), list(data)
+    if len(priors) != len(datasets):
+        raise ContractError(f"{len(priors)} priors but {len(datasets)} datasets")
+    for prior_i, data_i in zip(priors, datasets):
+        if prior_i.dim != spec.param_dim:
+            raise ContractError(
+                f"prior dim {prior_i.dim} != parameter dim {spec.param_dim}")
+        _check_data(data_i, spec)
+    out = list(priors)    # an empty dataset keeps its prior
+    if spec.kind != "laplace-logistic":
+        for k, (prior_i, data_i) in enumerate(zip(priors, datasets)):
+            if not data_i.is_empty():
+                lam0, eta0 = prior_i.info_form()
+                lam, eta = _conjugate_data_info(data_i, spec)
+                out[k] = from_info(lam0 + lam, eta0 + eta)
+        return out
+    by_size: dict[int, list[int]] = {}
+    for k, data_i in enumerate(datasets):
+        if not data_i.is_empty():
+            by_size.setdefault(data_i.n_samples, []).append(k)
+    for ks in by_size.values():
+        fits = _laplace_logistic_modes([priors[k] for k in ks], [datasets[k] for k in ks])
+        for k, (mode, lam) in zip(ks, fits):
+            out[k] = _from_tested_info(lam, lam @ mode)
+    return out
 
 
 def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],

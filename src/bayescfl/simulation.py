@@ -23,9 +23,11 @@ round-scoped memos keyed on the identity of the cluster-posterior object
 share it. Phase one is batched: one at-mean call per round scores every
 client against every distinct cluster mean of the round, and one sampled call
 per client scores the draws of every (hypothesis, cluster) pair, each pair
-from its own stream (see ``models``). The same inputs reach the same
-arithmetic, so the outputs are the bytes the per-hypothesis, per-draw loops
-give.
+from its own stream (see ``models``). Phase two is batched too: one
+``posterior_update`` call per round fits the round's distinct (cluster
+posterior, client) pairs, and the warm-up fits its clients in one call. The
+same inputs reach the same arithmetic, so the outputs are the bytes the
+per-hypothesis, per-draw and per-pair loops give.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ def warm_up(clients: Sequence[ClientDataset],
         raise ContractError("warm_up requires warm_up_rounds >= 1")
     dim = cfg.model.param_dim
     flat = GaussianDensity(np.zeros(dim), cfg.prior_sigma2 * np.eye(dim))
-    locals_ = [posterior_update(flat, d, cfg.model) for d in clients]
+    locals_ = posterior_update([flat] * len(clients), clients, cfg.model)
     means = np.stack([g.mean for g in locals_])
     labels = _kmeans_labels(means, cfg.K, _rng(cfg.seed, _WARMUP))
     groups = [[g for g, lab in zip(locals_, labels) if lab == i] for i in range(cfg.K)]
@@ -255,30 +257,36 @@ def _update_posteriors(selected: HypothesisSet, clients: Sequence[ClientDataset]
     """Phase two: per surviving hypothesis, update every cluster's posterior
     from its assigned clients (clusters with no clients carry over).
 
-    Each local update is computed once per (cluster posterior, client) pair
-    and each fusion once per (cluster posterior, member tuple), so siblings
-    and carried-over clusters share one immutable posterior object. Keys use
-    object ids, which stay unique because ``selected`` holds every prior
-    posterior for the whole call.
+    The round's distinct (cluster posterior, client) pairs are collected in
+    first-seen order and updated in one ``posterior_update`` call; each
+    fusion is then computed once per (cluster posterior, member tuple), so
+    siblings and carried-over clusters share one immutable posterior object.
+    Keys use object ids, which stay unique because ``selected`` holds every
+    prior posterior for the whole call.
     """
-    local: dict[tuple[int, int], GaussianDensity] = {}
-    fused: dict[tuple[int, tuple[int, ...]], GaussianDensity] = {}
-    new_lists = []
+    member_lists = []
+    pairs: dict[tuple[int, int], tuple[GaussianDensity, ClientDataset]] = {}
     for hyp in selected.hypotheses:
         groups = [[] for _ in hyp.cluster_posteriors]
         for j, lab in enumerate(hyp.assignment.labels):
             groups[lab].append(j)
+        member_lists.append(list(map(tuple, groups)))
+        for prior_i, members in zip(hyp.cluster_posteriors, groups):
+            for j in members:
+                pairs.setdefault((id(prior_i), j), (prior_i, clients[j]))
+    priors, datasets = zip(*pairs.values())
+    local = dict(zip(pairs, posterior_update(priors, datasets, cfg.model)))
+
+    fused: dict[tuple[int, tuple[int, ...]], GaussianDensity] = {}
+    new_lists = []
+    for hyp, groups in zip(selected.hypotheses, member_lists):
         per_cluster = []
-        for prior_i, members in zip(hyp.cluster_posteriors, map(tuple, groups)):
+        for prior_i, members in zip(hyp.cluster_posteriors, groups):
             if not members:
                 per_cluster.append(prior_i)
                 continue
             key = (id(prior_i), members)
             if key not in fused:
-                for j in members:
-                    if (id(prior_i), j) not in local:
-                        local[id(prior_i), j] = posterior_update(prior_i, clients[j],
-                                                                 cfg.model)
                 fused[key] = fuse_local_posteriors([local[id(prior_i), j] for j in members],
                                                    prior_i, cfg.fusion_mode)
             per_cluster.append(fused[key])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bayescfl import (ContractError, CostMatrix, best_assignment,
+from bayescfl import (Assignment, ContractError, CostMatrix, best_assignment,
                       build_cost_matrix, count_hypotheses_constrained,
                       count_hypotheses_unconstrained, enumerate_assignments,
-                      m_best_exact, m_best_heuristic)
+                      m_best_exact)
 from bayescfl.assignment import _total_cost
 from helpers import brute_force_ranking, reference_m_best
 
@@ -246,34 +246,17 @@ class TestMBestProperties:
         for a, cost in ranked:
             assert cost == _total_cost(entries, a.labels)
 
-
-class TestMBestHeuristic:
-    def test_m1_is_best_assignment(self):
-        ranked = m_best_heuristic(COSTS_3X2, 1)
-        best, cost = best_assignment(COSTS_3X2)
-        assert ranked[0][0] == best and ranked[0][1] == cost
-
-    def test_worked_example_m3(self):
-        # brute force puts (0,1,0)=11, (1,1,0)=14, (0,1,1)=15 in front and all
-        # three are single substitutions of the optimum
-        ranked = m_best_heuristic(COSTS_3X2, 3)
-        labels = [a.labels for a, _ in ranked]
-        assert (0, 1, 0) in labels and (0, 1, 1) in labels
-        assert ranked[2][1] >= 15.0
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_never_beats_exact(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        entries = rng.standard_normal((4, 3))
-        L = CostMatrix(entries)
-        exact = m_best_exact(L, 3**4)
-        heur = m_best_heuristic(L, 8)
-        for rank, (_, cost) in enumerate(heur):
-            assert cost >= exact[rank][1] - 1e-12
-
-    def test_pool_is_capped(self):
-        ranked = m_best_heuristic(COSTS_3X2, 100)
-        assert len(ranked) == 1 + 3 * (2 - 1)
+    @given(C=st.integers(1, 30), K=st.integers(1, 6), M=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_items_equal_validated_assignments(self, C, K, M, seed):
+        """Items skip ``Assignment``'s checks; each must still be what the
+        checked constructor builds: a tuple of Python ints, of equal hash."""
+        entries = np.random.default_rng(seed).standard_normal((C, K))
+        for a, _ in m_best_exact(CostMatrix(entries), M):
+            checked = Assignment(a.labels)
+            assert a == checked and hash(a) == hash(checked)
+            assert type(a.labels) is tuple and len(a) == C
+            assert all(type(lab) is int and 0 <= lab < K for lab in a.labels)
 
 
 class TestCounting:

@@ -253,6 +253,32 @@ def newton_cases(draw):
 
 
 @st.composite
+def laplace_batches(draw):
+    """1-8 laplace-logistic problems of one dimension d (1-5): mixed sizes,
+    some shared and some empty, well-posed to nearly separable data and tight
+    to diffuse priors, so that problems stop after different numbers of steps
+    and halve 0 to a dozen times. About one in ten is so ill-posed (n < d,
+    large features, a diffuse prior) that its Hessian may fail the Cholesky
+    test."""
+    d = draw(st.integers(1, 5))
+    spec, priors, datasets = LocalModelSpec("laplace-logistic", feature_dim=d), [], []
+    for _ in range(draw(st.integers(1, 8))):
+        seed = draw(st.integers(0, 2**32 - 1))
+        if draw(st.integers(0, 9)) == 0:
+            n, scale, prior_scale = draw(st.integers(1, d)), 1e6, 1e16
+        else:
+            n = draw(st.sampled_from([0, 1, 12, 30]) | st.integers(0, 40))
+            scale = 10.0 ** draw(st.integers(-1, 1))
+            prior_scale = 10.0 ** draw(st.integers(-2, 3))
+        _, data, prior = logistic_case(rng_features(seed, n, d, scale), draw(st.booleans()),
+                                       seed, prior_scale=prior_scale,
+                                       mean_scale=draw(st.sampled_from([0.0, 1.0, 10.0])))
+        priors.append(prior)
+        datasets.append(data)
+    return spec, priors, datasets
+
+
+@st.composite
 def at_mean_rounds(draw):
     """A model spec, 1-20 cluster posteriors and a round of 1-6 clients of
     unequal sizes, one of them empty."""
@@ -338,7 +364,7 @@ class TestBatchedLikelihood:
     def test_newton_matches_one_step_at_a_time_loop(self, case):
         spec, data, prior = case
         try:
-            got = models._laplace_logistic_update(prior, data, spec)
+            (got,) = models._laplace_logistic_modes([prior], [data])
         except SingularModelError:
             return    # the reference does not check the Hessian
         mode, hess = reference_laplace_logistic_update(prior, data, spec)
@@ -369,18 +395,118 @@ class TestBatchedLikelihood:
         spec = LocalModelSpec("laplace-logistic", feature_dim=2)
         prior = GaussianDensity(np.zeros(2), 10.0 * np.eye(2))
         calls = []
-        kernel = models._log_likelihoods
+        kernel = models._logistic_log_likelihoods
 
-        def counted(omegas, *args):
+        def counted(x, y, omegas):
             calls.append(omegas.shape[0])
-            return kernel(omegas, *args)
+            return kernel(x, y, omegas)
 
-        monkeypatch.setattr(models, "_log_likelihoods", counted)
+        # one objective evaluation per start and per tried step
+        monkeypatch.setattr(models, "_logistic_log_likelihoods", counted)
         post = posterior_update(prior, binary_dataset(x, np.ones(30, dtype=int)), spec)
         assert 0 < len(calls) <= 10 and set(calls) == {1}
         p = 1 / (1 + np.exp(-(x @ post.mean)))
         grad = x.T @ (p - 1) + prior.precision @ (post.mean - prior.mean)
         assert np.linalg.norm(grad) < 1e-12
+
+    @given(case=laplace_batches())
+    def test_sequence_form_matches_one_problem_loop(self, case):
+        """Each problem of a batch gets the mode and Hessian of the one-step-
+        at-a-time reference, whatever the other problems do; an empty dataset
+        keeps its prior; the batch raises exactly when one problem alone does."""
+        spec, priors, datasets = case
+        alone_raises = False
+        for prior, data in zip(priors, datasets):
+            try:
+                posterior_update(prior, data, spec)
+            except SingularModelError:
+                alone_raises = True
+        fits = {}
+        modes = models._laplace_logistic_modes
+
+        def recorded(priors_, datasets_):
+            out = modes(priors_, datasets_)
+            fits.update(zip(map(id, datasets_), out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_laplace_logistic_modes", recorded)
+            if alone_raises:
+                with pytest.raises(SingularModelError):
+                    posterior_update(priors, datasets, spec)
+                return
+            posts = posterior_update(priors, datasets, spec)
+        assert len(posts) == len(priors)
+        for prior, data, post in zip(priors, datasets, posts):
+            if data.is_empty():
+                assert post is prior
+                continue
+            mode, hess = reference_laplace_logistic_update(prior, data, spec)
+            got_mode, got_hess = fits[id(data)]
+            assert np.array_equal(got_mode, mode) and np.array_equal(got_hess, hess)
+            assert np.array_equal(post.precision, hess)
+            assert np.array_equal(post.info_form()[1], hess @ mode)
+
+    @given(kind=st.sampled_from(["gaussian-mean", "bayes-linear"]),
+           d=st.integers(1, 5), sizes=st.lists(st.integers(0, 20), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sequence_form_matches_single_form_for_conjugate_kinds(self, kind, d, sizes,
+                                                                   seed):
+        rng = np.random.default_rng(seed)
+        spec = LocalModelSpec(kind, feature_dim=d, noise_variance=float(rng.uniform(0.1, 3.0)))
+        priors, datasets = [], []
+        for n in sizes:
+            low = np.tril(rng.standard_normal((d, d)))
+            priors.append(GaussianDensity(rng.standard_normal(d), low @ low.T + 0.1 * np.eye(d)))
+            labels = None if kind == "gaussian-mean" else rng.standard_normal(n)
+            datasets.append(ClientDataset(0, 0, rng.standard_normal((n, d)), labels))
+        posts = posterior_update(priors, datasets, spec)
+        assert len(posts) == len(priors)
+        for prior, data, post in zip(priors, datasets, posts):
+            want = posterior_update(prior, data, spec)
+            if data.is_empty():
+                assert post is prior and want is prior
+                continue
+            for got_part, want_part in zip(post.info_form(), want.info_form()):
+                assert np.array_equal(got_part, want_part)
+            assert np.array_equal(post.mean, want.mean)
+            assert np.array_equal(post.covariance, want.covariance)
+
+    def test_batch_stops_and_halves_each_problem_on_its_own(self, monkeypatch):
+        """A batch whose problems stop after different numbers of steps, some
+        after halvings: one objective call per pending set, each problem
+        with its reference bits."""
+        x = np.random.default_rng(10).normal([1, 1], 1, (30, 2))
+        spec = LocalModelSpec("laplace-logistic", feature_dim=2)
+        cases = [logistic_case(rng_features(seed, 30, 2), separable, seed, prior_scale,
+                               mean_scale)
+                 for seed, separable, prior_scale, mean_scale in
+                 [(1, False, 1.0, 0.0), (2, True, 1e3, 10.0), (3, True, 10.0, 1.0)]]
+        priors = [GaussianDensity(np.zeros(2), 10.0 * np.eye(2))] + [c[2] for c in cases]
+        datasets = [binary_dataset(x, np.ones(30, dtype=int))] + [c[1] for c in cases]
+        events = []
+        objective, hessians = models._laplace_objective, models._hessians
+
+        def logged_objective(x_, *args):
+            events.append(("objective", x_.shape[0]))
+            return objective(x_, *args)
+
+        def logged_hessians(x_, *args):
+            events.append(("hessians", x_.shape[0]))
+            return hessians(x_, *args)
+
+        monkeypatch.setattr(models, "_laplace_objective", logged_objective)
+        monkeypatch.setattr(models, "_hessians", logged_hessians)
+        posts = posterior_update(priors, datasets, spec)
+        steps = [rows for kind, rows in events[:-1] if kind == "hessians"]
+        assert steps[0] == len(priors) and len(set(steps)) > 1    # stops differ
+        assert events[-1] == ("hessians", len(priors))    # the Hessians at the modes
+        # a halving re-evaluates the pending set before the next step
+        assert any(a[0] == b[0] == "objective" for a, b in zip(events[1:], events[2:]))
+        for prior, data, post in zip(priors, datasets, posts):
+            mode, hess = reference_laplace_logistic_update(prior, data, spec)
+            assert np.array_equal(post.precision, hess)
+            assert np.array_equal(post.info_form()[1], hess @ mode)
 
     def test_wrong_parameter_shapes_rejected(self):
         data = gaussian_mean_dataset([0.0, 1.0])

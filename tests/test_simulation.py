@@ -374,17 +374,39 @@ class TestPhaseReuse:
         return calls
 
     def test_one_update_per_distinct_posterior_and_client(self, monkeypatch):
+        """One update call for the warm-up, over its clients, and one per
+        round, over exactly that round's distinct (cluster posterior, client)
+        pairs in first-seen order, each passed once."""
         _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
-        cfg = round_config(K=3, C=6, m_max=6)
-        calls = self._record(monkeypatch, "posterior_update",
-                             lambda prior, data, spec: (id(prior), id(data)))
+        cfg = round_config(K=3, C=6, m_max=6, warm_up_rounds=1)
+        expected = []
+        update = simulation._update_posteriors
+
+        def seen_pairs(selected, clients, cfg_):
+            pairs = {}
+            for hyp in selected.hypotheses:
+                for i, prior in enumerate(hyp.cluster_posteriors):
+                    for j, lab in enumerate(hyp.assignment.labels):
+                        if lab == i:
+                            pairs.setdefault((id(prior), id(clients[j])), None)
+            # clients in label order within a cluster, as the update visits them
+            expected.append((selected, list(pairs)))
+            return update(selected, clients, cfg_)
+
+        monkeypatch.setattr(simulation, "_update_posteriors", seen_pairs)
+        calls = self._record(monkeypatch, "posterior_update", lambda *args: None)
         run_training(cfg, scen.rounds)
-        keys = [(t, key) for t, key, _ in calls]
-        assert len(keys) == len(set(keys))
+        assert [r for r, _, _ in calls] == [None] + list(range(cfg.T))
+        (_, _, (priors, datasets, _)), *rounds = calls
+        assert len(set(map(id, priors))) == 1
+        assert [id(d) for d in datasets] == [id(d) for d in scen.rounds[0]]
+        for (_, _, (priors, datasets, _)), (_, want) in zip(rounds, expected, strict=True):
+            assert list(zip(map(id, priors), map(id, datasets))) == want
         monkeypatch.setattr(simulation, "_update_posteriors", uncached_update_posteriors)
         calls.clear()
         run_training(cfg, scen.rounds)
-        assert len(calls) > len(keys)    # siblings repeat work without the memo
+        # without the memo, siblings repeat the updates of shared pairs
+        assert len(calls) - 1 > sum(len(want) for _, want in expected)
 
     def test_one_at_mean_weight_per_distinct_posterior_and_client(self, monkeypatch):
         """One at-mean call per round, over all the round's clients in order

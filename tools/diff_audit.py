@@ -1,0 +1,137 @@
+"""Compare the run outputs of two checkouts of this repository.
+
+Usage: python tools/diff_audit.py OLD NEW
+
+Runs ``bayescfl run`` from both checkouts (each on its own ``src``) on
+``configs/{demo,label_skew,tiny}.json`` and the three files in
+``perfbench/workloads/``, at seeds 1000, 1001, 2000 and 2001. Both sides read
+the config files of NEW, so the two runs of a pair differ only in the
+program. For each run it prints whether ``rounds.ndjson`` and
+``summary.json`` are byte-identical, whether the assignments, hypothesis ids
+and parent ids are identical in every round, and the largest absolute change
+in weights, log-weights, cluster means, association accuracy and held-out
+log-likelihood.
+
+Exit code 0 when every run finished on both sides with identical
+assignments and ids (bytes may still differ: read the table), 1 otherwise.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = ("configs/demo.json", "configs/label_skew.json", "configs/tiny.json",
+           "perfbench/workloads/label_skew.json", "perfbench/workloads/scaled_rank.json",
+           "perfbench/workloads/logistic_sampled.json")
+SEEDS = (1000, 1001, 2000, 2001)
+OUTPUTS = ("rounds.ndjson", "summary.json")
+ID_FIELDS = ("assignments", "hypothesis_ids", "parent_ids")
+
+
+def run(checkout: Path, config: Path, seed: int, out: Path) -> str | None:
+    """``bayescfl run`` from checkout's src; None on success, else the error."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bayescfl.cli", "run", "--config", str(config),
+         "--seed", str(seed), "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return f"exit {proc.returncode}: {proc.stderr.strip().splitlines()[-1:]}"
+    return None
+
+
+def flat(value) -> list[float]:
+    """The numbers of a nested list, in order."""
+    if isinstance(value, list):
+        return [x for item in value for x in flat(item)]
+    return [float(value)]
+
+
+def max_change(old: list[float], new: list[float]) -> float:
+    """Largest |new - old| over paired numbers; equal infinities change by 0,
+    and a length mismatch counts as an infinite change."""
+    if len(old) != len(new):
+        return math.inf
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        change = abs(b - a)
+        worst = math.inf if math.isnan(change) else max(worst, change)
+    return worst
+
+
+def compare(old_dir: Path, new_dir: Path) -> dict:
+    same = {name: (old_dir / name).read_bytes() == (new_dir / name).read_bytes()
+            for name in OUTPUTS}
+    old_rounds, new_rounds = ([json.loads(line) for line in (d / "rounds.ndjson")
+                               .read_text().splitlines() if line.strip()]
+                              for d in (old_dir, new_dir))
+    ids_same = len(old_rounds) == len(new_rounds) and all(
+        a[key] == b[key] for a, b in zip(old_rounds, new_rounds) for key in ID_FIELDS)
+
+    def change(pick) -> float:
+        return max_change([x for r in old_rounds for x in flat(pick(r))],
+                          [x for r in new_rounds for x in flat(pick(r))])
+
+    old_sum, new_sum = (json.loads((d / "summary.json").read_text())
+                        for d in (old_dir, new_dir))
+    return {
+        **same,
+        "ids": ids_same,
+        "weights": change(lambda r: r["weights"]),
+        "log_weights": change(lambda r: r["log_weights"]),
+        "means": change(lambda r: r["cluster_means"]),
+        "accuracy": change(lambda r: r["metrics"].get("association_accuracy", 0.0)),
+        "heldout_ll": max_change([old_sum["heldout_log_likelihood"]],
+                                 [new_sum["heldout_log_likelihood"]]),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="checkout of the parent")
+    parser.add_argument("new", type=Path, help="checkout of the change")
+    args = parser.parse_args(argv)
+    old, new = args.old.resolve(), args.new.resolve()
+
+    failures = identical = total = 0
+    print(f"{'config':42} {'seed':>5}  rounds  summary  ids   "
+          f"max |change|: weights log_weights means accuracy heldout_ll")
+    with tempfile.TemporaryDirectory(prefix="diff-audit-") as tmp:
+        for config in CONFIGS:
+            for seed in SEEDS:
+                total += 1
+                out = {side: Path(tmp) / side / config.replace("/", "_") / str(seed)
+                       for side in ("old", "new")}
+                errors = [err for err in (run(old, new / config, seed, out["old"]),
+                                          run(new, new / config, seed, out["new"])) if err]
+                if errors:
+                    failures += 1
+                    print(f"{config:42} {seed:>5}  FAILED {errors}")
+                    continue
+                c = compare(out["old"], out["new"])
+                failures += not c["ids"]
+                identical += all(c[name] for name in OUTPUTS)
+                print(f"{config:42} {seed:>5}  "
+                      f"{'same' if c['rounds.ndjson'] else 'DIFF':6}  "
+                      f"{'same' if c['summary.json'] else 'DIFF':7}  "
+                      f"{'same' if c['ids'] else 'DIFF':4}  "
+                      + " ".join(f"{c[k]:.3g}" for k in
+                                 ("weights", "log_weights", "means", "accuracy",
+                                  "heldout_ll")))
+    print(f"{total} runs: {identical} byte-identical on both files, "
+          f"{failures} failed or with differing assignments or ids")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
