@@ -9,7 +9,7 @@ from .assignment import (Assignment, CostMatrix, RankedAssignments,
                          best_assignment, build_cost_matrix,
                          count_hypotheses_constrained,
                          count_hypotheses_unconstrained, enumerate_assignments,
-                         m_best_exact)
+                         m_best_exact, m_best_heuristic)
 from .datasets import (ClientDataset, GeneratedScenario, SkewConfig,
                        gen_feature_skew, gen_heldout, gen_label_skew,
                        gen_scenario)
@@ -33,6 +33,7 @@ __all__ = [
     "Assignment", "CostMatrix", "RankedAssignments", "best_assignment",
     "build_cost_matrix", "count_hypotheses_constrained",
     "count_hypotheses_unconstrained", "enumerate_assignments", "m_best_exact",
+    "m_best_heuristic",
     "ClientDataset", "GeneratedScenario", "SkewConfig", "gen_feature_skew",
     "gen_heldout", "gen_label_skew", "gen_scenario",
     "GaussianDensity", "fuse_local_posteriors", "merge_mixture",

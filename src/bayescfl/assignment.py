@@ -10,6 +10,8 @@ ordered by (cost, labels): cost is ``_total_cost``, the sum of the gathered
 entries, and exact cost ties go to the lexicographically smaller labels. When
 more than M assignments lie within rounding of the M-th cost, the order among
 those near-ties is only kept to rounding level (see ``m_best_exact``).
+``m_best_heuristic``, an approximate ranking that no run path calls, is
+deprecated and due for removal.
 """
 
 from __future__ import annotations
@@ -202,6 +204,27 @@ def m_best_exact(L: CostMatrix, M: int) -> RankedAssignments:
     # tolist() of the nonnegative index array gives Python ints
     return RankedAssignments(tuple((_trusted_assignment(lbl), cost)
                                    for cost, lbl in items[:M]))
+
+
+def m_best_heuristic(L: CostMatrix, M: int) -> RankedAssignments:
+    """Linear-time approximate ranking: the optimum plus single-client label
+    substitutions, ordered by cost. O(M*C*K); never beats m_best_exact at any
+    rank. Returns min(M, 1 + C*(K-1)) items."""
+    if M < 1:
+        raise ContractError("M must be >= 1")
+    entries = L.entries
+    C, K = entries.shape
+    best, base_cost = best_assignment(L)
+    pool = [(base_cost, best.labels)]
+    for j in range(C):
+        for i in range(K):
+            if i == best.labels[j]:
+                continue
+            labels = best.labels[:j] + (i,) + best.labels[j + 1:]
+            pool.append((_total_cost(entries, labels), labels))
+    pool.sort(key=lambda item: (item[0], item[1]))
+    kept = pool[:min(M, len(pool))]
+    return RankedAssignments(tuple((Assignment(lbl), cost) for cost, lbl in kept))
 
 
 def count_hypotheses_unconstrained(K: int, C: int) -> int:

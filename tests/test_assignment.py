@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bayescfl import (Assignment, ContractError, CostMatrix, best_assignment,
                       build_cost_matrix, count_hypotheses_constrained,
                       count_hypotheses_unconstrained, enumerate_assignments,
-                      m_best_exact)
+                      m_best_exact, m_best_heuristic)
 from bayescfl.assignment import _total_cost
 from helpers import brute_force_ranking, reference_m_best
 
@@ -257,6 +257,35 @@ class TestMBestProperties:
             assert a == checked and hash(a) == hash(checked)
             assert type(a.labels) is tuple and len(a) == C
             assert all(type(lab) is int and 0 <= lab < K for lab in a.labels)
+
+
+class TestMBestHeuristic:
+    def test_m1_is_best_assignment(self):
+        ranked = m_best_heuristic(COSTS_3X2, 1)
+        best, cost = best_assignment(COSTS_3X2)
+        assert ranked[0][0] == best and ranked[0][1] == cost
+
+    def test_worked_example_m3(self):
+        # brute force puts (0,1,0)=11, (1,1,0)=14, (0,1,1)=15 in front and all
+        # three are single substitutions of the optimum
+        ranked = m_best_heuristic(COSTS_3X2, 3)
+        labels = [a.labels for a, _ in ranked]
+        assert (0, 1, 0) in labels and (0, 1, 1) in labels
+        assert ranked[2][1] >= 15.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_never_beats_exact(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        entries = rng.standard_normal((4, 3))
+        L = CostMatrix(entries)
+        exact = m_best_exact(L, 3**4)
+        heur = m_best_heuristic(L, 8)
+        for rank, (_, cost) in enumerate(heur):
+            assert cost >= exact[rank][1] - 1e-12
+
+    def test_pool_is_capped(self):
+        ranked = m_best_heuristic(COSTS_3X2, 100)
+        assert len(ranked) == 1 + 3 * (2 - 1)
 
 
 class TestCounting:
