@@ -9,10 +9,13 @@ Three model kinds:
                    inverse Hessian at the mode).
 
 Every likelihood goes through one batched kernel, ``_log_likelihoods``, which
-scores S parameter rows against one dataset in a single call: the Monte Carlo
-draws of every (cluster, seed) pair of a sampled weight call, every cluster
-mean against one client of an at-mean call, every hypothesis's mean in the
-held-out metric, and (one row at a time) the Newton objective. Each row takes
+scores S parameter rows against one dataset in a single call: one client
+against the Monte Carlo draws of every cluster of a sampled weight call,
+every cluster mean against one client of an at-mean call, every hypothesis's
+mean in the held-out metric, and (one row at a time) the Newton objective.
+Both association-weight calls take a whole round of clients and return a
+client x cluster table; the kernel still runs once per client, so its
+temporaries stay the size of one client's data. Each row takes
 the same floating-point operations in the same order as a one-row call, so
 the results are bit-identical to scoring the rows one by one. Public entry
 points validate each dataset once; the kernel itself checks nothing.
@@ -329,28 +332,44 @@ def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],
 
 
 def assoc_log_weight_sampled(clusters: Sequence[GaussianDensity],
-                             data: ClientDataset, spec: LocalModelSpec,
-                             n_samples: int, seeds: Sequence[int]) -> np.ndarray:
-    """Monte Carlo association weights: log mean_l p(D | w_l), w_l ~ cluster,
-    one per (cluster, seed) pair, in order.
+                             clients: Sequence[ClientDataset], spec: LocalModelSpec,
+                             n_samples: int, seeds) -> np.ndarray:
+    """Monte Carlo association weights log mean_l p(D_j | w_l), w_l ~ cluster
+    i, for every client j and cluster i: a C x P table, one row per client
+    and one column per cluster, in order.
 
-    Equal sample weights. Each pair draws its n_samples parameters from its
-    own generator, seeded by its seed alone, so its weight is deterministic
-    for a fixed seed and does not depend on the other pairs.
+    ``seeds`` is a C x P table of integers. Equal sample weights. Each pair
+    draws its n_samples parameters from its own generator, seeded by its
+    seed alone, so its weight is deterministic for a fixed seed and does not
+    depend on the other pairs. The pairs' standard normals fill one
+    (C, P, S, d) table, and one stacked ``z @ chol.T`` plus the means turns
+    it into the draws ``GaussianDensity.sample`` gives. Each client's data is checked
+    and scored against its P * S draws in one kernel call, and one
+    ``logsumexp`` reduces all C * P rows, each with the bits of a one-row
+    call.
     """
     if n_samples < 1:
         raise ContractError("n_samples must be >= 1")
-    if len(clusters) != len(seeds):
-        raise ContractError(f"{len(clusters)} clusters but {len(seeds)} seeds")
+    seeds = np.asarray(seeds, dtype=object)
+    if seeds.shape != (len(clients), len(clusters)):
+        raise ContractError(f"need a {len(clients)} x {len(clusters)} seed table, "
+                            f"got shape {seeds.shape}")
     for cluster in clusters:
         if cluster.dim != spec.param_dim:
             raise ContractError(
                 f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
-    _check_data(data, spec)
-    draws = np.empty((len(clusters), n_samples, spec.param_dim))
-    for draw, cluster, seed in zip(draws, clusters, seeds):
-        rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
-        draw[:] = cluster.sample(n_samples, rng)
-    logliks = _log_likelihoods(draws.reshape(-1, spec.param_dim), data, spec)
-    return logsumexp(logliks.reshape(len(clusters), n_samples),
-                     np.full(n_samples, 1.0 / n_samples))
+    c, p, d = len(clients), len(clusters), spec.param_dim
+    z = np.empty((c, p, n_samples, d))
+    for block, seed in zip(z.reshape(c * p, n_samples, d), seeds.flat):
+        rng = np.random.default_rng(np.random.SeedSequence(int(seed) & ((1 << 63) - 1)))
+        rng.standard_normal(out=block)
+    means = np.array([cluster.mean for cluster in clusters]).reshape(p, 1, d)
+    chols = np.array([cluster.chol for cluster in clusters]).reshape(p, d, d)
+    draws = z @ chols.transpose(0, 2, 1)
+    draws += means
+    logliks = np.empty((c, p * n_samples))
+    for row, data, omegas in zip(logliks, clients, draws.reshape(c, p * n_samples, d)):
+        _check_data(data, spec)
+        row[:] = _log_likelihoods(omegas, data, spec)
+    return logsumexp(logliks.reshape(c * p, n_samples),
+                     np.full(n_samples, 1.0 / n_samples)).reshape(c, p)

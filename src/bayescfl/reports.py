@@ -73,19 +73,40 @@ class RoundReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoundReport":
+        """The report of a ``to_dict`` mapping as JSON gives it back. A
+        missing key raises KeyError; a value of the wrong JSON type (a bool or
+        string for a number, a number for a list) raises TypeError, as do
+        per-hypothesis lists of different lengths."""
+        rows = {key: _nested(d[key], depth, kind, key) for key, depth, kind in (
+            ("hypothesis_ids", 1, str), ("parent_ids", 1, (str, type(None))),
+            ("assignments", 2, int), ("weights", 1, float), ("log_weights", 1, float),
+            ("cluster_means", 3, float))}
+        if len({len(v) for v in rows.values()}) != 1:
+            raise TypeError("the per-hypothesis lists differ in length")
         return cls(
-            round=int(d["round"]),
-            mode=str(d["mode"]),
-            hypothesis_ids=tuple(d["hypothesis_ids"]),
-            parent_ids=tuple(d["parent_ids"]),
-            assignments=tuple(tuple(int(v) for v in a) for a in d["assignments"]),
-            weights=tuple(float(v) for v in d["weights"]),
-            log_weights=tuple(float(v) for v in d["log_weights"]),
-            cluster_means=tuple(tuple(tuple(float(v) for v in m) for m in hyp)
-                                for hyp in d["cluster_means"]),
-            metrics={k: float(v) for k, v in d["metrics"].items()},
-            comm={k: int(v) for k, v in d["comm"].items()},
+            round=_nested(d["round"], 0, int, "round"),
+            mode=_nested(d["mode"], 0, str, "mode"),
+            **rows,
+            metrics={k: _nested(v, 0, float, "metrics")
+                     for k, v in _nested(d["metrics"], 0, dict, "metrics").items()},
+            comm={k: _nested(v, 0, int, "comm")
+                  for k, v in _nested(d["comm"], 0, dict, "comm").items()},
         )
+
+
+def _nested(value, depth: int, kind, key: str):
+    """value, JSON lists nested depth deep, as nested tuples whose leaves have
+    type kind; an int leaf of kind float becomes a float. Anything else, a
+    bool in place of a number included, raises TypeError naming key."""
+    if depth:
+        if not isinstance(value, list):
+            raise TypeError(f"{key!r} holds {value!r} where a list belongs")
+        return tuple(_nested(v, depth - 1, kind, key) for v in value)
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key!r} holds {value!r} of the wrong type")
+    return value
 
 
 def report_from_set(hset: HypothesisSet, mode: str,
@@ -112,15 +133,31 @@ def write_ndjson(reports, path) -> None:
 
 
 def read_ndjson(path) -> list[RoundReport]:
+    """The reports of a newline-delimited JSON log, one per nonempty line.
+
+    A path that cannot be read, or a line that is not a report (bad JSON,
+    a missing key, a value of the wrong type), raises ContractError with a
+    one-line message naming the file and, for a bad line, its number.
+    """
     path = Path(path)
-    if not path.exists():
-        raise ContractError(f"report log not found: {path}")
+    try:
+        lines = path.read_text().splitlines()
+    except FileNotFoundError as exc:
+        raise ContractError(f"report log not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ContractError(f"cannot read report log {path}: {exc}") from exc
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(RoundReport.from_dict(json.loads(line)))
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(RoundReport.from_dict(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"{path} line {number}: bad JSON: {exc}") from exc
+        except KeyError as exc:
+            raise ContractError(f"{path} line {number}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ContractError(f"{path} line {number}: not a round report: {exc}") from exc
     return out
 
 

@@ -22,8 +22,9 @@ and M-best siblings differ in a few labels, so most of that work repeats;
 round-scoped memos keyed on the identity of the cluster-posterior object
 share it. Phase one is batched: one at-mean call per round scores every
 client against every distinct cluster mean of the round, and one sampled call
-per client scores the draws of every (hypothesis, cluster) pair, each pair
-from its own stream (see ``models``). Phase two is batched too: one
+per round scores every client against the draws of every (hypothesis,
+cluster) pair, each (client, pair) from its own stream (see ``models``), whose
+keys ``_stream_keys`` hashes as one table. Phase two is batched too: one
 ``posterior_update`` call per round fits the round's distinct (cluster
 posterior, client) pairs, and the warm-up fits its clients in one call. The
 same inputs reach the same arithmetic, so the outputs are the bytes the
@@ -63,6 +64,59 @@ _INIT, _WARMUP, _WEIGHTS = 101, 102, 103
 
 def _rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([k & _SEED_MASK for k in keys]))
+
+
+# the hash constants of numpy's SeedSequence (O'Neill's seed_seq_fe)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a nonnegative int, low word first, as SeedSequence
+    splits an entropy entry: one word for 0."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _stream_keys(entropy):
+    """``np.random.SeedSequence(entropy).generate_state(1)[0]`` for a table
+    of entropies at once, bit for bit.
+
+    Each entropy word is an int in [0, 2**32) or a uint32 array; the arrays
+    broadcast, and each entry of the returned uint32 table is the key of the
+    entropy that takes that entry's words. It runs SeedSequence's hash with
+    the ints as Python ints and the arrays as wrapping uint32 arithmetic,
+    masking every product to 32 bits, so no numpy scalar overflows.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return out ^ out >> 16
+
+    words = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    key = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32) & _MASK32
+    return key ^ key >> 16
 
 
 @dataclass(frozen=True)
@@ -209,9 +263,11 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
     round's distinct cluster posteriors; each hypothesis gathers its columns
     from the C x U table it returns. Posteriors are told apart by object id,
     which stays unique because ``hset`` holds every one of them for the whole
-    call. Sampled weights take one call per client, over every (hypothesis,
-    cluster) pair, but are never shared: each (round, p, j, i) has its own
-    seed.
+    call. Sampled weights take one call per round too, over all clients and
+    every (hypothesis, cluster) pair, but are never shared: each (round, p,
+    j, i) has its own seed, the key that ``np.random.SeedSequence([seed, 0,
+    _WEIGHTS, round, p, j, i]).generate_state(1)[0]`` gives, and
+    ``_stream_keys`` computes the round's C x P table of them at once.
     """
     est = cfg.weight_estimator
     if est.kind == "at-mean":
@@ -222,18 +278,17 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
                            LOG_WEIGHT_FLOOR)
         return [table.take([column[id(c)] for c in hyp.cluster_posteriors], axis=1)
                 for hyp in hset.hypotheses]
-    pairs = [(p, i, cluster) for p, hyp in enumerate(hset.hypotheses)
-             for i, cluster in enumerate(hyp.cluster_posteriors)]
-    clusters = [cluster for _, _, cluster in pairs]
-    rows = []
-    for j, client in enumerate(clients):
-        # the 0 holds the place of a retired key, so streams keep their seeds
-        seeds = [int(np.random.SeedSequence(
-                     [cfg.seed & _SEED_MASK, 0, _WEIGHTS, round_index, p, j, i]
-                 ).generate_state(1)[0]) for p, i, _ in pairs]
-        rows.append(assoc_log_weight_sampled(clusters, client, cfg.model,
-                                             est.n_samples, seeds))
-    table = np.maximum(rows, LOG_WEIGHT_FLOOR)
+    hyp_index, cluster_index, clusters = zip(
+        *[(p, i, cluster) for p, hyp in enumerate(hset.hypotheses)
+          for i, cluster in enumerate(hyp.cluster_posteriors)])
+    # the 0 holds the place of a retired key, so streams keep their seeds
+    seeds = _stream_keys([*_words(cfg.seed & _SEED_MASK), 0, _WEIGHTS, *_words(round_index),
+                          np.array(hyp_index, dtype=np.uint32),
+                          np.arange(len(clients), dtype=np.uint32)[:, None],
+                          np.array(cluster_index, dtype=np.uint32)])
+    table = np.maximum(assoc_log_weight_sampled(clusters, clients, cfg.model,
+                                                est.n_samples, seeds),
+                       LOG_WEIGHT_FLOOR)
     ends = np.cumsum([hyp.cluster_count for hyp in hset.hypotheses])
     return np.split(table, ends[:-1], axis=1)
 

@@ -118,7 +118,7 @@ def reference_assoc_log_weight_sampled(cluster, data, spec, n_samples: int,
                                        seed: int) -> float:
     """One pair's sampled association weight, with one likelihood call per
     draw: the loop that the batched ``assoc_log_weight_sampled`` must match
-    exactly for each of its (cluster, seed) pairs."""
+    exactly for each of its (client, cluster) pairs."""
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 63) - 1)))
     draws = cluster.sample(n_samples, rng)
     logliks = np.array([reference_data_log_likelihood(w, data, spec) for w in draws])
@@ -143,8 +143,8 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
                         [cfg.seed & simulation._SEED_MASK, 0, simulation._WEIGHTS,
                          round_index, p, j, i]
                     ).generate_state(1)[0])
-                    w = simulation.assoc_log_weight_sampled([cluster], client, cfg.model,
-                                                            est.n_samples, [seed])[0]
+                    w = simulation.assoc_log_weight_sampled([cluster], [client], cfg.model,
+                                                            est.n_samples, [[seed]])[0, 0]
                 mat[j, i] = max(w, simulation.LOG_WEIGHT_FLOOR)
         mats.append(mat)
     return mats

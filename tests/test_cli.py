@@ -218,6 +218,44 @@ class TestExportCoassoc:
     def test_missing_log_is_config_error(self, tmp_path):
         assert cli_run(["export-coassoc", "--out", str(tmp_path / "void")]) == 1
 
+    @pytest.mark.parametrize("corrupt, reason", [
+        (lambda line: line[:len(line) // 2], "bad JSON"),
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "mode"}),
+         "missing key 'mode'"),
+        (lambda line: json.dumps(dict(json.loads(line), assignments=5)), "not a round report"),
+        (lambda line: json.dumps(dict(json.loads(line), metrics=[1])), "not a round report"),
+        (lambda line: json.dumps(dict(json.loads(line), weights=["x"])), "not a round report"),
+        (lambda line: json.dumps(dict(json.loads(line), weights=[0.5])), "not a round report"),
+        (lambda line: json.dumps(dict(json.loads(line), mode=7)), "not a round report"),
+        (lambda line: json.dumps(dict(json.loads(line), assignments=[])), "not a round report"),
+        (lambda line: json.dumps(dict(json.loads(line), assignments=[
+            [True] * len(a) for a in json.loads(line)["assignments"]])), "not a round report"),
+        (lambda line: "[1, 2]", "not a round report"),
+    ])
+    def test_malformed_line_is_config_error(self, config_path, tmp_path, capsys,
+                                            corrupt, reason):
+        """A bad second line exits 1 with one line naming the file, the line
+        and what is wrong with it, not a traceback."""
+        out = tmp_path / "out"
+        assert cli_run(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        log = out / "rounds.ndjson"
+        lines = log.read_text().splitlines()
+        lines[1] = corrupt(lines[1])
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_run(["export-coassoc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"{log} line 2: {reason}" in err
+        assert not (out / "coassoc.csv").exists()
+
+    def test_unreadable_log_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "rounds.ndjson").mkdir()
+        assert cli_run(["export-coassoc", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read report log ")
+        assert err.count("\n") == 1
+
 
 class TestSweep:
     def test_grid_of_runs(self, tmp_path):

@@ -179,14 +179,15 @@ class TestAssociationWeights:
         cluster = GaussianDensity(np.array([0.7]), np.array([[1e-12]]))
         data = gaussian_mean_dataset([0.0, 1.0, 0.5])
         (at_mean,) = assoc_log_weight_at_mean([cluster], [data], GM1)[0]
-        (sampled,) = assoc_log_weight_sampled([cluster], data, GM1, n_samples=1, seeds=[4])
+        (sampled,) = assoc_log_weight_sampled([cluster], [data], GM1, n_samples=1,
+                                              seeds=[[4]])[0]
         assert abs(at_mean - sampled) < 1e-6
 
     def test_sampled_deterministic(self):
         cluster = g1(0.0, 2.0)
         data = gaussian_mean_dataset([0.3, -0.2])
-        a = assoc_log_weight_sampled([cluster], data, GM1, n_samples=64, seeds=[77])
-        b = assoc_log_weight_sampled([cluster], data, GM1, n_samples=64, seeds=[77])
+        a = assoc_log_weight_sampled([cluster], [data], GM1, n_samples=64, seeds=[[77]])[0]
+        b = assoc_log_weight_sampled([cluster], [data], GM1, n_samples=64, seeds=[[77]])[0]
         assert a == b
 
     def test_sampled_matches_closed_form_marginal(self):
@@ -198,8 +199,8 @@ class TestAssociationWeights:
         exact = multivariate_normal(
             np.full(5, m0), v * np.eye(5) + s0sq * np.ones((5, 5))).logpdf(y)
         spec = LocalModelSpec("gaussian-mean", feature_dim=1, noise_variance=v)
-        (got,) = assoc_log_weight_sampled([g1(m0, s0sq)], gaussian_mean_dataset(y),
-                                          spec, n_samples=10_000, seeds=[123])
+        (got,) = assoc_log_weight_sampled([g1(m0, s0sq)], [gaussian_mean_dataset(y)],
+                                          spec, n_samples=10_000, seeds=[[123]])[0]
         assert abs(got - exact) < np.log(1.02)  # 2% relative on the likelihood
 
 
@@ -346,7 +347,63 @@ class TestBatchedLikelihood:
         s = omegas.shape[0]
         want = [reference_assoc_log_weight_sampled(c, data, spec, s, seed)
                 for c, seed in zip(clusters, seeds)]
-        assert np.array_equal(assoc_log_weight_sampled(clusters, data, spec, s, seeds), want)
+        assert np.array_equal(assoc_log_weight_sampled(clusters, [data], spec, s, [seeds])[0],
+                              want)
+
+    @staticmethod
+    def _sampled_reference(clusters, clients, spec, n_samples, seeds):
+        return [[reference_assoc_log_weight_sampled(cluster, data, spec, n_samples, int(seed))
+                 for cluster, seed in zip(clusters, row)] for data, row in zip(clients, seeds)]
+
+    @given(case=at_mean_rounds(), n_clusters=st.integers(1, 4),
+           n_samples=st.sampled_from([1, 2]) | st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sampled_round_table_matches_per_draw_loop(self, case, n_clusters, n_samples,
+                                                       seed):
+        """One call over a round of clients of unequal sizes, one of them
+        empty, gives a C x P table whose entry (j, i) is the bits of the
+        per-draw loop for client j, cluster i and seed (j, i)."""
+        spec, clusters, clients = case
+        d = spec.param_dim
+        rng = np.random.default_rng(seed)
+        low = np.tril(rng.standard_normal((n_clusters, d, d)))
+        clusters = [GaussianDensity(c.mean, m @ m.T + 0.1 * np.eye(d))
+                    for c, m in zip(clusters, low)]
+        seeds = rng.integers(0, 2**64, size=(len(clients), len(clusters)), dtype=np.uint64)
+        got = assoc_log_weight_sampled(clusters, clients, spec, n_samples, seeds)
+        assert got.shape == seeds.shape
+        assert np.array_equal(got, self._sampled_reference(clusters, clients, spec,
+                                                           n_samples, seeds))
+
+    @pytest.mark.parametrize("kind", models.KINDS)
+    @pytest.mark.parametrize("n_samples, n_clusters", [(1, 1), (1, 3), (6, 1)])
+    def test_sampled_round_table_edge_cases(self, kind, n_samples, n_clusters):
+        """An empty client, unequal n, one draw and one cluster each give the
+        per-draw loop's bits; seeds past 2**63 and negative ones are masked
+        as the loop masks them."""
+        rng = np.random.default_rng(n_samples * 10 + n_clusters)
+        spec = (LocalModelSpec(kind, feature_dim=2) if kind == "laplace-logistic"
+                else LocalModelSpec(kind, feature_dim=2, noise_variance=0.7))
+        clients = []
+        for n in (5, 0, 12):
+            labels = (rng.integers(0, 2, n) if kind == "laplace-logistic"
+                      else None if kind == "gaussian-mean" else rng.standard_normal(n))
+            clients.append(ClientDataset(0, 0, rng.standard_normal((n, 2)), labels))
+        clusters = [GaussianDensity(rng.standard_normal(2), (1.0 + i) * np.eye(2))
+                    for i in range(n_clusters)]
+        seeds = [[2**64 - 1 - j, -1 - j, 2**32 + j][:n_clusters] for j in range(3)]
+        got = assoc_log_weight_sampled(clusters, clients, spec, n_samples, seeds)
+        want = self._sampled_reference(clusters, clients, spec, n_samples, seeds)
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got[1], 0.0, atol=1e-15)    # log 1 for no data
+
+    @pytest.mark.parametrize("seeds", [
+        [[1, 2]], [[1], [2]], [[1, 2], [3, 4], [5, 6]], [1, 2, 3, 4], [[1, 2], [3]],
+        np.zeros((2, 3), dtype=np.uint32)])
+    def test_sampled_rejects_a_seed_table_that_is_not_c_by_p(self, seeds):
+        clients = [gaussian_mean_dataset([0.0, 1.0]), gaussian_mean_dataset([2.0])]
+        with pytest.raises(ContractError, match="seed table"):
+            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], clients, GM1, 4, seeds)
 
     def test_softplus_within_4_ulp_of_logaddexp(self):
         rng = np.random.default_rng(12)
@@ -518,7 +575,7 @@ class TestBatchedLikelihood:
             assoc_log_weight_at_mean([g1(0, 1), GaussianDensity(np.zeros(2), np.eye(2))],
                                      [data], GM1)
         with pytest.raises(ContractError):
-            assoc_log_weight_sampled([GaussianDensity(np.zeros(2), np.eye(2))], data,
-                                     GM1, 4, [1])
+            assoc_log_weight_sampled([GaussianDensity(np.zeros(2), np.eye(2))], [data],
+                                     GM1, 4, [[1]])
         with pytest.raises(ContractError):    # one seed per cluster
-            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], data, GM1, 4, [1])
+            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], [data], GM1, 4, [[1]])

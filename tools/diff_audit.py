@@ -3,14 +3,17 @@
 Usage: python tools/diff_audit.py OLD NEW
 
 Runs ``bayescfl run`` from both checkouts (each on its own ``src``) on
-``configs/{demo,label_skew,tiny}.json`` and the three files in
-``perfbench/workloads/``, at seeds 1000, 1001, 2000 and 2001. Both sides read
-the config files of NEW, so the two runs of a pair differ only in the
-program. For each run it prints whether ``rounds.ndjson`` and
-``summary.json`` are byte-identical, whether the assignments, hypothesis ids
-and parent ids are identical in every round, and the largest absolute change
-in weights, log-weights, cluster means, association accuracy and held-out
-log-likelihood.
+``configs/{demo,label_skew,tiny}.json``, the three files in
+``perfbench/workloads/`` and two sampled-weight variants, at seeds 1000, 1001,
+2000 and 2001. The variants are written into the temporary directory from
+NEW's config files: ``configs/demo.json`` with ``sampled`` weights of 20 draws
+(several parents per round), and ``configs/tiny.json`` as ``bayes-linear``
+with ``sampled`` weights. Both sides read the same config files, so the two
+runs of a pair differ only in the program. For each run it prints whether
+``rounds.ndjson`` and ``summary.json`` are byte-identical, whether the
+assignments, hypothesis ids and parent ids are identical in every round, and
+the largest absolute change in weights, log-weights, cluster means,
+association accuracy and held-out log-likelihood.
 
 Exit code 0 when every run finished on both sides with identical
 assignments and ids (bytes may still differ: read the table), 1 otherwise.
@@ -31,6 +34,14 @@ from pathlib import Path
 CONFIGS = ("configs/demo.json", "configs/label_skew.json", "configs/tiny.json",
            "perfbench/workloads/label_skew.json", "perfbench/workloads/scaled_rank.json",
            "perfbench/workloads/logistic_sampled.json")
+# (base config, name, overrides): sampled weights past the one-parent
+# consensus workload
+VARIANTS = (
+    ("configs/demo.json", "demo+sampled",
+     {"weight_estimator": "sampled", "weight_samples": 20}),
+    ("configs/tiny.json", "tiny+bayes-linear+sampled",
+     {"model_kind": "bayes-linear", "weight_estimator": "sampled"}),
+)
 SEEDS = (1000, 1001, 2000, 2001)
 OUTPUTS = ("rounds.ndjson", "summary.json")
 ID_FIELDS = ("assignments", "hypothesis_ids", "parent_ids")
@@ -107,13 +118,20 @@ def main(argv=None) -> int:
     print(f"{'config':42} {'seed':>5}  rounds  summary  ids   "
           f"max |change|: weights log_weights means accuracy heldout_ll")
     with tempfile.TemporaryDirectory(prefix="diff-audit-") as tmp:
-        for config in CONFIGS:
+        configs = {config: new / config for config in CONFIGS}
+        for base, name, overrides in VARIANTS:
+            path = Path(tmp) / "variants" / f"{name}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps({**json.loads((new / base).read_text()),
+                                        **overrides}))
+            configs[name] = path
+        for config, path in configs.items():
             for seed in SEEDS:
                 total += 1
                 out = {side: Path(tmp) / side / config.replace("/", "_") / str(seed)
                        for side in ("old", "new")}
-                errors = [err for err in (run(old, new / config, seed, out["old"]),
-                                          run(new, new / config, seed, out["new"])) if err]
+                errors = [err for err in (run(old, path, seed, out["old"]),
+                                          run(new, path, seed, out["new"])) if err]
                 if errors:
                     failures += 1
                     print(f"{config:42} {seed:>5}  FAILED {errors}")
