@@ -7,13 +7,20 @@ operation returns a new instance. Covariances are kept as full matrices
 Local updates and fusion work in information form (precision, precision @
 mean), where a product of Gaussians is a sum (Bishop, PRML section 2.3.6).
 ``from_info`` is the one place a pair becomes a density, which keeps that
-pair (the Laplace update, whose Hessian has passed its own Cholesky test,
-enters it past that test); a density built from moments inverts its
-covariance once, when its information form is first read.
+pair (the Laplace update, whose Hessians have passed their own Cholesky
+test, enters past that test, building a whole batch in one stacked step);
+a density built from moments inverts its covariance once, when its
+information form is first read.
+
+numpy's Cholesky returns a NaN or infinite factor, without raising, for a
+matrix that holds NaN or +-inf. Every Cholesky test here (``_cholesky``)
+counts such a factor as a failure, and a density's mean and covariance must
+be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -30,19 +37,53 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of a matrix, or of every matrix of a stack;
+    None if one of them is not positive-definite.
+
+    numpy returns a NaN or infinite factor, without raising, for a matrix
+    that holds NaN or +-inf; such an entry always reaches the factor's
+    diagonal, so a finite diagonal is the test.
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return chol if _finite(chol.diagonal(0, -2, -1)) else None
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite, tested on a Python list: for the
+    few entries of a mean or of a factor's diagonal, numpy's per-call
+    overhead makes ``np.isfinite(a).all()`` several times slower."""
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
 def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A symmetric matrix that has a Cholesky factor, with that lower factor:
     a itself, else a + SPD_JITTER*I. Raises ContractError if the matrix is
     not positive-definite even after the jitter.
     """
-    try:
-        return a, np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        bumped = a + SPD_JITTER * np.eye(a.shape[0])
-    try:
-        return bumped, np.linalg.cholesky(bumped)
-    except np.linalg.LinAlgError as exc:
-        raise ContractError("matrix is not positive-definite") from exc
+    chol = _cholesky(a)
+    if chol is not None:
+        return a, chol
+    bumped = a + SPD_JITTER * np.eye(a.shape[0])
+    chol = _cholesky(bumped)
+    if chol is None:
+        raise ContractError("matrix is not positive-definite")
+    return bumped, chol
+
+
+def spd_cholesky_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spd_cholesky`` of every matrix of a stack (B, d, d), as the stacked
+    matrices and factors: one stacked factorization, and the one-matrix rule
+    for each matrix only when some matrix fails it. A stacked factor has the
+    bits of the one-matrix factor."""
+    chol = _cholesky(a)
+    if chol is not None:
+        return a, chol
+    mats, chols = zip(*map(spd_cholesky, a))
+    return np.stack(mats), np.stack(chols)
 
 
 def logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
@@ -89,11 +130,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class GaussianDensity:
     """Multivariate normal with full covariance.
 
-    Invariants checked at construction: mean is a vector, covariance is a
-    matching square matrix, symmetric to 1e-12 relative tolerance, and
-    positive-definite (a Cholesky factorization must succeed). That lower
-    factor is kept, read-only, as ``chol``; ``spd_gaussian`` hands in the
-    factor it has already computed, so no covariance is factorized twice.
+    Invariants checked at construction: mean is a finite vector, covariance
+    is a finite matching square matrix, symmetric to 1e-12 relative
+    tolerance, and positive-definite (a Cholesky factorization must succeed).
+    That lower factor is kept, read-only, as ``chol``; ``spd_gaussian`` hands
+    in the factor it has already computed, so no covariance is factorized
+    twice.
     """
 
     mean: np.ndarray
@@ -105,18 +147,23 @@ class GaussianDensity:
         cov = _freeze(np.atleast_2d(self.covariance))
         if mean.ndim != 1:
             raise ContractError("mean must be a vector")
+        if not _finite(mean):
+            raise ContractError("mean must be finite")
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ContractError(f"covariance must be {d}x{d}, got {cov.shape}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
+        top = float(np.abs(cov).max())
+        # NaN fails the comparison; testing it here, before cov - cov.T, keeps
+        # inf - inf from warning
+        if not top < math.inf:
+            raise ContractError("covariance must be finite")
+        if not float(np.abs(cov - cov.T).max()) <= 1e-12 * max(1.0, top):
             raise ContractError("covariance is not symmetric")
         chol = self.__dict__.get("chol")
         if chol is None:
-            try:
-                chol = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError as exc:
-                raise ContractError("covariance is not positive-definite") from exc
+            chol = _cholesky(cov)
+            if chol is None:
+                raise ContractError("covariance is not positive-definite")
         chol.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -177,13 +224,11 @@ def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
 
     Every fusion and conjugate update ends here, and the density keeps the
     pair. A precision that fails the Cholesky test raises
-    FusionDegenerateError. The Laplace update tests its Hessian itself
-    (SingularModelError) and goes straight to ``_from_tested_info``."""
+    FusionDegenerateError. The Laplace update tests its Hessians itself
+    (SingularModelError) and goes straight to ``_from_tested_infos``."""
     precision = symmetrize(np.asarray(precision, dtype=float))
-    try:
-        np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError as exc:
-        raise FusionDegenerateError("precision matrix is not positive-definite") from exc
+    if _cholesky(precision) is None:
+        raise FusionDegenerateError("precision matrix is not positive-definite")
     return _from_tested_info(precision, shift)
 
 
@@ -195,6 +240,24 @@ def _from_tested_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensi
     object.__setattr__(density, "precision", precision)
     object.__setattr__(density, "_shift", _freeze(shift))
     return density
+
+
+def _from_tested_infos(precisions: np.ndarray, shifts: np.ndarray) -> list[GaussianDensity]:
+    """``_from_tested_info`` of every pair of a stack, precisions (B, d, d) and
+    shifts (B, d): one stacked inverse, symmetrize, ``cov @ shift`` and
+    ``spd_cholesky_stack``, each with the bits of its one-pair step, then one
+    ``_factored_gaussian`` per pair."""
+    inv = np.linalg.inv(precisions)
+    covs = (inv + inv.transpose(0, 2, 1)) / 2.0
+    means = (covs @ shifts[:, :, None])[..., 0]
+    covs, chols = spd_cholesky_stack(covs)
+    out = []
+    for precision, shift, mean, cov, chol in zip(precisions, shifts, means, covs, chols):
+        density = _factored_gaussian(mean, cov, chol)
+        object.__setattr__(density, "precision", _freeze(precision))
+        object.__setattr__(density, "_shift", _freeze(shift))
+        out.append(density)
+    return out
 
 
 def fuse_local_posteriors(locals_: Sequence[GaussianDensity],

@@ -21,15 +21,23 @@ the results are bit-identical to scoring the rows one by one. Public entry
 points validate each dataset once; the kernel itself checks nothing.
 
 The logistic likelihood's softplus log(1 + exp(z)) is computed as
-max(z, 0) + log1p(exp(-|z|)), which numpy runs as vector loops where
-``np.logaddexp(0, z)`` calls libm once per element; the two agree to within
-3 ulp. The form is elementwise, so rows still match the one-row formula bit
-for bit.
+log1p(exp(-|z|)) + max(z, 0) in one buffer, which numpy runs as vector loops
+where ``np.logaddexp(0, z)`` calls libm once per element; the two agree to
+within 3 ulp. The form is elementwise, so rows still match the one-row
+formula bit for bit.
 
-Every posterior update ends in ``density.from_info``. For the conjugate kinds
-its pair is the prior's plus the data's, so fusion and later rounds only add;
-for laplace-logistic it is the Hessian at the mode and Hessian @ mode, whose
-one Cholesky test is the one the mode search runs.
+A sampled weight draws from the generator that
+``np.random.default_rng(np.random.SeedSequence(seed))`` gives, without
+hashing per pair: ``_pcg64_states`` runs SeedSequence's hash (``_stream_keys``,
+in uint32 arithmetic) over the whole seed table once, and each pair's PCG64
+takes its row of that table.
+
+Every posterior update ends in an information pair becoming a density. For
+the conjugate kinds it is ``density.from_info`` on the prior's pair plus the
+data's, so fusion and later rounds only add; for laplace-logistic the pairs
+are the Hessians at the modes and Hessian @ mode, tested by one stacked
+Cholesky in the mode search and built by one stacked
+``density._from_tested_infos``, each with the bits of its one-pair build.
 
 The Laplace mode search is a damped Newton loop that stops on the Newton
 decrement (Boyd & Vandenberghe, Convex Optimization, section 9.5): once
@@ -47,15 +55,115 @@ and Hessian is the bits of the one-problem loop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .datasets import ClientDataset
-from .density import (GaussianDensity, _from_tested_info, from_info, logsumexp,
-                      spd_cholesky)
+from .datasets import _SEED_MASK, ClientDataset
+from .density import (GaussianDensity, _from_tested_infos, from_info, logsumexp,
+                      spd_cholesky_stack)
 from .errors import ContractError, SingularModelError
+
+# the hash constants of numpy's SeedSequence (O'Neill's seed_seq_fe)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a nonnegative int, low word first, as SeedSequence
+    splits an entropy entry: one word for 0."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _stream_keys(entropy, n_words: int | None = None):
+    """``np.random.SeedSequence(entropy).generate_state(1)[0]`` for a table
+    of entropies at once, bit for bit; with n_words, the whole
+    ``generate_state(n_words)``, as a trailing axis of n_words uint32 words.
+
+    Each entropy word is an int in [0, 2**32) or a uint32 array; the arrays
+    broadcast, and each entry of the returned uint32 table is the key of the
+    entropy that takes that entry's words. It runs SeedSequence's hash with
+    the ints as Python ints and the arrays as wrapping uint32 arithmetic,
+    masking every product to 32 bits, so no numpy scalar overflows.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return out ^ out >> 16
+
+    words = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(1 if n_words is None else n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    if n_words is None:
+        return state[0]
+    return np.stack(np.broadcast_arrays(*state), axis=-1).astype(np.uint32)
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(seed & _SEED_MASK).generate_state(4,
+    np.uint64)``, the seed PCG64 takes, for every int of a table: its shape
+    plus a trailing axis of 4 uint64 words, bit for bit.
+
+    SeedSequence splits a seed into 32-bit words, low first, and zero-pads
+    its pool, so a seed below 2**32 hashes as its two words [low, 0] do; the
+    whole table then hashes as one two-word entropy.
+    """
+    keys = np.array([int(seed) & _SEED_MASK for seed in seeds.flat],
+                    dtype=np.uint64).reshape(seeds.shape)
+    state = _stream_keys([(keys & _MASK32).astype(np.uint32),
+                          (keys >> 32).astype(np.uint32)], 8).astype(np.uint64)
+    return state[..., 0::2] | state[..., 1::2] << np.uint64(32)
+
+
+@functools.cache
+def _seeded_generator():
+    """The function that makes ``np.random.default_rng(SeedSequence(seed))``
+    from that seed's ``_pcg64_states`` row, without hashing again: a
+    Generator on a PCG64 whose seed sequence hands back the row. It is made
+    on first use, so importing this module does not import numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateRow(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ContractError("a PCG64 seed row holds 4 uint64 words")
+            return self.state
+
+    return lambda state: Generator(PCG64(StateRow(state)))
+
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 40
@@ -134,12 +242,20 @@ def _logistic_log_likelihoods(x, y, omegas):
     omegas (S, d): against one dataset (x (n, d), y (n,)) or, row by row,
     against a stack of S datasets of one size (x (S, n, d), y (S, n))."""
     z = (x @ omegas[:, :, None])[..., 0]
-    return np.sum(y * z - _softplus(z), axis=1)
+    u = y * z
+    u -= _softplus(z)
+    return np.sum(u, axis=1)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + exp(z)) elementwise, within 3 ulp of ``np.logaddexp(0, z)``."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    """log(1 + exp(z)) elementwise, as log1p(exp(-|z|)) + max(z, 0) in one
+    buffer; within 3 ulp of ``np.logaddexp(0, z)``."""
+    out = np.abs(z)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def data_log_likelihoods(omegas: np.ndarray, data: ClientDataset,
@@ -183,17 +299,14 @@ def _hessians(x, p, lam0):
     return (hess + hess.transpose(0, 2, 1)) / 2.0
 
 
-def _test_hessians(hess):
-    """The Cholesky test of every stacked Hessian; one that fails, even after
-    the jitter of ``spd_cholesky``, raises SingularModelError."""
+def _test_hessians(hess, message="Hessian not positive-definite"):
+    """The Cholesky test of every stacked Hessian, by ``spd_cholesky_stack``:
+    the Hessians, each with the jitter if it needed it. One that fails even
+    after the jitter raises SingularModelError(message)."""
     try:
-        np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:
-        for h in hess:
-            try:
-                spd_cholesky(h)
-            except ContractError as exc:
-                raise SingularModelError("Hessian not positive-definite") from exc
+        return spd_cholesky_stack(hess)[0]
+    except ContractError as exc:
+        raise SingularModelError(message) from exc
 
 
 # 1 / (1 + exp(-z)) overflows to inf on a far Newton step: p -> 0 is the
@@ -257,14 +370,9 @@ def _laplace_logistic_modes(priors, datasets):
     modes[live] = w
 
     p = 1.0 / (1.0 + np.exp(-(x_all @ modes[:, :, None])[..., 0]))
-    out = []
-    for mode, hess in zip(modes, _hessians(x_all, p, lam0_all)):
-        try:
-            hess, _ = spd_cholesky(hess)
-        except ContractError as exc:
-            raise SingularModelError("Hessian not positive-definite at the mode") from exc
-        out.append((mode, hess))
-    return out
+    hess = _test_hessians(_hessians(x_all, p, lam0_all),
+                          "Hessian not positive-definite at the mode")
+    return list(zip(modes, hess))
 
 
 def posterior_update(prior: GaussianDensity | Sequence[GaussianDensity],
@@ -304,8 +412,10 @@ def posterior_update(prior: GaussianDensity | Sequence[GaussianDensity],
             by_size.setdefault(data_i.n_samples, []).append(k)
     for ks in by_size.values():
         fits = _laplace_logistic_modes([priors[k] for k in ks], [datasets[k] for k in ks])
-        for k, (mode, lam) in zip(ks, fits):
-            out[k] = _from_tested_info(lam, lam @ mode)
+        modes, lams = (np.stack(a) for a in zip(*fits))
+        shifts = (lams @ modes[:, :, None])[..., 0]
+        for k, density in zip(ks, _from_tested_infos(lams, shifts)):
+            out[k] = density
     return out
 
 
@@ -339,9 +449,11 @@ def assoc_log_weight_sampled(clusters: Sequence[GaussianDensity],
     and one column per cluster, in order.
 
     ``seeds`` is a C x P table of integers. Equal sample weights. Each pair
-    draws its n_samples parameters from its own generator, seeded by its
-    seed alone, so its weight is deterministic for a fixed seed and does not
-    depend on the other pairs. The pairs' standard normals fill one
+    draws its n_samples parameters from its own generator, the one
+    ``np.random.default_rng(np.random.SeedSequence(seed & (2**63 - 1)))``
+    gives, seeded from one hash of the whole table (``_pcg64_states``), so
+    its weight is deterministic for a fixed seed and does not depend on the
+    other pairs. The pairs' standard normals fill one
     (C, P, S, d) table, and one stacked ``z @ chol.T`` plus the means turns
     it into the draws ``GaussianDensity.sample`` gives. Each client's data is checked
     and scored against its P * S draws in one kernel call, and one
@@ -360,9 +472,10 @@ def assoc_log_weight_sampled(clusters: Sequence[GaussianDensity],
                 f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
     c, p, d = len(clients), len(clusters), spec.param_dim
     z = np.empty((c, p, n_samples, d))
-    for block, seed in zip(z.reshape(c * p, n_samples, d), seeds.flat):
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed) & ((1 << 63) - 1)))
-        rng.standard_normal(out=block)
+    seeded = _seeded_generator()
+    for block, state in zip(z.reshape(c * p, n_samples, d),
+                            _pcg64_states(seeds).reshape(c * p, 4)):
+        seeded(state).standard_normal(out=block)
     means = np.array([cluster.mean for cluster in clusters]).reshape(p, 1, d)
     chols = np.array([cluster.chol for cluster in clusters]).reshape(p, d, d)
     draws = z @ chols.transpose(0, 2, 1)

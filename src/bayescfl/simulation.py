@@ -24,7 +24,7 @@ share it. Phase one is batched: one at-mean call per round scores every
 client against every distinct cluster mean of the round, and one sampled call
 per round scores every client against the draws of every (hypothesis,
 cluster) pair, each (client, pair) from its own stream (see ``models``), whose
-keys ``_stream_keys`` hashes as one table. Phase two is batched too: one
+keys ``models._stream_keys`` hashes as one table. Phase two is batched too: one
 ``posterior_update`` call per round fits the round's distinct (cluster
 posterior, client) pairs, and the warm-up fits its clients in one call. The
 same inputs reach the same arithmetic, so the outputs are the bytes the
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import count_hypotheses_constrained, enumerate_assignments
-from .datasets import ClientDataset
+from .datasets import _SEED_MASK, ClientDataset
 from .density import (GaussianDensity, _factored_gaussian, fuse_local_posteriors,
                       spd_cholesky)
 from .errors import ContractError
@@ -48,7 +48,7 @@ from .hypotheses import (Candidate, HypothesisSet, consensus_merge, expand,
                          materialize, prune_top_m, root_set, select_greedy,
                          softmax_weights, with_posteriors)
 from .metrics import association_accuracy, parameter_rmse
-from .models import (LocalModelSpec, assoc_log_weight_at_mean,
+from .models import (LocalModelSpec, _stream_keys, _words, assoc_log_weight_at_mean,
                      assoc_log_weight_sampled, posterior_update)
 from .reports import CommLedger, RoundReport, report_from_set
 
@@ -56,7 +56,6 @@ MODES = ("conceptual", "greedy", "consensus", "multi-hypothesis")
 CONCEPTUAL_GUARD = 10**6
 LOG_WEIGHT_FLOOR = -1e12
 MEAN_PERTURB_SCALE = 0.1     # initial cluster means, in units of the prior sigma
-_SEED_MASK = (1 << 63) - 1
 
 # seed substream tags
 _INIT, _WARMUP, _WEIGHTS = 101, 102, 103
@@ -64,59 +63,6 @@ _INIT, _WARMUP, _WEIGHTS = 101, 102, 103
 
 def _rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([k & _SEED_MASK for k in keys]))
-
-
-# the hash constants of numpy's SeedSequence (O'Neill's seed_seq_fe)
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(n: int) -> list[int]:
-    """The 32-bit words of a nonnegative int, low word first, as SeedSequence
-    splits an entropy entry: one word for 0."""
-    out = [n & _MASK32]
-    while n := n >> 32:
-        out.append(n & _MASK32)
-    return out
-
-
-def _stream_keys(entropy):
-    """``np.random.SeedSequence(entropy).generate_state(1)[0]`` for a table
-    of entropies at once, bit for bit.
-
-    Each entropy word is an int in [0, 2**32) or a uint32 array; the arrays
-    broadcast, and each entry of the returned uint32 table is the key of the
-    entropy that takes that entry's words. It runs SeedSequence's hash with
-    the ints as Python ints and the arrays as wrapping uint32 arithmetic,
-    masking every product to 32 bits, so no numpy scalar overflows.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return out ^ out >> 16
-
-    words = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    key = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32) & _MASK32
-    return key ^ key >> 16
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,17 @@ class TestNumericalExit:
         monkeypatch.setattr(cli_mod, "run_training", boom)
         assert cli_run(["run", "--config", str(config_path)]) == 2
 
+    def test_overflowing_logistic_data_exit_two(self, tmp_path, capsys):
+        """Label-skew class means of 1e300 overflow the warm-up's Hessians;
+        their NaN Cholesky factors fail the test, where they used to pass it
+        and surface later as a config error."""
+        demo = json.loads((REPO / "configs" / "demo.json").read_text())
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(dict(demo, scheme="label-skew", label_count=2,
+                                        model_kind="laplace-logistic", separation=1e300)))
+        assert cli_run(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "numerical failure: Hessian not positive-definite" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_tiny_instance_agrees(self, tmp_path, capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from bayescfl import (ClientDataset, ContractError, FusionDegenerateError,
                       GaussianDensity, LocalModelSpec, density, fuse_local_posteriors,
                       merge_mixture, posterior_update)
-from bayescfl.density import SPD_JITTER, logsumexp, spd_gaussian
+from bayescfl.density import (SPD_JITTER, from_info, logsumexp, spd_cholesky,
+                              spd_cholesky_stack, spd_gaussian)
 from bayescfl.simulation import LOG_WEIGHT_FLOOR
 from helpers import gaussian_mean_dataset, regression_dataset
 
@@ -264,6 +265,105 @@ class TestSpdGaussian:
     def test_not_positive_definite_after_jitter_raises(self):
         with pytest.raises(ContractError):
             spd_gaussian(np.zeros(2), -np.eye(2))
+
+
+# a precision that passes the Cholesky test whose symmetrized inverse needs
+# the jitter
+JITTER_PRECISION = np.array([[2.062781143009524e+16, 3.570359469415864e+16],
+                             [3.570359469415864e+16, 6.1797475626762e+16]])
+
+
+def random_precisions(rng, b, d):
+    low = np.tril(rng.standard_normal((b, d, d)))
+    lam = low @ low.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    return (lam + lam.transpose(0, 2, 1)) / 2.0
+
+
+class TestStackedBuild:
+    """``_from_tested_infos`` and ``spd_cholesky_stack`` give, for every
+    matrix of a stack, the bits of their one-matrix forms."""
+
+    @staticmethod
+    def assert_builds_match(precisions, shifts):
+        got = density._from_tested_infos(precisions, shifts)
+        assert len(got) == len(precisions)
+        for g, precision, shift in zip(got, precisions, shifts):
+            want = density._from_tested_info(precision, shift)
+            for name in ("mean", "covariance", "chol", "precision"):
+                assert np.array_equal(getattr(g, name), getattr(want, name)), name
+            assert np.array_equal(g.info_form()[1], want.info_form()[1])
+            assert not g.chol.flags.writeable and not g.precision.flags.writeable
+
+    @given(b=st.integers(1, 8), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           scale=st.integers(-3, 6))
+    def test_matches_one_pair_builds(self, b, d, seed, scale):
+        rng = np.random.default_rng(seed)
+        precisions = 10.0 ** scale * random_precisions(rng, b, d)
+        self.assert_builds_match(precisions, rng.standard_normal((b, d)))
+
+    def test_a_covariance_that_needs_the_jitter(self):
+        inv = np.linalg.inv(JITTER_PRECISION)
+        with pytest.raises(ContractError):
+            GaussianDensity(np.zeros(2), density.symmetrize(inv))
+        rng = np.random.default_rng(3)
+        precisions = np.concatenate([random_precisions(rng, 1, 2), JITTER_PRECISION[None],
+                                     random_precisions(rng, 2, 2)])
+        self.assert_builds_match(precisions, rng.standard_normal((4, 2)))
+        jittered = density._from_tested_infos(precisions, np.zeros((4, 2)))[1]
+        assert np.array_equal(jittered.covariance,
+                              density.symmetrize(inv) + SPD_JITTER * np.eye(2))
+
+    def test_cholesky_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(4)
+        stack = np.concatenate([random_precisions(rng, 2, 2), np.ones((1, 2, 2))])
+        mats, chols = spd_cholesky_stack(stack)
+        for a, mat, chol in zip(stack, mats, chols):
+            want_mat, want_chol = spd_cholesky(a)
+            assert np.array_equal(mat, want_mat) and np.array_equal(chol, want_chol)
+        assert np.array_equal(mats[2], np.ones((2, 2)) + SPD_JITTER * np.eye(2))
+        mats, chols = spd_cholesky_stack(stack[:2])
+        assert np.array_equal(chols, np.linalg.cholesky(stack[:2]))
+
+    @pytest.mark.parametrize("bad", [-np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])])
+    def test_cholesky_stack_raises_when_one_matrix_fails(self, bad):
+        stack = np.stack([np.eye(2), bad, np.eye(2)])
+        with pytest.raises(ContractError, match="not positive-definite"):
+            spd_cholesky_stack(stack)
+
+
+class TestNonFinite:
+    """numpy's Cholesky returns a NaN or infinite factor, without raising, for
+    a matrix that holds NaN or +-inf; no such matrix passes a Cholesky test."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "one side"])
+    def test_density_rejects_a_non_finite_covariance(self, bad, where):
+        cov = np.eye(2)
+        if where == "diagonal":
+            cov[0, 0] = bad
+        else:
+            cov[1, 0] = bad
+            if where == "off-diagonal":
+                cov[0, 1] = bad
+        with pytest.raises(ContractError, match="covariance must be finite"):
+            GaussianDensity(np.zeros(2), cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_density_rejects_a_non_finite_mean(self, bad):
+        with pytest.raises(ContractError, match="mean must be finite"):
+            GaussianDensity(np.array([0.0, bad]), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_spd_cholesky_raises(self, bad):
+        with pytest.raises(ContractError, match="not positive-definite"):
+            spd_cholesky(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ContractError, match="not positive-definite"):
+            spd_cholesky(np.array([[1.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_info_raises(self, bad):
+        with pytest.raises(FusionDegenerateError):
+            from_info(np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros(2))
 
 
 @st.composite

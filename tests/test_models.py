@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +14,7 @@ from bayescfl import (ClientDataset, ConfigError, ContractError,
                       assoc_log_weight_sampled, posterior_update)
 from bayescfl import models
 from bayescfl.config import plan_from_dict
+from bayescfl.density import SPD_JITTER, spd_cholesky
 from bayescfl.errors import SingularModelError
 from helpers import (binary_dataset, empty_dataset, gaussian_mean_dataset,
                      grid_posterior_moments, reference_assoc_log_weight_sampled,
@@ -21,6 +27,7 @@ def g1(mean, var):
 
 
 GM1 = LocalModelSpec("gaussian-mean", feature_dim=1, noise_variance=1.0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestSpecValidation:
@@ -202,6 +209,82 @@ class TestAssociationWeights:
         (got,) = assoc_log_weight_sampled([g1(m0, s0sq)], [gaussian_mean_dataset(y)],
                                           spec, n_samples=10_000, seeds=[[123]])[0]
         assert abs(got - exact) < np.log(1.02)  # 2% relative on the likelihood
+
+
+SEED_EDGES = st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1])
+
+
+class TestTableSeededStreams:
+    """Sampled weights seed each pair's PCG64 from one hashed table, with the
+    bits of ``np.random.default_rng(np.random.SeedSequence(seed))``."""
+
+    @given(seed=SEED_EDGES | st.integers(0, 2**63 - 1),
+           round_index=SEED_EDGES | st.integers(0, 2**40), n_words=st.integers(1, 9))
+    def test_n_word_keys_match_generate_state(self, seed, round_index, n_words):
+        entropy = [*models._words(seed), 0, 103, *models._words(round_index)]
+        got = models._stream_keys(entropy, n_words)
+        want = np.random.SeedSequence([seed, 0, 103, round_index]).generate_state(n_words)
+        assert got.dtype == np.uint32 and np.array_equal(got, want)
+        assert got[0] == models._stream_keys(entropy)
+
+    @given(n_words=st.integers(1, 9), data=st.data())
+    def test_n_word_keys_of_a_table(self, n_words, data):
+        word = st.integers(0, 2**32 - 1)
+        rows = data.draw(st.lists(word, min_size=1, max_size=4))
+        cols = data.draw(st.lists(word, min_size=1, max_size=3))
+        got = models._stream_keys([7, np.array(rows, dtype=np.uint32)[:, None],
+                                   np.array(cols, dtype=np.uint32)], n_words)
+        assert got.shape == (len(rows), len(cols), n_words)
+        want = [[np.random.SeedSequence([7, r, c]).generate_state(n_words) for c in cols]
+                for r in rows]
+        assert np.array_equal(got, want)
+
+    @given(seeds=st.lists(SEED_EDGES | st.integers(-2**64, 2**64), min_size=1, max_size=6))
+    def test_pcg64_states_match_seed_sequence(self, seeds):
+        table = np.array(seeds, dtype=object).reshape(len(seeds), 1)
+        got = models._pcg64_states(table)
+        assert got.dtype == np.uint64 and got.shape == (len(seeds), 1, 4)
+        for row, seed in zip(got[:, 0], seeds):
+            want = np.random.SeedSequence(seed & (2**63 - 1)).generate_state(4, np.uint64)
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("k", [0, 1, 103, 2**31, 2**32 - 1])
+    def test_one_word_seed_hashes_as_its_two_words(self, k):
+        want = np.random.SeedSequence(k).generate_state(4, np.uint64)
+        assert np.array_equal(np.random.SeedSequence([k, 0]).generate_state(4, np.uint64),
+                              want)
+        assert np.array_equal(models._stream_keys([k], 8), models._stream_keys([k, 0], 8))
+
+    @given(seed=SEED_EDGES | st.integers(0, 2**63 - 1), n=st.integers(1, 50))
+    def test_seeded_generator_matches_default_rng(self, seed, n):
+        state = models._pcg64_states(np.array([seed], dtype=object))[0]
+        got = models._seeded_generator()(state).standard_normal(n)
+        want = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(n)
+        assert np.array_equal(got, want)
+
+    def test_importing_the_package_leaves_numpy_random_unloaded(self):
+        code = "import sys, bayescfl.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "False"
+
+
+class TestHessianTest:
+    def test_matches_spd_cholesky_per_matrix(self):
+        stack = np.stack([2.0 * np.eye(2), np.ones((2, 2)), np.eye(2)])
+        got = models._test_hessians(stack)
+        for a, want in zip(stack, got):
+            assert np.array_equal(want, spd_cholesky(a)[0])
+        assert np.array_equal(got[1], np.ones((2, 2)) + SPD_JITTER * np.eye(2))
+
+    @pytest.mark.parametrize("bad", [-np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                                     np.array([[1.0, np.inf], [np.inf, 1.0]])])
+    def test_raises_singular_model_error(self, bad):
+        stack = np.stack([np.eye(2), bad])
+        with pytest.raises(SingularModelError, match="at the mode"):
+            models._test_hessians(stack, "Hessian not positive-definite at the mode")
+        with pytest.raises(SingularModelError, match="Hessian not positive-definite"):
+            models._test_hessians(stack)
 
 
 @st.composite

@@ -4,11 +4,13 @@ Usage: python tools/diff_audit.py OLD NEW
 
 Runs ``bayescfl run`` from both checkouts (each on its own ``src``) on
 ``configs/{demo,label_skew,tiny}.json``, the three files in
-``perfbench/workloads/`` and two sampled-weight variants, at seeds 1000, 1001,
-2000 and 2001. The variants are written into the temporary directory from
-NEW's config files: ``configs/demo.json`` with ``sampled`` weights of 20 draws
-(several parents per round), and ``configs/tiny.json`` as ``bayes-linear``
-with ``sampled`` weights. Both sides read the same config files, so the two
+``perfbench/workloads/`` and three sampled-weight variants, at seeds 1000,
+1001, 2000 and 2001. The variants are written into the temporary directory
+from NEW's config files: ``configs/demo.json`` with ``sampled`` weights of 20
+draws (several parents per round), ``configs/tiny.json`` as ``bayes-linear``
+with ``sampled`` weights, and the logistic-sampled workload as
+``multi-hypothesis`` with m_max 3 and 20 draws (several parents per round on
+the Laplace path). Both sides read the same config files, so the two
 runs of a pair differ only in the program. For each run it prints whether
 ``rounds.ndjson`` and ``summary.json`` are byte-identical, whether the
 assignments, hypothesis ids and parent ids are identical in every round, and
@@ -41,6 +43,8 @@ VARIANTS = (
      {"weight_estimator": "sampled", "weight_samples": 20}),
     ("configs/tiny.json", "tiny+bayes-linear+sampled",
      {"model_kind": "bayes-linear", "weight_estimator": "sampled"}),
+    ("perfbench/workloads/logistic_sampled.json", "logistic+multi-hypothesis",
+     {"mode": "multi-hypothesis", "m_max": 3, "weight_samples": 20}),
 )
 SEEDS = (1000, 1001, 2000, 2001)
 OUTPUTS = ("rounds.ndjson", "summary.json")
