@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, FusionDegenerateError
+from .errors import ContractError, FusionDegenerateError, SingularModelError
 
 SPD_JITTER = 1e-12
 WEIGHT_SUM_TOL = 1e-9
@@ -198,10 +198,6 @@ class GaussianDensity:
         out = -0.5 * (self.dim * np.log(2.0 * np.pi) + self.log_det_cov + maha)
         return out[0] if np.asarray(x).ndim == 1 else out
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim))
-        return self.mean + z @ self.chol.T
-
 
 def spd_gaussian(mean: np.ndarray, cov: np.ndarray) -> GaussianDensity:
     """N(mean, cov), with cov made positive-definite by the jitter rule of
@@ -223,9 +219,10 @@ def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
     """Density from information form: covariance = precision^-1, mean = cov @ shift.
 
     Every fusion and conjugate update ends here, and the density keeps the
-    pair. A precision that fails the Cholesky test raises
-    FusionDegenerateError. The Laplace update tests its Hessians itself
-    (SingularModelError) and goes straight to ``_from_tested_infos``."""
+    pair. A precision that fails the Cholesky test, or that passes it but
+    cannot be inverted, raises FusionDegenerateError. The Laplace update
+    tests its Hessians itself (SingularModelError) and goes straight to
+    ``_from_tested_infos``."""
     precision = symmetrize(np.asarray(precision, dtype=float))
     if _cholesky(precision) is None:
         raise FusionDegenerateError("precision matrix is not positive-definite")
@@ -235,7 +232,11 @@ def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
 def _from_tested_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
     """``from_info`` for a symmetric precision that has passed a Cholesky test."""
     precision = _freeze(precision)
-    cov = symmetrize(np.linalg.inv(precision))
+    try:
+        cov = symmetrize(np.linalg.inv(precision))
+    except np.linalg.LinAlgError as exc:
+        # a Cholesky factor can exist where the LU of inv meets a zero pivot
+        raise FusionDegenerateError("precision matrix is singular") from exc
     density = spd_gaussian(cov @ shift, cov)
     object.__setattr__(density, "precision", precision)
     object.__setattr__(density, "_shift", _freeze(shift))
@@ -246,8 +247,12 @@ def _from_tested_infos(precisions: np.ndarray, shifts: np.ndarray) -> list[Gauss
     """``_from_tested_info`` of every pair of a stack, precisions (B, d, d) and
     shifts (B, d): one stacked inverse, symmetrize, ``cov @ shift`` and
     ``spd_cholesky_stack``, each with the bits of its one-pair step, then one
-    ``_factored_gaussian`` per pair."""
-    inv = np.linalg.inv(precisions)
+    ``_factored_gaussian`` per pair. A precision that cannot be inverted
+    raises SingularModelError, as its Hessian's failed test would."""
+    try:
+        inv = np.linalg.inv(precisions)
+    except np.linalg.LinAlgError as exc:
+        raise SingularModelError("Hessian at the mode is singular") from exc
     covs = (inv + inv.transpose(0, 2, 1)) / 2.0
     means = (covs @ shifts[:, :, None])[..., 0]
     covs, chols = spd_cholesky_stack(covs)

@@ -26,11 +26,8 @@ where ``np.logaddexp(0, z)`` calls libm once per element; the two agree to
 within 3 ulp. The form is elementwise, so rows still match the one-row
 formula bit for bit.
 
-A sampled weight draws from the generator that
-``np.random.default_rng(np.random.SeedSequence(seed))`` gives, without
-hashing per pair: ``_pcg64_states`` runs SeedSequence's hash (``_stream_keys``,
-in uint32 arithmetic) over the whole seed table once, and each pair's PCG64
-takes its row of that table.
+This module draws nothing: a sampled weight call takes the round's standard
+normals as one table from its caller and turns them into draws.
 
 Every posterior update ends in an information pair becoming a density. For
 the conjugate kinds it is ``density.from_info`` on the prior's pair plus the
@@ -55,115 +52,15 @@ and Hessian is the bits of the one-problem loop.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .datasets import _SEED_MASK, ClientDataset
+from .datasets import ClientDataset
 from .density import (GaussianDensity, _from_tested_infos, from_info, logsumexp,
                       spd_cholesky_stack)
 from .errors import ContractError, SingularModelError
-
-# the hash constants of numpy's SeedSequence (O'Neill's seed_seq_fe)
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(n: int) -> list[int]:
-    """The 32-bit words of a nonnegative int, low word first, as SeedSequence
-    splits an entropy entry: one word for 0."""
-    out = [n & _MASK32]
-    while n := n >> 32:
-        out.append(n & _MASK32)
-    return out
-
-
-def _stream_keys(entropy, n_words: int | None = None):
-    """``np.random.SeedSequence(entropy).generate_state(1)[0]`` for a table
-    of entropies at once, bit for bit; with n_words, the whole
-    ``generate_state(n_words)``, as a trailing axis of n_words uint32 words.
-
-    Each entropy word is an int in [0, 2**32) or a uint32 array; the arrays
-    broadcast, and each entry of the returned uint32 table is the key of the
-    entropy that takes that entry's words. It runs SeedSequence's hash with
-    the ints as Python ints and the arrays as wrapping uint32 arithmetic,
-    masking every product to 32 bits, so no numpy scalar overflows.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return out ^ out >> 16
-
-    words = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = []
-    for i in range(1 if n_words is None else n_words):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        state.append(value ^ value >> 16)
-    if n_words is None:
-        return state[0]
-    return np.stack(np.broadcast_arrays(*state), axis=-1).astype(np.uint32)
-
-
-def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.SeedSequence(seed & _SEED_MASK).generate_state(4,
-    np.uint64)``, the seed PCG64 takes, for every int of a table: its shape
-    plus a trailing axis of 4 uint64 words, bit for bit.
-
-    SeedSequence splits a seed into 32-bit words, low first, and zero-pads
-    its pool, so a seed below 2**32 hashes as its two words [low, 0] do; the
-    whole table then hashes as one two-word entropy.
-    """
-    keys = np.array([int(seed) & _SEED_MASK for seed in seeds.flat],
-                    dtype=np.uint64).reshape(seeds.shape)
-    state = _stream_keys([(keys & _MASK32).astype(np.uint32),
-                          (keys >> 32).astype(np.uint32)], 8).astype(np.uint64)
-    return state[..., 0::2] | state[..., 1::2] << np.uint64(32)
-
-
-@functools.cache
-def _seeded_generator():
-    """The function that makes ``np.random.default_rng(SeedSequence(seed))``
-    from that seed's ``_pcg64_states`` row, without hashing again: a
-    Generator on a PCG64 whose seed sequence hands back the row. It is made
-    on first use, so importing this module does not import numpy.random."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateRow(ISeedSequence):
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ContractError("a PCG64 seed row holds 4 uint64 words")
-            return self.state
-
-    return lambda state: Generator(PCG64(StateRow(state)))
-
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 40
@@ -443,39 +340,28 @@ def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],
 
 def assoc_log_weight_sampled(clusters: Sequence[GaussianDensity],
                              clients: Sequence[ClientDataset], spec: LocalModelSpec,
-                             n_samples: int, seeds) -> np.ndarray:
+                             normals: np.ndarray) -> np.ndarray:
     """Monte Carlo association weights log mean_l p(D_j | w_l), w_l ~ cluster
     i, for every client j and cluster i: a C x P table, one row per client
     and one column per cluster, in order.
 
-    ``seeds`` is a C x P table of integers. Equal sample weights. Each pair
-    draws its n_samples parameters from its own generator, the one
-    ``np.random.default_rng(np.random.SeedSequence(seed & (2**63 - 1)))``
-    gives, seeded from one hash of the whole table (``_pcg64_states``), so
-    its weight is deterministic for a fixed seed and does not depend on the
-    other pairs. The pairs' standard normals fill one
-    (C, P, S, d) table, and one stacked ``z @ chol.T`` plus the means turns
-    it into the draws ``GaussianDensity.sample`` gives. Each client's data is checked
-    and scored against its P * S draws in one kernel call, and one
-    ``logsumexp`` reduces all C * P rows, each with the bits of a one-row
-    call.
+    ``normals`` is a (C, P, S, d) table of standard normals, S >= 1: block
+    (j, i) holds the S draws of client j against cluster i, which become
+    ``mean_i + z @ chol_i.T`` in one stacked product. Equal sample weights.
+    Each client's data is checked and scored against its P * S draws in one
+    kernel call, and one ``logsumexp`` reduces all C * P rows, each with the
+    bits of a one-row call.
     """
-    if n_samples < 1:
-        raise ContractError("n_samples must be >= 1")
-    seeds = np.asarray(seeds, dtype=object)
-    if seeds.shape != (len(clients), len(clusters)):
-        raise ContractError(f"need a {len(clients)} x {len(clusters)} seed table, "
-                            f"got shape {seeds.shape}")
+    c, p, d = len(clients), len(clusters), spec.param_dim
+    z = np.asarray(normals, dtype=float)
+    if z.ndim != 4 or z.shape[:2] != (c, p) or z.shape[2] < 1 or z.shape[3] != d:
+        raise ContractError(f"need a {c} x {p} x S x {d} table of standard normals "
+                            f"with S >= 1, got shape {z.shape}")
     for cluster in clusters:
         if cluster.dim != spec.param_dim:
             raise ContractError(
                 f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
-    c, p, d = len(clients), len(clusters), spec.param_dim
-    z = np.empty((c, p, n_samples, d))
-    seeded = _seeded_generator()
-    for block, state in zip(z.reshape(c * p, n_samples, d),
-                            _pcg64_states(seeds).reshape(c * p, 4)):
-        seeded(state).standard_normal(out=block)
+    n_samples = z.shape[2]
     means = np.array([cluster.mean for cluster in clusters]).reshape(p, 1, d)
     chols = np.array([cluster.chol for cluster in clusters]).reshape(p, d, d)
     draws = z @ chols.transpose(0, 2, 1)

@@ -12,9 +12,9 @@ applies the mode-specific hypothesis reduction:
   multi-hypothesis  keep the best m_max trajectories
   conceptual        keep every association (exhaustive oracle; guarded)
 
-A run is deterministic given the config seed: every sampled association
-weight draws from its own stream, seeded from the (round, hypothesis, client,
-cluster) indices.
+A run is deterministic given the config seed: each round's sampled
+association weights take their standard normals from one table, drawn by one
+generator seeded from the run seed and the round index.
 
 Each round computes each distinct local update, fusion and at-mean weight
 once. The children of one parent start from the parent's cluster posteriors
@@ -23,12 +23,11 @@ round-scoped memos keyed on the identity of the cluster-posterior object
 share it. Phase one is batched: one at-mean call per round scores every
 client against every distinct cluster mean of the round, and one sampled call
 per round scores every client against the draws of every (hypothesis,
-cluster) pair, each (client, pair) from its own stream (see ``models``), whose
-keys ``models._stream_keys`` hashes as one table. Phase two is batched too: one
-``posterior_update`` call per round fits the round's distinct (cluster
-posterior, client) pairs, and the warm-up fits its clients in one call. The
-same inputs reach the same arithmetic, so the outputs are the bytes the
-per-hypothesis, per-draw and per-pair loops give.
+cluster) pair, made from that round's table of normals. Phase two is batched
+too: one ``posterior_update`` call per round fits the round's distinct
+(cluster posterior, client) pairs, and the warm-up fits its clients in one
+call. The same inputs reach the same arithmetic, so the outputs are the bytes
+the per-hypothesis, per-draw and per-pair loops give.
 """
 
 from __future__ import annotations
@@ -40,16 +39,16 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import count_hypotheses_constrained, enumerate_assignments
-from .datasets import _SEED_MASK, ClientDataset
+from .datasets import ClientDataset, _rng
 from .density import (GaussianDensity, _factored_gaussian, fuse_local_posteriors,
                       spd_cholesky)
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 from .hypotheses import (Candidate, HypothesisSet, consensus_merge, expand,
                          materialize, prune_top_m, root_set, select_greedy,
                          softmax_weights, with_posteriors)
 from .metrics import association_accuracy, parameter_rmse
-from .models import (LocalModelSpec, _stream_keys, _words, assoc_log_weight_at_mean,
-                     assoc_log_weight_sampled, posterior_update)
+from .models import (LocalModelSpec, assoc_log_weight_at_mean, assoc_log_weight_sampled,
+                     posterior_update)
 from .reports import CommLedger, RoundReport, report_from_set
 
 MODES = ("conceptual", "greedy", "consensus", "multi-hypothesis")
@@ -61,17 +60,13 @@ MEAN_PERTURB_SCALE = 0.1     # initial cluster means, in units of the prior sigm
 _INIT, _WARMUP, _WEIGHTS = 101, 102, 103
 
 
-def _rng(*keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([k & _SEED_MASK for k in keys]))
-
-
 @dataclass(frozen=True)
 class WeightEstimator:
     """How clients turn cluster densities into association weights.
 
-    Each sampled weight draws its n_samples parameters from its own
-    reproducible stream, seeded from the run seed and the (round,
-    hypothesis, client, cluster) indices.
+    A sampled weight averages the likelihood over n_samples draws from the
+    cluster posterior; a round's draws come from one table of standard
+    normals, seeded from the run seed and the round index.
     """
 
     kind: str = "at-mean"        # "at-mean" | "sampled"
@@ -210,33 +205,39 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
     from the C x U table it returns. Posteriors are told apart by object id,
     which stays unique because ``hset`` holds every one of them for the whole
     call. Sampled weights take one call per round too, over all clients and
-    every (hypothesis, cluster) pair, but are never shared: each (round, p,
-    j, i) has its own seed, the key that ``np.random.SeedSequence([seed, 0,
-    _WEIGHTS, round, p, j, i]).generate_state(1)[0]`` gives, and
-    ``_stream_keys`` computes the round's C x P table of them at once.
+    every (hypothesis, cluster) pair in ``hset`` order, and are never shared.
+    One generator per round, seeded from (seed, ``_WEIGHTS``, round), fills
+    their (C, P, S, d) table of standard normals in one ``standard_normal``
+    call, so the draws depend only on the seed, the round and the order of
+    ``hset``.
+
+    Finite data give finite log weights, so a table entry that is not finite
+    comes from overflow in the likelihood: it raises NumericalError before
+    the floor could turn it into a finite weight.
     """
     est = cfg.weight_estimator
     if est.kind == "at-mean":
         distinct = {id(c): c for hyp in hset.hypotheses for c in hyp.cluster_posteriors}
         column = {key: u for u, key in enumerate(distinct)}
-        clusters = list(distinct.values())
-        table = np.maximum(assoc_log_weight_at_mean(clusters, clients, cfg.model),
-                           LOG_WEIGHT_FLOOR)
+        table = _floored(assoc_log_weight_at_mean(list(distinct.values()), clients,
+                                                  cfg.model))
         return [table.take([column[id(c)] for c in hyp.cluster_posteriors], axis=1)
                 for hyp in hset.hypotheses]
-    hyp_index, cluster_index, clusters = zip(
-        *[(p, i, cluster) for p, hyp in enumerate(hset.hypotheses)
-          for i, cluster in enumerate(hyp.cluster_posteriors)])
-    # the 0 holds the place of a retired key, so streams keep their seeds
-    seeds = _stream_keys([*_words(cfg.seed & _SEED_MASK), 0, _WEIGHTS, *_words(round_index),
-                          np.array(hyp_index, dtype=np.uint32),
-                          np.arange(len(clients), dtype=np.uint32)[:, None],
-                          np.array(cluster_index, dtype=np.uint32)])
-    table = np.maximum(assoc_log_weight_sampled(clusters, clients, cfg.model,
-                                                est.n_samples, seeds),
-                       LOG_WEIGHT_FLOOR)
+    clusters = [c for hyp in hset.hypotheses for c in hyp.cluster_posteriors]
+    normals = _rng(cfg.seed, _WEIGHTS, round_index).standard_normal(
+        (len(clients), len(clusters), est.n_samples, cfg.model.param_dim))
+    table = _floored(assoc_log_weight_sampled(clusters, clients, cfg.model, normals))
     ends = np.cumsum([hyp.cluster_count for hyp in hset.hypotheses])
     return np.split(table, ends[:-1], axis=1)
+
+
+def _floored(table: np.ndarray) -> np.ndarray:
+    """A log-weight table with every entry raised to at least LOG_WEIGHT_FLOOR;
+    NumericalError if some entry is not finite."""
+    if not np.isfinite(table).all():
+        raise NumericalError("association log-weights are not finite: the data "
+                             "overflow the likelihood")
+    return np.maximum(table, LOG_WEIGHT_FLOOR)
 
 
 def _conceptual_candidates(hset: HypothesisSet,

@@ -36,6 +36,14 @@ def config_path(tmp_path):
     return path
 
 
+def run_cli(args, **env):
+    """``bayescfl`` with args in a fresh interpreter on this checkout's src,
+    with env added to the environment."""
+    return subprocess.run([sys.executable, "-m", "bayescfl.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src"), **env))
+
+
 class TestRun:
     def test_writes_reports_and_summary(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -57,6 +65,23 @@ class TestRun:
             (out_b / "rounds.ndjson").read_bytes()
         assert (out_a / "summary.json").read_bytes() == \
             (out_b / "summary.json").read_bytes()
+
+    def test_byte_identical_across_processes(self, tmp_path):
+        """Sampled weights with several parents per round, run in two fresh
+        interpreters with different string hashing: both output files are
+        the same bytes, so no output depends on set order or object ids."""
+        demo = json.loads((REPO / "configs" / "demo.json").read_text())
+        path = tmp_path / "sampled.json"
+        path.write_text(json.dumps(dict(demo, weight_estimator="sampled", weight_samples=20)))
+        outs = []
+        for hash_seed in ("7", "99"):
+            out = tmp_path / f"hash{hash_seed}"
+            done = run_cli(["run", "--config", str(path), "--out", str(out)],
+                           PYTHONHASHSEED=hash_seed)
+            assert done.returncode == 0, done.stderr
+            outs.append(out)
+        for name in ("rounds.ndjson", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_mode_and_mmax_overrides(self, config_path, tmp_path):
         out = tmp_path / "g"
@@ -202,6 +227,18 @@ class TestNumericalExit:
                                         model_kind="laplace-logistic", separation=1e300)))
         assert cli_run(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "numerical failure: Hessian not positive-definite" in capsys.readouterr().err
+
+    def test_overflowing_gaussian_data_exit_two(self, tmp_path):
+        """Group means 1e200 apart overflow the gaussian-mean likelihood to
+        -inf log weights; the run fails there as a numerical error, not later
+        as a config error on weights that do not sum to 1. It runs in a
+        subprocess, where the overflow warnings print and do not raise."""
+        demo = json.loads((REPO / "configs" / "demo.json").read_text())
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(dict(demo, separation=1e200)))
+        done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert done.returncode == 2, done.stderr
+        assert "numerical failure: association log-weights are not finite" in done.stderr
 
 
 class TestOracle:

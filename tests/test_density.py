@@ -9,6 +9,7 @@ from bayescfl import (ClientDataset, ContractError, FusionDegenerateError,
                       merge_mixture, posterior_update)
 from bayescfl.density import (SPD_JITTER, from_info, logsumexp, spd_cholesky,
                               spd_cholesky_stack, spd_gaussian)
+from bayescfl.errors import SingularModelError
 from bayescfl.simulation import LOG_WEIGHT_FLOOR
 from helpers import gaussian_mean_dataset, regression_dataset
 
@@ -364,6 +365,21 @@ class TestNonFinite:
     def test_from_info_raises(self, bad):
         with pytest.raises(FusionDegenerateError):
             from_info(np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros(2))
+
+    def test_a_tested_precision_that_cannot_be_inverted(self):
+        """This precision (eigenvalues 1 and ~1e-17) has a Cholesky factor,
+        but the LU inside ``np.linalg.inv`` meets an exact zero pivot: the
+        fusion path raises FusionDegenerateError and the Laplace path
+        SingularModelError, not numpy's LinAlgError."""
+        precision = np.array([[0.8768303134637059, -0.3286318835031764],
+                              [-0.3286318835031764, 0.12316968653629429]])
+        assert np.linalg.cholesky(precision).shape == (2, 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(precision)
+        with pytest.raises(FusionDegenerateError, match="singular"):
+            from_info(precision, np.zeros(2))
+        with pytest.raises(SingularModelError, match="singular"):
+            density._from_tested_infos(np.stack([np.eye(2), precision]), np.zeros((2, 2)))
 
 
 @st.composite

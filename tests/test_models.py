@@ -186,15 +186,16 @@ class TestAssociationWeights:
         cluster = GaussianDensity(np.array([0.7]), np.array([[1e-12]]))
         data = gaussian_mean_dataset([0.0, 1.0, 0.5])
         (at_mean,) = assoc_log_weight_at_mean([cluster], [data], GM1)[0]
-        (sampled,) = assoc_log_weight_sampled([cluster], [data], GM1, n_samples=1,
-                                              seeds=[[4]])[0]
+        normals = np.random.default_rng(4).standard_normal((1, 1, 1, 1))
+        (sampled,) = assoc_log_weight_sampled([cluster], [data], GM1, normals)[0]
         assert abs(at_mean - sampled) < 1e-6
 
     def test_sampled_deterministic(self):
         cluster = g1(0.0, 2.0)
         data = gaussian_mean_dataset([0.3, -0.2])
-        a = assoc_log_weight_sampled([cluster], [data], GM1, n_samples=64, seeds=[[77]])[0]
-        b = assoc_log_weight_sampled([cluster], [data], GM1, n_samples=64, seeds=[[77]])[0]
+        normals = np.random.default_rng(77).standard_normal((1, 1, 64, 1))
+        a = assoc_log_weight_sampled([cluster], [data], GM1, normals)[0]
+        b = assoc_log_weight_sampled([cluster], [data], GM1, normals)[0]
         assert a == b
 
     def test_sampled_matches_closed_form_marginal(self):
@@ -206,61 +207,15 @@ class TestAssociationWeights:
         exact = multivariate_normal(
             np.full(5, m0), v * np.eye(5) + s0sq * np.ones((5, 5))).logpdf(y)
         spec = LocalModelSpec("gaussian-mean", feature_dim=1, noise_variance=v)
+        normals = np.random.default_rng(123).standard_normal((1, 1, 10_000, 1))
         (got,) = assoc_log_weight_sampled([g1(m0, s0sq)], [gaussian_mean_dataset(y)],
-                                          spec, n_samples=10_000, seeds=[[123]])[0]
+                                          spec, normals)[0]
         assert abs(got - exact) < np.log(1.02)  # 2% relative on the likelihood
 
 
-SEED_EDGES = st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1])
-
-
 class TestTableSeededStreams:
-    """Sampled weights seed each pair's PCG64 from one hashed table, with the
-    bits of ``np.random.default_rng(np.random.SeedSequence(seed))``."""
-
-    @given(seed=SEED_EDGES | st.integers(0, 2**63 - 1),
-           round_index=SEED_EDGES | st.integers(0, 2**40), n_words=st.integers(1, 9))
-    def test_n_word_keys_match_generate_state(self, seed, round_index, n_words):
-        entropy = [*models._words(seed), 0, 103, *models._words(round_index)]
-        got = models._stream_keys(entropy, n_words)
-        want = np.random.SeedSequence([seed, 0, 103, round_index]).generate_state(n_words)
-        assert got.dtype == np.uint32 and np.array_equal(got, want)
-        assert got[0] == models._stream_keys(entropy)
-
-    @given(n_words=st.integers(1, 9), data=st.data())
-    def test_n_word_keys_of_a_table(self, n_words, data):
-        word = st.integers(0, 2**32 - 1)
-        rows = data.draw(st.lists(word, min_size=1, max_size=4))
-        cols = data.draw(st.lists(word, min_size=1, max_size=3))
-        got = models._stream_keys([7, np.array(rows, dtype=np.uint32)[:, None],
-                                   np.array(cols, dtype=np.uint32)], n_words)
-        assert got.shape == (len(rows), len(cols), n_words)
-        want = [[np.random.SeedSequence([7, r, c]).generate_state(n_words) for c in cols]
-                for r in rows]
-        assert np.array_equal(got, want)
-
-    @given(seeds=st.lists(SEED_EDGES | st.integers(-2**64, 2**64), min_size=1, max_size=6))
-    def test_pcg64_states_match_seed_sequence(self, seeds):
-        table = np.array(seeds, dtype=object).reshape(len(seeds), 1)
-        got = models._pcg64_states(table)
-        assert got.dtype == np.uint64 and got.shape == (len(seeds), 1, 4)
-        for row, seed in zip(got[:, 0], seeds):
-            want = np.random.SeedSequence(seed & (2**63 - 1)).generate_state(4, np.uint64)
-            assert np.array_equal(row, want)
-
-    @pytest.mark.parametrize("k", [0, 1, 103, 2**31, 2**32 - 1])
-    def test_one_word_seed_hashes_as_its_two_words(self, k):
-        want = np.random.SeedSequence(k).generate_state(4, np.uint64)
-        assert np.array_equal(np.random.SeedSequence([k, 0]).generate_state(4, np.uint64),
-                              want)
-        assert np.array_equal(models._stream_keys([k], 8), models._stream_keys([k, 0], 8))
-
-    @given(seed=SEED_EDGES | st.integers(0, 2**63 - 1), n=st.integers(1, 50))
-    def test_seeded_generator_matches_default_rng(self, seed, n):
-        state = models._pcg64_states(np.array([seed], dtype=object))[0]
-        got = models._seeded_generator()(state).standard_normal(n)
-        want = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(n)
-        assert np.array_equal(got, want)
+    """The models module draws nothing: sampled weights take their standard
+    normals as a table, and importing the package loads no numpy.random."""
 
     def test_importing_the_package_leaves_numpy_random_unloaded(self):
         code = "import sys, bayescfl.cli; print('numpy.random' in sys.modules)"
@@ -418,8 +373,8 @@ class TestBatchedLikelihood:
     @given(case=likelihood_cases(),
            seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
     def test_sampled_matches_per_draw_loop(self, case, seeds):
-        """One call over 1-6 (cluster, seed) pairs gives, pair by pair, the
-        bits of the per-draw loop."""
+        """One call over 1-6 clusters gives, pair by pair, the bits of the
+        per-draw loop on that pair's block of the table of normals."""
         spec, data, omegas = case
         d = spec.param_dim
         clusters = []
@@ -428,15 +383,16 @@ class TestBatchedLikelihood:
             clusters.append(GaussianDensity(omegas[k % len(omegas)],
                                             low @ low.T + 0.1 * np.eye(d)))
         s = omegas.shape[0]
-        want = [reference_assoc_log_weight_sampled(c, data, spec, s, seed)
-                for c, seed in zip(clusters, seeds)]
-        assert np.array_equal(assoc_log_weight_sampled(clusters, [data], spec, s, [seeds])[0],
+        normals = np.random.default_rng(seeds[0]).standard_normal((1, len(seeds), s, d))
+        want = [reference_assoc_log_weight_sampled(c, data, spec, block)
+                for c, block in zip(clusters, normals[0])]
+        assert np.array_equal(assoc_log_weight_sampled(clusters, [data], spec, normals)[0],
                               want)
 
     @staticmethod
-    def _sampled_reference(clusters, clients, spec, n_samples, seeds):
-        return [[reference_assoc_log_weight_sampled(cluster, data, spec, n_samples, int(seed))
-                 for cluster, seed in zip(clusters, row)] for data, row in zip(clients, seeds)]
+    def _sampled_reference(clusters, clients, spec, normals):
+        return [[reference_assoc_log_weight_sampled(cluster, data, spec, block)
+                 for cluster, block in zip(clusters, row)] for data, row in zip(clients, normals)]
 
     @given(case=at_mean_rounds(), n_clusters=st.integers(1, 4),
            n_samples=st.sampled_from([1, 2]) | st.integers(1, 12),
@@ -445,25 +401,24 @@ class TestBatchedLikelihood:
                                                        seed):
         """One call over a round of clients of unequal sizes, one of them
         empty, gives a C x P table whose entry (j, i) is the bits of the
-        per-draw loop for client j, cluster i and seed (j, i)."""
+        per-draw loop for client j and cluster i on block (j, i) of the
+        normals."""
         spec, clusters, clients = case
         d = spec.param_dim
         rng = np.random.default_rng(seed)
         low = np.tril(rng.standard_normal((n_clusters, d, d)))
         clusters = [GaussianDensity(c.mean, m @ m.T + 0.1 * np.eye(d))
                     for c, m in zip(clusters, low)]
-        seeds = rng.integers(0, 2**64, size=(len(clients), len(clusters)), dtype=np.uint64)
-        got = assoc_log_weight_sampled(clusters, clients, spec, n_samples, seeds)
-        assert got.shape == seeds.shape
-        assert np.array_equal(got, self._sampled_reference(clusters, clients, spec,
-                                                           n_samples, seeds))
+        normals = rng.standard_normal((len(clients), len(clusters), n_samples, d))
+        got = assoc_log_weight_sampled(clusters, clients, spec, normals)
+        assert got.shape == (len(clients), len(clusters))
+        assert np.array_equal(got, self._sampled_reference(clusters, clients, spec, normals))
 
     @pytest.mark.parametrize("kind", models.KINDS)
     @pytest.mark.parametrize("n_samples, n_clusters", [(1, 1), (1, 3), (6, 1)])
     def test_sampled_round_table_edge_cases(self, kind, n_samples, n_clusters):
         """An empty client, unequal n, one draw and one cluster each give the
-        per-draw loop's bits; seeds past 2**63 and negative ones are masked
-        as the loop masks them."""
+        per-draw loop's bits."""
         rng = np.random.default_rng(n_samples * 10 + n_clusters)
         spec = (LocalModelSpec(kind, feature_dim=2) if kind == "laplace-logistic"
                 else LocalModelSpec(kind, feature_dim=2, noise_variance=0.7))
@@ -474,19 +429,20 @@ class TestBatchedLikelihood:
             clients.append(ClientDataset(0, 0, rng.standard_normal((n, 2)), labels))
         clusters = [GaussianDensity(rng.standard_normal(2), (1.0 + i) * np.eye(2))
                     for i in range(n_clusters)]
-        seeds = [[2**64 - 1 - j, -1 - j, 2**32 + j][:n_clusters] for j in range(3)]
-        got = assoc_log_weight_sampled(clusters, clients, spec, n_samples, seeds)
-        want = self._sampled_reference(clusters, clients, spec, n_samples, seeds)
+        normals = rng.standard_normal((3, n_clusters, n_samples, 2))
+        got = assoc_log_weight_sampled(clusters, clients, spec, normals)
+        want = self._sampled_reference(clusters, clients, spec, normals)
         assert np.array_equal(got, want)
         np.testing.assert_allclose(got[1], 0.0, atol=1e-15)    # log 1 for no data
 
     @pytest.mark.parametrize("seeds", [
-        [[1, 2]], [[1], [2]], [[1, 2], [3, 4], [5, 6]], [1, 2, 3, 4], [[1, 2], [3]],
-        np.zeros((2, 3), dtype=np.uint32)])
+        (1, 2, 4, 1), (2, 1, 4, 1), (3, 2, 4, 1), (2, 2, 0, 1), (2, 2, 4, 2), (2, 2, 4)])
     def test_sampled_rejects_a_seed_table_that_is_not_c_by_p(self, seeds):
+        """The table of normals must be C x P x S x d with S >= 1: here C = 2,
+        P = 2 and d = 1, and ``seeds`` is a shape that breaks one of these."""
         clients = [gaussian_mean_dataset([0.0, 1.0]), gaussian_mean_dataset([2.0])]
-        with pytest.raises(ContractError, match="seed table"):
-            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], clients, GM1, 4, seeds)
+        with pytest.raises(ContractError, match="table of standard normals"):
+            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], clients, GM1, np.zeros(seeds))
 
     def test_softplus_within_4_ulp_of_logaddexp(self):
         rng = np.random.default_rng(12)
@@ -659,6 +615,6 @@ class TestBatchedLikelihood:
                                      [data], GM1)
         with pytest.raises(ContractError):
             assoc_log_weight_sampled([GaussianDensity(np.zeros(2), np.eye(2))], [data],
-                                     GM1, 4, [[1]])
-        with pytest.raises(ContractError):    # one seed per cluster
-            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], [data], GM1, 4, [[1]])
+                                     GM1, np.zeros((1, 1, 4, 1)))
+        with pytest.raises(ContractError):    # one block of normals per cluster
+            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], [data], GM1, np.zeros((1, 1, 4, 1)))

@@ -11,7 +11,7 @@ from bayescfl import (ConfigError, ContractError, GaussianDensity, LocalModelSpe
 from bayescfl.cli import cli_run
 from bayescfl.config import plan_from_dict
 from bayescfl.reports import trajectories
-from helpers import (gaussian_mean_dataset, uncached_client_log_weights,
+from helpers import (gaussian_mean_dataset, round_normals, uncached_client_log_weights,
                      uncached_update_posteriors)
 
 REPO = Path(__file__).resolve().parents[1]
@@ -440,8 +440,8 @@ class TestPhaseReuse:
 
     def test_sampled_weights_keep_one_stream_each(self, monkeypatch):
         """One sampled call per round, over all the round's clients in order,
-        every (hypothesis, cluster) pair and a C x P seed table; every seed of
-        the run is distinct."""
+        every (hypothesis, cluster) pair, and the round's one table of
+        normals: C x P x S x d, drawn by the round's own generator."""
         _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
         cfg = round_config(K=3, C=6, m_max=6,
                            weight_estimator=WeightEstimator("sampled", n_samples=8))
@@ -454,67 +454,13 @@ class TestPhaseReuse:
 
         monkeypatch.setattr(simulation, "run_round", counted_round)
         calls = self._record(monkeypatch, "assoc_log_weight_sampled",
-                             lambda clusters, clients, spec, n, seeds:
-                             (len(clusters), tuple(id(d) for d in clients), seeds))
+                             lambda clusters, clients, spec, normals:
+                             (len(clusters), tuple(id(d) for d in clients), normals))
         run_training(cfg, scen.rounds)
         assert max(parents) > 1
         assert [r for r, _, _ in calls] == list(range(cfg.T))    # one call per round
-        for (_, (n_pairs, clients, seeds), _), n_parents, data in zip(
+        for (t, (n_pairs, clients, normals), _), n_parents, data in zip(
                 calls, parents, scen.rounds, strict=True):
             assert clients == tuple(id(d) for d in data)
             assert n_pairs == n_parents * cfg.K
-            assert np.shape(seeds) == (cfg.C, n_pairs)
-        seeds = [seed for _, (_, _, call_seeds), _ in calls
-                 for seed in np.ravel(call_seeds).tolist()]
-        assert len(seeds) == sum(parents) * cfg.C * cfg.K
-        assert len(set(seeds)) == len(seeds)
-
-
-_WORD_EDGES = [0, 1, 2**32 - 1]
-
-
-class TestStreamKeys:
-    """``_stream_keys`` gives the key of ``np.random.SeedSequence`` bit for
-    bit, over whole tables of entropies."""
-
-    @given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]) | st.integers(0, 2**63 - 1),
-           round_index=st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1, 2**64])
-           | st.integers(0, 2**40),
-           shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3)),
-           offsets=st.tuples(*[st.integers(0, 2**32 - 6)] * 3))
-    def test_weight_keys_match_seed_sequence(self, seed, round_index, shape, offsets):
-        """The C x P table of a round's sampled-weight keys, with one- and
-        two-word seeds and round indices and index words up to 2**32 - 1."""
-        hyps, c, k = shape
-        p = np.repeat(np.arange(hyps), k) + offsets[0]
-        j = np.arange(c) + offsets[1]
-        i = np.tile(np.arange(k), hyps) + offsets[2]
-        entropy = [*simulation._words(seed), 0, simulation._WEIGHTS,
-                   *simulation._words(round_index)]
-        got = simulation._stream_keys([*entropy, p.astype(np.uint32),
-                                       j.astype(np.uint32)[:, None], i.astype(np.uint32)])
-        want = [[np.random.SeedSequence([seed, 0, simulation._WEIGHTS, round_index,
-                                         int(pp), int(jj), int(ii)]).generate_state(1)[0]
-                 for pp, ii in zip(p, i)] for jj in j]
-        assert got.dtype == np.uint32
-        assert np.array_equal(got, want)
-
-    @given(n=st.integers(1, 3), data=st.data())
-    def test_any_entropy_length_matches_seed_sequence(self, n, data):
-        """1-9 words, fewer, as many as or more than the pool's 4, each an int
-        or a uint32 array of n entries anywhere in the list."""
-        word = st.sampled_from(_WORD_EDGES) | st.integers(0, 2**32 - 1)
-        words = data.draw(st.lists(word | st.lists(word, min_size=n, max_size=n)
-                                   .map(lambda v: np.array(v, dtype=np.uint32)),
-                                   min_size=1, max_size=9))
-        got = simulation._stream_keys(words)
-        want = [np.random.SeedSequence([int(w[e]) if isinstance(w, np.ndarray) else w
-                                        for w in words]).generate_state(1)[0]
-                for e in range(n)]
-        assert np.array_equal(np.broadcast_to(got, (n,)), want)
-
-    def test_words_split_ints_as_seed_sequence_does(self):
-        for n in (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**96):
-            assert simulation._words(n)[-1] != 0 or n == 0
-            assert simulation._stream_keys(simulation._words(n)) \
-                == np.random.SeedSequence(n).generate_state(1)[0]
+            assert np.array_equal(normals, round_normals(cfg, t, cfg.C, n_pairs))

@@ -15,7 +15,10 @@ runs of a pair differ only in the program. For each run it prints whether
 ``rounds.ndjson`` and ``summary.json`` are byte-identical, whether the
 assignments, hypothesis ids and parent ids are identical in every round, and
 the largest absolute change in weights, log-weights, cluster means,
-association accuracy and held-out log-likelihood.
+association accuracy and held-out log-likelihood. A second table gives, per
+config, the mean over its seeds of the final association accuracy and the
+held-out log-likelihood (both from ``summary.json``) on each side, so a
+change that moves report values can quote what it moved.
 
 Exit code 0 when every run finished on both sides with identical
 assignments and ids (bytes may still differ: read the table), 1 otherwise.
@@ -100,6 +103,8 @@ def compare(old_dir: Path, new_dir: Path) -> dict:
     old_sum, new_sum = (json.loads((d / "summary.json").read_text())
                         for d in (old_dir, new_dir))
     return {
+        "finals": [(s["final_metrics"]["association_accuracy"], s["heldout_log_likelihood"])
+                   for s in (old_sum, new_sum)],
         **same,
         "ids": ids_same,
         "weights": change(lambda r: r["weights"]),
@@ -119,6 +124,7 @@ def main(argv=None) -> int:
     old, new = args.old.resolve(), args.new.resolve()
 
     failures = identical = total = 0
+    finals: dict[str, list] = {}
     print(f"{'config':42} {'seed':>5}  rounds  summary  ids   "
           f"max |change|: weights log_weights means accuracy heldout_ll")
     with tempfile.TemporaryDirectory(prefix="diff-audit-") as tmp:
@@ -141,6 +147,7 @@ def main(argv=None) -> int:
                     print(f"{config:42} {seed:>5}  FAILED {errors}")
                     continue
                 c = compare(out["old"], out["new"])
+                finals.setdefault(config, []).append(c["finals"])
                 failures += not c["ids"]
                 identical += all(c[name] for name in OUTPUTS)
                 print(f"{config:42} {seed:>5}  "
@@ -152,6 +159,14 @@ def main(argv=None) -> int:
                                   "heldout_ll")))
     print(f"{total} runs: {identical} byte-identical on both files, "
           f"{failures} failed or with differing assignments or ids")
+    print(f"\nmeans over seeds{'':26} {'seeds':>5}  {'accuracy old':>12} {'new':>8}  "
+          f"{'held-out LL old':>16} {'new':>12}")
+    for config, runs in finals.items():
+        (old_acc, old_ll), (new_acc, new_ll) = (
+            [sum(values) / len(runs) for values in zip(*(run[side] for run in runs))]
+            for side in (0, 1))
+        print(f"{config:42} {len(runs):>5}  {old_acc:12.4f} {new_acc:8.4f}  "
+              f"{old_ll:16.4f} {new_ll:12.4f}")
     return 1 if failures else 0
 
 
