@@ -16,8 +16,8 @@ from .datasets import (ClientDataset, GeneratedScenario, SkewConfig,
 from .density import GaussianDensity, fuse_local_posteriors, merge_mixture
 from .errors import (ConfigError, ContractError, DegenerateHypothesisSetError,
                      FusionDegenerateError, NumericalError, SingularModelError)
-from .hypotheses import (Candidate, Hypothesis, HypothesisSet, consensus_merge,
-                         expand, prune_top_m, select_greedy)
+from .hypotheses import (HypothesisSet, consensus_merge, expand, prune_top_m,
+                         select_greedy)
 from .metrics import (CoAssociationMatrix, accumulate_coassociation,
                       association_accuracy, heldout_log_likelihood,
                       parameter_rmse)
@@ -39,7 +39,7 @@ __all__ = [
     "GaussianDensity", "fuse_local_posteriors", "merge_mixture",
     "ConfigError", "ContractError", "DegenerateHypothesisSetError",
     "FusionDegenerateError", "NumericalError", "SingularModelError",
-    "Candidate", "Hypothesis", "HypothesisSet", "consensus_merge", "expand",
+    "HypothesisSet", "consensus_merge", "expand",
     "prune_top_m", "select_greedy",
     "CoAssociationMatrix", "accumulate_coassociation", "association_accuracy",
     "heldout_log_likelihood", "parameter_rmse",

@@ -65,36 +65,34 @@ class Assignment:
         return len(self.labels)
 
 
-def _trusted_assignment(labels: tuple[int, ...]) -> Assignment:
-    """An Assignment of labels already known to be a tuple of nonnegative
-    Python ints, built past ``__post_init__``'s checks."""
-    assignment = object.__new__(Assignment)
-    object.__setattr__(assignment, "labels", labels)
-    return assignment
-
-
 @dataclass(frozen=True)
 class RankedAssignments:
-    """Assignments with their total costs, nondecreasing in cost."""
+    """Assignments as rows of an (M, C) label array with their total costs,
+    nondecreasing in cost. Iterating or indexing gives (Assignment, cost)
+    pairs."""
 
-    items: tuple[tuple[Assignment, float], ...]
+    labels: np.ndarray
+    costs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        costs = [c for _, c in self.items]
-        if any(b < a for a, b in zip(costs, costs[1:])):
+        labels, costs = np.asarray(self.labels), np.asarray(self.costs, dtype=float)
+        if labels.ndim != 2 or costs.shape != labels.shape[:1]:
+            raise ContractError("need one cost per row of labels")
+        if np.any(costs[1:] < costs[:-1]):
             raise ContractError("costs must be nondecreasing")
-        if len({a.labels for a, _ in self.items}) != len(self.items):
+        if len({row.tobytes() for row in labels}) != len(costs):
             raise ContractError("duplicate assignments in ranking")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "costs", costs)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.costs)
 
     def __iter__(self):
-        return iter(self.items)
+        return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, idx):
-        return self.items[idx]
+    def __getitem__(self, idx: int) -> tuple[Assignment, float]:
+        return Assignment(self.labels[idx].tolist()), float(self.costs[idx])
 
 
 def build_cost_matrix(local_log_weights: np.ndarray) -> CostMatrix:
@@ -200,10 +198,9 @@ def m_best_exact(L: CostMatrix, M: int) -> RankedAssignments:
            C - np.abs(flat // K)] = flat % K
     # each row sums like ``_total_cost`` on that row's labels
     costs = entries[np.arange(C), labels].sum(axis=1)
-    items = sorted(zip(costs.tolist(), map(tuple, labels.tolist())))
-    # tolist() of the nonnegative index array gives Python ints
-    return RankedAssignments(tuple((_trusted_assignment(lbl), cost)
-                                   for cost, lbl in items[:M]))
+    keys = list(zip(costs.tolist(), labels.tolist()))
+    rows = sorted(range(len(keys)), key=keys.__getitem__)[:M]
+    return RankedAssignments(labels[rows], costs[rows])
 
 
 def m_best_heuristic(L: CostMatrix, M: int) -> RankedAssignments:
@@ -224,7 +221,8 @@ def m_best_heuristic(L: CostMatrix, M: int) -> RankedAssignments:
             pool.append((_total_cost(entries, labels), labels))
     pool.sort(key=lambda item: (item[0], item[1]))
     kept = pool[:min(M, len(pool))]
-    return RankedAssignments(tuple((Assignment(lbl), cost) for cost, lbl in kept))
+    return RankedAssignments(np.array([lbl for _, lbl in kept]),
+                             np.array([cost for cost, _ in kept]))
 
 
 def count_hypotheses_unconstrained(K: int, C: int) -> int:

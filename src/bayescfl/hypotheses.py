@@ -1,103 +1,98 @@
 """Association-hypothesis trajectories across communication rounds.
 
-A hypothesis pairs one assignment of clients to clusters with the cluster
-posteriors it implies and an unnormalized log-weight that chains recursively:
-child log-weight = log(parent normalized weight) + assignment score. The set
-operations here implement the three reduction strategies (keep the best,
-keep M and merge, keep M trajectories) on top of the exact M-best ranking.
+A round's hypotheses are the rows of one ``HypothesisSet``: one assignment of
+clients to clusters per row, the row of its parent in the previous round's
+set, an unnormalized log-weight that chains recursively (child log-weight =
+log(parent normalized weight) + assignment score), and one integer handle per
+cluster into the set's table of cluster posteriors. Rows share posteriors by
+handle: children start from their parent's handles, and the round update
+gives one handle to every row whose cluster had the same prior and the same
+members. The set operations here implement the three reduction strategies
+(keep the best, keep M and merge, keep M trajectories) on top of the exact
+M-best ranking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .assignment import Assignment, build_cost_matrix, m_best_exact
+from .assignment import build_cost_matrix, m_best_exact
 from .density import GaussianDensity, logsumexp, merge_mixture
 from .errors import ContractError, DegenerateHypothesisSetError
-
-HypothesisId = tuple[int, int]   # (round, creation rank)
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """One association trajectory. Cluster posteriors are immutable, so
-    hypotheses may share them: children start from their parent's objects,
-    and the round update hands one object to every hypothesis whose cluster
-    had the same prior and the same members."""
-
-    id: HypothesisId
-    parent_id: HypothesisId | None
-    round: int
-    assignment: Assignment          # empty labels for the round-0 root
-    log_weight: float               # unnormalized joint log-weight
-    cluster_posteriors: tuple[GaussianDensity, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cluster_posteriors", tuple(self.cluster_posteriors))
-        if not self.cluster_posteriors:
-            raise ContractError("hypothesis needs at least one cluster posterior")
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.cluster_posteriors)
 
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    hypotheses: tuple[Hypothesis, ...]
-    normalized_weights: np.ndarray
+    """The live hypotheses of one round, one per row. Row m's id is
+    (round, m) and its parent's (round - 1, parents[m])."""
+
+    round: int
+    labels: np.ndarray              # (M, C) cluster per client; C = 0 at the root
+    parents: np.ndarray             # (M,) row in the previous round's set, -1 for none
+    log_weights: np.ndarray         # (M,) unnormalized joint log-weights
+    normalized_weights: np.ndarray  # (M,)
+    handles: np.ndarray             # (M, K) rows of ``posteriors``, one per cluster
+    posteriors: tuple[GaussianDensity, ...]
 
     def __post_init__(self):
-        hyps = tuple(self.hypotheses)
-        if not hyps:
-            raise ContractError("hypothesis set must be nonempty")
-        if len({h.round for h in hyps}) != 1:
-            raise ContractError("all hypotheses must share the same round")
+        labels, parents, log_weights, handles = map(
+            np.asarray, (self.labels, self.parents, self.log_weights, self.handles))
         w = np.array(self.normalized_weights, dtype=float)
-        if w.shape != (len(hyps),):
-            raise ContractError("one weight per hypothesis required")
+        if w.ndim != 1 or not len(w):
+            raise ContractError("hypothesis set must be nonempty")
+        if (parents.shape != w.shape or log_weights.shape != w.shape
+                or labels.ndim != 2 or len(labels) != len(w)
+                or handles.ndim != 2 or len(handles) != len(w) or handles.shape[1] < 1):
+            raise ContractError("one label row, parent, log-weight and row of at least one "
+                                "handle per hypothesis required")
+        if handles.min() < 0 or handles.max() >= len(self.posteriors):
+            raise ContractError("handles must index the posterior table")
         if abs(float(w.sum()) - 1.0) > 1e-9 or np.any(w < 0):
             raise ContractError("normalized weights must be nonnegative and sum to 1")
         w.flags.writeable = False
-        object.__setattr__(self, "hypotheses", hyps)
-        object.__setattr__(self, "normalized_weights", w)
+        for name, value in (("labels", labels), ("parents", parents),
+                            ("log_weights", log_weights), ("normalized_weights", w),
+                            ("handles", handles), ("posteriors", tuple(self.posteriors))):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.hypotheses)
-
-    @property
-    def round(self) -> int:
-        return self.hypotheses[0].round
+        return len(self.normalized_weights)
 
 
-class Candidate(NamedTuple):
-    """A proposed child: parent index, assignment, joint log-weight."""
+@dataclass(frozen=True)
+class Candidates:
+    """Proposed children, one per row: parent row, labels, joint log-weight."""
 
-    parent_index: int
-    assignment: Assignment
-    log_weight: float
+    parents: np.ndarray
+    labels: np.ndarray
+    log_weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.log_weights)
+
+    def best_first(self, m: int) -> Candidates:
+        """The m best rows, best first: largest log-weight, then parent row,
+        then labels."""
+        keys = list(zip((-self.log_weights).tolist(), self.parents.tolist(),
+                        self.labels.tolist()))
+        rows = sorted(range(len(keys)), key=keys.__getitem__)[:m]
+        return Candidates(self.parents[rows], self.labels[rows], self.log_weights[rows])
 
 
 def root_set(cluster_priors: Sequence[GaussianDensity]) -> HypothesisSet:
     """Single round-0 hypothesis of weight 1 (no assignment yet)."""
-    root = Hypothesis(id=(0, 0), parent_id=None, round=0,
-                      assignment=Assignment(()), log_weight=0.0,
-                      cluster_posteriors=tuple(cluster_priors))
-    return HypothesisSet((root,), np.array([1.0]))
-
-
-def _candidate_sort_key(c: Candidate):
-    # best first: largest log-weight, then parent index, then labels
-    return (-c.log_weight, c.parent_index, c.assignment.labels)
+    return HypothesisSet(0, np.zeros((1, 0), dtype=int), np.array([-1]), np.zeros(1),
+                         np.ones(1), np.arange(len(cluster_priors))[None],
+                         tuple(cluster_priors))
 
 
 def expand(hset: HypothesisSet,
            per_hyp_log_weight_matrices: Sequence[np.ndarray],
            m_max: int,
-           prune_log_gap: float | None = None) -> list[Candidate]:
+           prune_log_gap: float | None = None) -> Candidates:
     """Globally best m_max children across all parents.
 
     Each parent contributes its m_max best assignments (exact ranking of its
@@ -110,24 +105,20 @@ def expand(hset: HypothesisSet,
     if len(per_hyp_log_weight_matrices) != len(hset):
         raise ContractError("need one log-weight matrix per hypothesis")
 
-    candidates: list[Candidate] = []
-    for p, (hyp, mat) in enumerate(zip(hset.hypotheses, per_hyp_log_weight_matrices)):
+    k = hset.handles.shape[1]
+    rankings = []
+    for p, mat in enumerate(per_hyp_log_weight_matrices):
         mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[1] != hyp.cluster_count:
-            raise ContractError(
-                f"matrix for parent {p} must be C x {hyp.cluster_count}, got {mat.shape}")
-        parent_log_w = float(np.log(hset.normalized_weights[p])) \
-            if hset.normalized_weights[p] > 0 else -np.inf
-        ranking = m_best_exact(build_cost_matrix(mat), m_max)
-        for assignment, cost in ranking:
-            candidates.append(Candidate(p, assignment, parent_log_w - cost))
-
-    candidates.sort(key=_candidate_sort_key)
-    kept = candidates[:m_max]
-    if prune_log_gap is not None and kept:
-        floor = kept[0].log_weight - prune_log_gap
-        kept = [c for c in kept if c.log_weight >= floor]
-    return kept
+        if mat.ndim != 2 or mat.shape[1] != k:
+            raise ContractError(f"matrix for parent {p} must be C x {k}, got {mat.shape}")
+        rankings.append(m_best_exact(build_cost_matrix(mat), m_max))
+    with np.errstate(divide="ignore"):
+        parent_log_w = np.log(hset.normalized_weights)
+    log_w = np.concatenate([lw - r.costs for lw, r in zip(parent_log_w, rankings)])
+    if prune_log_gap is not None:
+        m_max = min(m_max, int(np.count_nonzero(log_w >= log_w.max() - prune_log_gap)))
+    return Candidates(np.repeat(np.arange(len(rankings)), [len(r) for r in rankings]),
+                      np.concatenate([r.labels for r in rankings]), log_w).best_first(m_max)
 
 
 def softmax_weights(log_weights: Sequence[float]) -> np.ndarray:
@@ -137,44 +128,29 @@ def softmax_weights(log_weights: Sequence[float]) -> np.ndarray:
     return np.exp(lw - logsumexp(lw))
 
 
-def materialize(candidates: Sequence[Candidate], parents: HypothesisSet) -> list[Hypothesis]:
-    """Turn candidates into child hypotheses (ids by creation rank). The
-    children initially carry their parent's cluster posteriors; the round
-    update replaces them after the local posterior phase."""
-    if not candidates:
+def materialize(candidates: Candidates, parents: HypothesisSet) -> HypothesisSet:
+    """The candidates as the next round's set, in their order and weighted by
+    the softmax of their log-weights. Children start from their parent's
+    posterior handles; the round update replaces them after the local
+    posterior phase."""
+    if not len(candidates):
         raise ContractError("no candidates to materialize")
-    child_round = parents.round + 1
-    out = []
-    for rank, cand in enumerate(candidates):
-        parent = parents.hypotheses[cand.parent_index]
-        out.append(Hypothesis(id=(child_round, rank), parent_id=parent.id,
-                              round=child_round, assignment=cand.assignment,
-                              log_weight=cand.log_weight,
-                              cluster_posteriors=parent.cluster_posteriors))
-    return out
+    return HypothesisSet(parents.round + 1, candidates.labels, candidates.parents,
+                         candidates.log_weights, softmax_weights(candidates.log_weights),
+                         parents.handles[candidates.parents], parents.posteriors)
 
 
-def select_greedy(candidates: Sequence[Candidate],
-                  parents: HypothesisSet) -> HypothesisSet:
+def select_greedy(candidates: Candidates, parents: HypothesisSet) -> HypothesisSet:
     """Keep only the single best candidate, with weight exactly 1."""
-    if not candidates:
-        raise ContractError("no candidates to select from")
-    top = min(candidates, key=_candidate_sort_key)
-    children = materialize([top], parents)
-    return HypothesisSet(tuple(children), np.array([1.0]))
+    return materialize(candidates.best_first(1), parents)
 
 
-def prune_top_m(candidates: Sequence[Candidate], parents: HypothesisSet,
+def prune_top_m(candidates: Candidates, parents: HypothesisSet,
                 m_max: int) -> HypothesisSet:
     """Keep the min(m_max, #candidates) best candidates, renormalized."""
     if m_max < 1:
         raise ContractError("m_max must be >= 1")
-    if not candidates:
-        raise ContractError("no candidates to prune")
-    ranked = sorted(candidates, key=_candidate_sort_key)[:m_max]
-    children = materialize(ranked, parents)
-    return HypothesisSet(tuple(children),
-                         softmax_weights([h.log_weight for h in children]))
+    return materialize(candidates.best_first(m_max), parents)
 
 
 def consensus_merge(hset: HypothesisSet) -> HypothesisSet:
@@ -184,26 +160,8 @@ def consensus_merge(hset: HypothesisSet) -> HypothesisSet:
     if len(hset) == 1:
         return hset
     w = hset.normalized_weights / hset.normalized_weights.sum()
-    k = hset.hypotheses[0].cluster_count
-    if any(h.cluster_count != k for h in hset.hypotheses):
-        raise ContractError("hypotheses disagree on cluster count")
-    merged = tuple(
-        merge_mixture(w, [h.cluster_posteriors[i] for h in hset.hypotheses])
-        for i in range(k)
-    )
+    merged = tuple(merge_mixture(w, [hset.posteriors[h] for h in column])
+                   for column in hset.handles.T.tolist())
     top = int(np.argmax(w))
-    rep = hset.hypotheses[top]
-    single = Hypothesis(id=(hset.round, 0), parent_id=None, round=hset.round,
-                        assignment=rep.assignment, log_weight=0.0,
-                        cluster_posteriors=merged)
-    return HypothesisSet((single,), np.array([1.0]))
-
-
-def with_posteriors(hset: HypothesisSet,
-                    new_posteriors: Sequence[Sequence[GaussianDensity]]) -> HypothesisSet:
-    """Same hypotheses and weights, new cluster posteriors (post-round update)."""
-    if len(new_posteriors) != len(hset):
-        raise ContractError("need one posterior list per hypothesis")
-    hyps = tuple(replace(h, cluster_posteriors=tuple(ps))
-                 for h, ps in zip(hset.hypotheses, new_posteriors))
-    return HypothesisSet(hyps, hset.normalized_weights)
+    return HypothesisSet(hset.round, hset.labels[top:top + 1], np.array([-1]), np.zeros(1),
+                         np.ones(1), np.arange(len(merged))[None], merged)

@@ -36,10 +36,6 @@ class CommLedger:
                 "rounds_logged": self.rounds_logged}
 
 
-def _id_str(hid) -> str | None:
-    return None if hid is None else f"{hid[0]}:{hid[1]}"
-
-
 @dataclass(frozen=True)
 class RoundReport:
     round: int
@@ -111,17 +107,19 @@ def _nested(value, depth: int, kind, key: str):
 
 def report_from_set(hset: HypothesisSet, mode: str,
                     comm: dict[str, int] | None = None) -> RoundReport:
+    """The set's report. Row m of round t has id "t:m"; its parent id is
+    "t-1:p" for parent row p, None for a row without a parent."""
+    t = hset.round
+    means = [tuple(g.mean.tolist()) for g in hset.posteriors]
     return RoundReport(
-        round=hset.round,
+        round=t,
         mode=mode,
-        hypothesis_ids=tuple(_id_str(h.id) for h in hset.hypotheses),
-        parent_ids=tuple(_id_str(h.parent_id) for h in hset.hypotheses),
-        assignments=tuple(h.assignment.labels for h in hset.hypotheses),
-        weights=tuple(float(w) for w in hset.normalized_weights),
-        log_weights=tuple(float(h.log_weight) for h in hset.hypotheses),
-        cluster_means=tuple(
-            tuple(tuple(float(v) for v in g.mean) for g in h.cluster_posteriors)
-            for h in hset.hypotheses),
+        hypothesis_ids=tuple(f"{t}:{m}" for m in range(len(hset))),
+        parent_ids=tuple(None if p < 0 else f"{t - 1}:{p}" for p in hset.parents.tolist()),
+        assignments=tuple(map(tuple, hset.labels.tolist())),
+        weights=tuple(hset.normalized_weights.tolist()),
+        log_weights=tuple(hset.log_weights.tolist()),
+        cluster_means=tuple(tuple(means[h] for h in row) for row in hset.handles.tolist()),
         comm=dict(comm or {}),
     )
 

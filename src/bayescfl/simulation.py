@@ -17,17 +17,18 @@ association weights take their standard normals from one table, drawn by one
 generator seeded from the run seed and the round index.
 
 Each round computes each distinct local update, fusion and at-mean weight
-once. The children of one parent start from the parent's cluster posteriors
-and M-best siblings differ in a few labels, so most of that work repeats;
-round-scoped memos keyed on the identity of the cluster-posterior object
-share it. Phase one is batched: one at-mean call per round scores every
-client against every distinct cluster mean of the round, and one sampled call
-per round scores every client against the draws of every (hypothesis,
+once. A hypothesis set holds its cluster posteriors in one table, and each
+hypothesis names its clusters' posteriors by integer handles into it. The
+children of one parent start from the parent's handles and M-best siblings
+differ in a few labels, so most of that work repeats; round-scoped memos
+keyed on handles share it. Phase one is batched: one at-mean call per round
+scores every client against every posterior of the table, and one sampled
+call per round scores every client against the draws of every (hypothesis,
 cluster) pair, made from that round's table of normals. Phase two is batched
 too: one ``posterior_update`` call per round fits the round's distinct
-(cluster posterior, client) pairs, and the warm-up fits its clients in one
-call. The same inputs reach the same arithmetic, so the outputs are the bytes
-the per-hypothesis, per-draw and per-pair loops give.
+(handle, client) pairs, and the warm-up fits its clients in one call. The
+same inputs reach the same arithmetic, so the outputs are the bytes the
+per-hypothesis, per-draw and per-pair loops give.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from .datasets import ClientDataset, _rng
 from .density import (GaussianDensity, _factored_gaussian, fuse_local_posteriors,
                       spd_cholesky)
 from .errors import ContractError, NumericalError
-from .hypotheses import (Candidate, HypothesisSet, consensus_merge, expand,
-                         materialize, prune_top_m, root_set, select_greedy,
-                         softmax_weights, with_posteriors)
+from .hypotheses import (Candidates, HypothesisSet, consensus_merge, expand,
+                         materialize, prune_top_m, root_set, select_greedy)
 from .metrics import association_accuracy, parameter_rmse
 from .models import (LocalModelSpec, assoc_log_weight_at_mean, assoc_log_weight_sampled,
                      posterior_update)
@@ -183,6 +183,11 @@ def warm_up(clients: Sequence[ClientDataset],
     identical locals keeps their common mean exactly. A group that ends up
     empty (only possible with fewer clients than clusters) gives None, and
     run_training keeps that cluster's initialize() prior.
+
+    k-means only measures squared distances between these means and convex
+    combinations of them, so when the pairwise squared distances are finite
+    so are its own; when they are not, the data overflow k-means and
+    NumericalError is raised before it runs.
     """
     if cfg.warm_up_rounds < 1:
         raise ContractError("warm_up requires warm_up_rounds >= 1")
@@ -190,6 +195,11 @@ def warm_up(clients: Sequence[ClientDataset],
     flat = GaussianDensity(np.zeros(dim), cfg.prior_sigma2 * np.eye(dim))
     locals_ = posterior_update([flat] * len(clients), clients, cfg.model)
     means = np.stack([g.mean for g in locals_])
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = ((means[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    if not np.isfinite(spread).all():
+        raise NumericalError("warm-up: squared distances between the clients' flat-prior "
+                             "posterior means are not finite: the data overflow k-means")
     labels = _kmeans_labels(means, cfg.K, _rng(cfg.seed, _WARMUP))
     groups = [[g for g, lab in zip(locals_, labels) if lab == i] for i in range(cfg.K)]
     return [fuse_local_posteriors(members, flat, "naive-product") if members else None
@@ -201,11 +211,10 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
     """One C x K log-weight matrix per live hypothesis.
 
     At-mean weights take one call per round, over all clients and the
-    round's distinct cluster posteriors; each hypothesis gathers its columns
-    from the C x U table it returns. Posteriors are told apart by object id,
-    which stays unique because ``hset`` holds every one of them for the whole
-    call. Sampled weights take one call per round too, over all clients and
-    every (hypothesis, cluster) pair in ``hset`` order, and are never shared.
+    posteriors of ``hset``'s table; each hypothesis gathers its columns from
+    the C x U table it returns by its handles. Sampled weights take one call
+    per round too, over all clients and every (hypothesis, cluster) pair in
+    ``hset`` order, and are never shared.
     One generator per round, seeded from (seed, ``_WEIGHTS``, round), fills
     their (C, P, S, d) table of standard normals in one ``standard_normal``
     call, so the draws depend only on the seed, the round and the order of
@@ -217,18 +226,13 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
     """
     est = cfg.weight_estimator
     if est.kind == "at-mean":
-        distinct = {id(c): c for hyp in hset.hypotheses for c in hyp.cluster_posteriors}
-        column = {key: u for u, key in enumerate(distinct)}
-        table = _floored(assoc_log_weight_at_mean(list(distinct.values()), clients,
-                                                  cfg.model))
-        return [table.take([column[id(c)] for c in hyp.cluster_posteriors], axis=1)
-                for hyp in hset.hypotheses]
-    clusters = [c for hyp in hset.hypotheses for c in hyp.cluster_posteriors]
+        table = _floored(assoc_log_weight_at_mean(hset.posteriors, clients, cfg.model))
+        return [table.take(row, axis=1) for row in hset.handles]
+    clusters = [hset.posteriors[h] for h in hset.handles.ravel().tolist()]
     normals = _rng(cfg.seed, _WEIGHTS, round_index).standard_normal(
         (len(clients), len(clusters), est.n_samples, cfg.model.param_dim))
     table = _floored(assoc_log_weight_sampled(clusters, clients, cfg.model, normals))
-    ends = np.cumsum([hyp.cluster_count for hyp in hset.hypotheses])
-    return np.split(table, ends[:-1], axis=1)
+    return np.split(table, len(hset), axis=1)
 
 
 def _floored(table: np.ndarray) -> np.ndarray:
@@ -240,18 +244,18 @@ def _floored(table: np.ndarray) -> np.ndarray:
     return np.maximum(table, LOG_WEIGHT_FLOOR)
 
 
-def _conceptual_candidates(hset: HypothesisSet,
-                           mats: Sequence[np.ndarray]) -> list[Candidate]:
-    k = hset.hypotheses[0].cluster_count
-    c = mats[0].shape[0]
-    out = []
+def _conceptual_candidates(hset: HypothesisSet, mats: Sequence[np.ndarray]) -> Candidates:
+    k, c = hset.handles.shape[1], mats[0].shape[0]
+    parents, labels, log_weights = [], [], []
     for p in range(len(hset)):
         w_p = float(hset.normalized_weights[p])
         parent_log_w = float(np.log(w_p)) if w_p > 0 else -np.inf
         for assignment in enumerate_assignments(k, c):
-            score = sum(mats[p][j, lab] for j, lab in enumerate(assignment.labels))
-            out.append(Candidate(p, assignment, parent_log_w + score))
-    return out
+            parents.append(p)
+            labels.append(assignment.labels)
+            log_weights.append(parent_log_w + sum(mats[p][j, lab]
+                                                  for j, lab in enumerate(assignment.labels)))
+    return Candidates(np.array(parents), np.array(labels), np.array(log_weights))
 
 
 def _update_posteriors(selected: HypothesisSet, clients: Sequence[ClientDataset],
@@ -259,41 +263,41 @@ def _update_posteriors(selected: HypothesisSet, clients: Sequence[ClientDataset]
     """Phase two: per surviving hypothesis, update every cluster's posterior
     from its assigned clients (clusters with no clients carry over).
 
-    The round's distinct (cluster posterior, client) pairs are collected in
-    first-seen order and updated in one ``posterior_update`` call; each
-    fusion is then computed once per (cluster posterior, member tuple), so
-    siblings and carried-over clusters share one immutable posterior object.
-    Keys use object ids, which stay unique because ``selected`` holds every
-    prior posterior for the whole call.
+    The round's distinct (handle, client) pairs are collected in first-seen
+    order and updated in one ``posterior_update`` call; each fusion is then
+    computed once per (handle, member tuple), so siblings share one
+    posterior. The result's table holds each distinct (handle, member tuple)
+    once, in first-seen order; a cluster with no members keeps its
+    posterior.
     """
+    posts, handle_rows = selected.posteriors, selected.handles.tolist()
     member_lists = []
-    pairs: dict[tuple[int, int], tuple[GaussianDensity, ClientDataset]] = {}
-    for hyp in selected.hypotheses:
-        groups = [[] for _ in hyp.cluster_posteriors]
-        for j, lab in enumerate(hyp.assignment.labels):
+    pairs: dict[tuple[int, int], None] = {}
+    for labels, handles in zip(selected.labels.tolist(), handle_rows):
+        groups = [[] for _ in handles]
+        for j, lab in enumerate(labels):
             groups[lab].append(j)
         member_lists.append(list(map(tuple, groups)))
-        for prior_i, members in zip(hyp.cluster_posteriors, groups):
+        for h, members in zip(handles, groups):
             for j in members:
-                pairs.setdefault((id(prior_i), j), (prior_i, clients[j]))
-    priors, datasets = zip(*pairs.values())
-    local = dict(zip(pairs, posterior_update(priors, datasets, cfg.model)))
+                pairs.setdefault((h, j), None)
+    local = dict(zip(pairs, posterior_update([posts[h] for h, _ in pairs],
+                                             [clients[j] for _, j in pairs], cfg.model)))
 
-    fused: dict[tuple[int, tuple[int, ...]], GaussianDensity] = {}
-    new_lists = []
-    for hyp, groups in zip(selected.hypotheses, member_lists):
-        per_cluster = []
-        for prior_i, members in zip(hyp.cluster_posteriors, groups):
-            if not members:
-                per_cluster.append(prior_i)
-                continue
-            key = (id(prior_i), members)
-            if key not in fused:
-                fused[key] = fuse_local_posteriors([local[id(prior_i), j] for j in members],
-                                                   prior_i, cfg.fusion_mode)
-            per_cluster.append(fused[key])
-        new_lists.append(per_cluster)
-    return with_posteriors(selected, new_lists)
+    new_handle: dict[tuple[int, tuple[int, ...]], int] = {}
+    new_posts, flat_handles = [], []
+    for handles, groups in zip(handle_rows, member_lists):
+        for key in zip(handles, groups):
+            if key not in new_handle:
+                h, members = key
+                new_handle[key] = len(new_posts)
+                new_posts.append(fuse_local_posteriors([local[h, j] for j in members],
+                                                       posts[h], cfg.fusion_mode)
+                                 if members else posts[h])
+            flat_handles.append(new_handle[key])
+    return dataclasses.replace(selected,
+                               handles=np.reshape(flat_handles, selected.handles.shape),
+                               posteriors=tuple(new_posts))
 
 
 def _comm_increment(cfg: RoundConfig, parents: int, survivors: int) -> tuple[int, int]:
@@ -318,10 +322,7 @@ def run_round(server: ServerState, clients: Sequence[ClientDataset],
     mats = _client_log_weights(hset, clients, cfg, hset.round)
 
     if cfg.mode == "conceptual":
-        cands = _conceptual_candidates(hset, mats)
-        children = materialize(cands, hset)
-        selected = HypothesisSet(tuple(children),
-                                 softmax_weights([h.log_weight for h in children]))
+        selected = materialize(_conceptual_candidates(hset, mats), hset)
     elif cfg.mode == "greedy":
         selected = select_greedy(expand(hset, mats, 1, cfg.prune_log_gap), hset)
     else:
@@ -357,12 +358,11 @@ def run_training(cfg: RoundConfig, data, true_params=None,
 
     state = initialize(cfg)
     if cfg.warm_up_rounds >= 1:
-        root = state.hypothesis_set.hypotheses[0]
-        warmed = [w if w is not None else prior
-                  for w, prior in zip(warm_up(rounds[0], cfg), root.cluster_posteriors)]
-        root = dataclasses.replace(root, cluster_posteriors=tuple(warmed))
+        root = state.hypothesis_set
+        warmed = tuple(w if w is not None else prior
+                       for w, prior in zip(warm_up(rounds[0], cfg), root.posteriors))
         state = dataclasses.replace(
-            state, hypothesis_set=HypothesisSet((root,), np.array([1.0])))
+            state, hypothesis_set=dataclasses.replace(root, posteriors=warmed))
 
     reports = []
     for t in range(cfg.T):

@@ -1,6 +1,7 @@
 """Shared test oracles: brute-force and integration baselines kept independent
 of the implementation paths they check."""
 
+import dataclasses
 import heapq
 import itertools
 
@@ -11,7 +12,6 @@ from bayescfl import Assignment, ClientDataset, CostMatrix, GaussianDensity
 from bayescfl import models, simulation
 from bayescfl.assignment import _total_cost
 from bayescfl.density import symmetrize
-from bayescfl.hypotheses import with_posteriors
 from bayescfl.metrics import _match_pairs
 
 
@@ -143,14 +143,13 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
     them."""
     est = cfg.weight_estimator
     if est.kind == "sampled":
-        normals = round_normals(cfg, round_index, len(clients),
-                                sum(hyp.cluster_count for hyp in hset.hypotheses))
+        normals = round_normals(cfg, round_index, len(clients), hset.handles.size)
     mats = []
     pair = 0
-    for hyp in hset.hypotheses:
-        mat = np.empty((len(clients), hyp.cluster_count))
+    for handles in hset.handles:
+        mat = np.empty((len(clients), len(handles)))
         for j, client in enumerate(clients):
-            for i, cluster in enumerate(hyp.cluster_posteriors):
+            for i, cluster in enumerate(hset.posteriors[h] for h in handles):
                 if est.kind == "at-mean":
                     w = simulation.assoc_log_weight_at_mean([cluster], [client], cfg.model)[0, 0]
                 else:
@@ -158,7 +157,7 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
                     w = simulation.assoc_log_weight_sampled([cluster], [client], cfg.model,
                                                             block)[0, 0]
                 mat[j, i] = max(w, simulation.LOG_WEIGHT_FLOOR)
-        pair += hyp.cluster_count
+        pair += len(handles)
         mats.append(mat)
     return mats
 
@@ -166,12 +165,13 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
 def uncached_update_posteriors(selected, clients, cfg):
     """Phase two with one local update per (hypothesis, cluster, client) and
     one fusion per (hypothesis, cluster): the loop that the memoized
-    ``simulation._update_posteriors`` must match exactly."""
+    ``simulation._update_posteriors`` must match exactly. The result's table
+    holds one posterior per (hypothesis, cluster), in order."""
     new_lists = []
-    for hyp in selected.hypotheses:
+    for labels, handles in zip(selected.labels, selected.handles):
         per_cluster = []
-        for i, prior_i in enumerate(hyp.cluster_posteriors):
-            members = [j for j, lab in enumerate(hyp.assignment.labels) if lab == i]
+        for i, prior_i in enumerate(selected.posteriors[h] for h in handles):
+            members = [j for j, lab in enumerate(labels) if lab == i]
             if not members:
                 per_cluster.append(prior_i)
                 continue
@@ -180,7 +180,9 @@ def uncached_update_posteriors(selected, clients, cfg):
             per_cluster.append(simulation.fuse_local_posteriors(
                 locals_, prior_i, cfg.fusion_mode))
         new_lists.append(per_cluster)
-    return with_posteriors(selected, new_lists)
+    return dataclasses.replace(
+        selected, handles=np.arange(selected.handles.size).reshape(selected.handles.shape),
+        posteriors=tuple(p for per_cluster in new_lists for p in per_cluster))
 
 
 def reference_association_accuracy(report, truth) -> float:

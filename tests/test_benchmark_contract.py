@@ -40,6 +40,12 @@ def test_traced_probe_sees_every_layer(tmp_path):
     probe, names = traced_probe(tmp_path, ROOT / "configs" / "tiny.json")
     assert set(SPANS) <= names, sorted(set(SPANS) - names)
     assert probe["counts"]["density.gaussians_built"] > 0
+    # the probe counts len() of m_best_exact's result, expand's result and
+    # the live hypothesis set; tiny.json ranks 4 assignments for each of
+    # 1 + 4 parents, keeps 4 + 16 candidates and runs 1 + 4 live hypotheses
+    assert probe["counts"]["assignment.ranked_items"] == 20
+    assert probe["counts"]["hypotheses.kept"] == 20
+    assert probe["counts"]["hypotheses.live"] == 5
 
 
 def test_traced_probe_sees_the_logistic_sampled_layers(tmp_path):

@@ -232,13 +232,24 @@ class TestNumericalExit:
         """Group means 1e200 apart overflow the gaussian-mean likelihood to
         -inf log weights; the run fails there as a numerical error, not later
         as a config error on weights that do not sum to 1. It runs in a
-        subprocess, where the overflow warnings print and do not raise."""
+        subprocess, where the overflow warnings print and do not raise, and
+        without the warm-up, which would fail first."""
         demo = json.loads((REPO / "configs" / "demo.json").read_text())
         path = tmp_path / "overflow.json"
-        path.write_text(json.dumps(dict(demo, separation=1e200)))
+        path.write_text(json.dumps(dict(demo, separation=1e200, warm_up_rounds=0)))
         done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert done.returncode == 2, done.stderr
         assert "numerical failure: association log-weights are not finite" in done.stderr
+
+    def test_overflowing_warm_up_exit_two(self, tmp_path, capsys):
+        """The same data overflow the warm-up's k-means distances: the run
+        fails in the warm-up as a numerical error, before any overflow
+        warning (which tier-1 turns into an error)."""
+        demo = json.loads((REPO / "configs" / "demo.json").read_text())
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(dict(demo, separation=1e200)))
+        assert cli_run(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "numerical failure: warm-up: squared distances" in capsys.readouterr().err
 
 
 class TestOracle:

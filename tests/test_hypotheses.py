@@ -1,14 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from bayescfl import (Assignment, ContractError, CostMatrix,
-                      DegenerateHypothesisSetError, GaussianDensity,
-                      Hypothesis, HypothesisSet, best_assignment,
+from bayescfl import (ContractError, CostMatrix, DegenerateHypothesisSetError,
+                      GaussianDensity, HypothesisSet, best_assignment,
                       consensus_merge, expand, prune_top_m, select_greedy)
-from bayescfl.hypotheses import (Candidate, materialize, root_set,
-                                 softmax_weights)
+from bayescfl.hypotheses import Candidates, materialize, root_set, softmax_weights
+from bayescfl.reports import report_from_set
 
 COSTS_3X2 = np.array([[5.0, 8.0], [8.0, 2.0], [4.0, 8.0]])
 
@@ -18,21 +20,33 @@ def density(mean, var=1.0):
     return GaussianDensity(mean, var * np.eye(len(mean)))
 
 
+def hypothesis_set(round_, labels, log_weights, weights, cluster_posteriors):
+    """A set of one row per hypothesis, every one a child of row 0, each with
+    its own posterior objects."""
+    m, k = len(log_weights), len(cluster_posteriors[0])
+    return HypothesisSet(round_, np.array(labels).reshape(m, -1), np.zeros(m, dtype=int),
+                         np.array(log_weights, dtype=float), weights,
+                         np.arange(m * k).reshape(m, k),
+                         tuple(p for posts in cluster_posteriors for p in posts))
+
+
 def make_set(log_weights, k=2, round_=1, c=3):
-    hyps = tuple(
-        Hypothesis(id=(round_, i), parent_id=(round_ - 1, 0), round=round_,
-                   assignment=Assignment((0,) * c), log_weight=lw,
-                   cluster_posteriors=tuple(density([float(j)]) for j in range(k)))
-        for i, lw in enumerate(log_weights))
     finite = np.array([lw if np.isfinite(lw) else 0.0 for lw in log_weights])
     w = np.exp(finite - finite.max())
-    return HypothesisSet(hyps, w / w.sum())
+    return hypothesis_set(round_, [(0,) * c] * len(log_weights), log_weights, w / w.sum(),
+                          [tuple(density([float(j)]) for j in range(k))
+                           for _ in log_weights])
 
 
 def normalized(hset):
     """The set with its weights recomputed from its stored log-weights."""
-    return HypothesisSet(hset.hypotheses,
-                         softmax_weights([h.log_weight for h in hset.hypotheses]))
+    return dataclasses.replace(hset, normalized_weights=softmax_weights(hset.log_weights))
+
+
+def candidates(rows):
+    """Candidates from (parent, labels, log-weight) rows."""
+    parents, labels, log_weights = zip(*rows)
+    return Candidates(np.array(parents), np.array(labels), np.array(log_weights))
 
 
 class TestNormalize:
@@ -57,21 +71,30 @@ class TestExpand:
         cands = expand(parents, [-COSTS_3X2], 1)
         best, cost = best_assignment(CostMatrix(COSTS_3X2))
         assert len(cands) == 1
-        assert cands[0].assignment == best
-        np.testing.assert_allclose(cands[0].log_weight, -cost)
+        assert tuple(cands.labels[0]) == best.labels
+        np.testing.assert_allclose(cands.log_weights[0], -cost)
 
     def test_heavier_parent_dominates(self):
-        hyps = make_set([np.log(0.9), np.log(0.1)]).hypotheses
-        parents = HypothesisSet(hyps, np.array([0.9, 0.1]))
+        parents = dataclasses.replace(make_set([np.log(0.9), np.log(0.1)]),
+                                      normalized_weights=np.array([0.9, 0.1]))
         mats = [-COSTS_3X2, -COSTS_3X2]
         cands = expand(parents, mats, 1)
-        assert cands[0].parent_index == 0
+        assert cands.parents[0] == 0
 
-    def test_matches_brute_force_over_children(self):
-        rng = np.random.default_rng(4)
-        parents = HypothesisSet(make_set([0.0, -0.5], c=2).hypotheses,
-                                np.array([0.6, 0.4]))
-        mats = [rng.standard_normal((2, 2)), rng.standard_normal((2, 2))]
+    # Drawn cases: 1-4 parents of equal weight and integer log-weights, so
+    # exact ties occur within and across parents; the example is random
+    # normal log-weights under unequal parent weights.
+    @given(case=st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(np.full(n, 1.0 / n)),
+        st.lists(st.lists(st.lists(st.integers(-2, 0).map(float), min_size=2, max_size=2),
+                          min_size=2, max_size=2), min_size=n, max_size=n)
+        .map(lambda mats: [np.array(mat) for mat in mats]))))
+    @example(case=(np.array([0.6, 0.4]),
+                   [np.random.default_rng(4).standard_normal((2, 2)) for _ in range(2)]))
+    def test_matches_brute_force_over_children(self, case):
+        weights, mats = case
+        parents = dataclasses.replace(make_set([0.0] * len(mats), c=2),
+                                      normalized_weights=weights)
         cands = expand(parents, mats, 16)
 
         want = []
@@ -81,7 +104,9 @@ class TestExpand:
                     sum(mat[j, lab] for j, lab in enumerate(labels))
                 want.append((p, labels, score))
         want.sort(key=lambda x: (-x[2], x[0], x[1]))
-        got = [(c.parent_index, c.assignment.labels, c.log_weight) for c in cands]
+        got = list(zip(cands.parents.tolist(), map(tuple, cands.labels.tolist()),
+                       cands.log_weights.tolist()))
+        assert len(got) == min(16, len(want))
         for (wp, wl, ws), (gp, gl, gs) in zip(want, got):
             assert (wp, wl) == (gp, gl)
             assert abs(ws - gs) < 1e-12
@@ -94,20 +119,20 @@ class TestExpand:
     def test_weight_recursion_invariant(self):
         # child log-weight == log parent weight + its assignment score
         rng = np.random.default_rng(11)
-        parents = HypothesisSet(make_set([0.3, -1.2], c=4).hypotheses,
-                                np.array([0.7, 0.3]))
+        parents = dataclasses.replace(make_set([0.3, -1.2], c=4),
+                                      normalized_weights=np.array([0.7, 0.3]))
         mats = [rng.standard_normal((4, 2)) for _ in range(2)]
-        for cand in expand(parents, mats, 8):
-            score = sum(mats[cand.parent_index][j, lab]
-                        for j, lab in enumerate(cand.assignment.labels))
-            expected = np.log(parents.normalized_weights[cand.parent_index]) + score
-            assert abs(cand.log_weight - expected) < 1e-12
+        cands = expand(parents, mats, 8)
+        for p, labels, log_weight in zip(cands.parents, cands.labels, cands.log_weights):
+            score = sum(mats[p][j, lab] for j, lab in enumerate(labels))
+            expected = np.log(parents.normalized_weights[p]) + score
+            assert abs(log_weight - expected) < 1e-12
 
     def test_prune_log_gap_filters(self):
         parents = root_set([density([0.0]), density([1.0])])
         mat = np.array([[0.0, -50.0]])
         cands = expand(parents, [mat], 4, prune_log_gap=10.0)
-        assert [c.assignment.labels for c in cands] == [(0,)]
+        assert cands.labels.tolist() == [[0]]
 
 
 class TestSelection:
@@ -116,15 +141,14 @@ class TestSelection:
         cands = expand(parents, [-COSTS_3X2], 8)
         hset = select_greedy(cands, parents)
         assert len(hset) == 1
-        assert hset.hypotheses[0].assignment.labels == (0, 1, 0)
+        assert hset.labels.tolist() == [[0, 1, 0]]
         np.testing.assert_allclose(hset.normalized_weights, [1.0])
 
     def test_greedy_tie_break(self):
         parents = root_set([density([0.0]), density([1.0])])
-        cands = [Candidate(0, Assignment((1, 0)), -2.0),
-                 Candidate(0, Assignment((0, 1)), -2.0)]
+        cands = candidates([(0, (1, 0), -2.0), (0, (0, 1), -2.0)])
         hset = select_greedy(cands, parents)
-        assert hset.hypotheses[0].assignment.labels == (0, 1)
+        assert hset.labels.tolist() == [[0, 1]]
 
     def test_prune_keeps_all_when_m_large(self):
         parents = root_set([density([0.0]), density([1.0])])
@@ -138,13 +162,13 @@ class TestSelection:
         cands = expand(parents, [-COSTS_3X2], 8)
         a = select_greedy(cands, parents)
         b = prune_top_m(cands, parents, 1)
-        assert a.hypotheses[0].assignment == b.hypotheses[0].assignment
+        assert np.array_equal(a.labels, b.labels)
 
     def test_prune_softmax_over_survivors(self):
         parents = root_set([density([0.0]), density([1.0])])
         scores = [-1.0, -2.0, -3.0, -4.0, -9.0, -10.0, -11.0, -12.0]
-        cands = [Candidate(0, Assignment((i % 2, i // 2 % 2, i // 4)), s)
-                 for i, s in enumerate(scores)]
+        cands = candidates([(0, (i % 2, i // 2 % 2, i // 4), s)
+                            for i, s in enumerate(scores)])
         hset = prune_top_m(cands, parents, 3)
         kept = np.array(scores[:3])
         want = np.exp(kept - kept.max())
@@ -155,9 +179,10 @@ class TestSelection:
         parents = root_set([density([0.0]), density([1.0])])
         cands = expand(parents, [-COSTS_3X2], 3)
         children = materialize(cands, parents)
-        assert [h.id for h in children] == [(1, 0), (1, 1), (1, 2)]
-        assert all(h.parent_id == (0, 0) for h in children)
-        assert all(h.round == 1 for h in children)
+        report = report_from_set(children, "multi-hypothesis")
+        assert report.hypothesis_ids == ("1:0", "1:1", "1:2")
+        assert report.parent_ids == ("0:0",) * 3
+        assert children.round == report.round == 1
 
 
 class TestConsensusMerge:
@@ -167,33 +192,24 @@ class TestConsensusMerge:
 
     def test_identical_posteriors_preserved(self):
         post = (density([1.0], 2.0), density([-1.0], 0.5))
-        hyps = tuple(
-            Hypothesis(id=(1, i), parent_id=(0, 0), round=1,
-                       assignment=Assignment((0, 1)), log_weight=-float(i),
-                       cluster_posteriors=post)
-            for i in range(2))
-        hset = normalized(HypothesisSet(hyps, np.array([0.5, 0.5])))
+        hset = normalized(hypothesis_set(1, [(0, 1)] * 2, [-float(i) for i in range(2)],
+                                         np.array([0.5, 0.5]), [post] * 2))
         merged = consensus_merge(hset)
         assert len(merged) == 1
         for i in range(2):
             np.testing.assert_allclose(
-                merged.hypotheses[0].cluster_posteriors[i].mean, post[i].mean,
+                merged.posteriors[merged.handles[0, i]].mean, post[i].mean,
                 atol=1e-12)
             np.testing.assert_allclose(
-                merged.hypotheses[0].cluster_posteriors[i].covariance,
+                merged.posteriors[merged.handles[0, i]].covariance,
                 post[i].covariance, atol=1e-12)
 
     def test_two_hypothesis_spread(self):
         posts = [(density([-1.0]), density([5.0])),
                  (density([1.0]), density([5.0]))]
-        hyps = tuple(
-            Hypothesis(id=(1, i), parent_id=(0, 0), round=1,
-                       assignment=Assignment((0,)), log_weight=0.0,
-                       cluster_posteriors=posts[i])
-            for i in range(2))
-        hset = HypothesisSet(hyps, np.array([0.5, 0.5]))
+        hset = hypothesis_set(1, [(0,)] * 2, [0.0] * 2, np.array([0.5, 0.5]), posts)
         merged = consensus_merge(hset)
-        c0 = merged.hypotheses[0].cluster_posteriors[0]
+        c0 = merged.posteriors[merged.handles[0, 0]]
         np.testing.assert_allclose(c0.mean, [0.0], atol=1e-12)
         np.testing.assert_allclose(c0.covariance, [[2.0]], atol=1e-12)
 
@@ -202,20 +218,16 @@ class TestConsensusMerge:
         k, m = 3, 4
         posts = [tuple(density(rng.standard_normal(2), float(rng.uniform(0.5, 2)))
                        for _ in range(k)) for _ in range(m)]
-        hyps = tuple(
-            Hypothesis(id=(1, i), parent_id=(0, 0), round=1,
-                       assignment=Assignment((0, 1)),
-                       log_weight=float(rng.normal()),
-                       cluster_posteriors=posts[i])
-            for i in range(m))
-        hset = normalized(HypothesisSet(hyps, np.full(m, 1.0 / m)))
+        hset = normalized(hypothesis_set(1, [(0, 1)] * m,
+                                         [float(rng.normal()) for _ in range(m)],
+                                         np.full(m, 1.0 / m), posts))
         merged = consensus_merge(hset)
         w = hset.normalized_weights
         for i in range(k):
             mean = sum(wi * p[i].mean for wi, p in zip(w, posts))
             second = sum(wi * (p[i].covariance + np.outer(p[i].mean, p[i].mean))
                          for wi, p in zip(w, posts))
-            got = merged.hypotheses[0].cluster_posteriors[i]
+            got = merged.posteriors[merged.handles[0, i]]
             np.testing.assert_allclose(got.mean, mean, atol=1e-10)
             np.testing.assert_allclose(
                 got.covariance + np.outer(got.mean, got.mean), second, atol=1e-10)

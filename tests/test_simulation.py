@@ -30,6 +30,11 @@ def round_config(**kw):
     return RoundConfig(**base)
 
 
+def cluster_posteriors(hset, m):
+    """Row m's posterior per cluster."""
+    return [hset.posteriors[h] for h in hset.handles[m]]
+
+
 class TestConfigValidation:
     def test_conceptual_guard(self):
         with pytest.raises(ContractError):
@@ -59,14 +64,13 @@ class TestConfigValidation:
 class TestInitialize:
     def test_distinct_seeded_means(self):
         state = initialize(round_config(K=3, C=4))
-        means = [h for h in state.hypothesis_set.hypotheses[0].cluster_posteriors]
+        means = [h for h in state.hypothesis_set.posteriors]
         assert len({tuple(m.mean) for m in means}) == 3
 
     def test_same_seed_identical(self):
         a = initialize(round_config())
         b = initialize(round_config())
-        for pa, pb in zip(a.hypothesis_set.hypotheses[0].cluster_posteriors,
-                          b.hypothesis_set.hypotheses[0].cluster_posteriors):
+        for pa, pb in zip(a.hypothesis_set.posteriors, b.hypothesis_set.posteriors):
             assert np.array_equal(pa.mean, pb.mean)
 
     def test_root_weight_is_one(self):
@@ -75,7 +79,7 @@ class TestInitialize:
 
     def test_prior_scale(self):
         state = initialize(round_config())
-        for prior in state.hypothesis_set.hypotheses[0].cluster_posteriors:
+        for prior in state.hypothesis_set.posteriors:
             np.testing.assert_allclose(prior.covariance, 10.0 * np.eye(2))
 
     def test_priors_match_one_draw_per_cluster_on_one_factor(self):
@@ -83,7 +87,7 @@ class TestInitialize:
         # share one factor that equals each covariance's own Cholesky factor
         model = LocalModelSpec("gaussian-mean", feature_dim=3, noise_variance=1.0)
         cfg = round_config(K=5, model=model, prior_sigma2=2.5, seed=11)
-        priors = initialize(cfg).hypothesis_set.hypotheses[0].cluster_posteriors
+        priors = initialize(cfg).hypothesis_set.posteriors
         rng = simulation._rng(cfg.seed, simulation._INIT)
         scale = simulation.MEAN_PERTURB_SCALE * float(np.sqrt(2.5))
         for prior in priors:
@@ -154,10 +158,10 @@ class TestSingleClusterEqualsPooledBayes:
         reps, state = run_training(cfg, scen.rounds, return_state=True)
         assert all(len(rep.assignments) == 1 for rep in reps)
 
-        prior = initialize(cfg).hypothesis_set.hypotheses[0].cluster_posteriors[0]
+        prior = initialize(cfg).hypothesis_set.posteriors[0]
         all_feats = np.vstack([d.features for row in scen.rounds for d in row])
         joint = posterior_update(prior, gaussian_mean_dataset(all_feats), GM2)
-        got = state.hypothesis_set.hypotheses[0].cluster_posteriors[0]
+        got = cluster_posteriors(state.hypothesis_set, 0)[0]
         np.testing.assert_allclose(got.mean, joint.mean, atol=1e-9)
         np.testing.assert_allclose(got.covariance, joint.covariance, atol=1e-9)
 
@@ -225,13 +229,13 @@ class TestWarmUp:
         run_round = simulation.run_round
 
         def first_state(server, *args, **kwargs):
-            starts.append(server.hypothesis_set.hypotheses[0].cluster_posteriors)
+            starts.append(cluster_posteriors(server.hypothesis_set, 0))
             return run_round(server, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "run_round", first_state)
             run_training(cfg, scen.rounds)
-        fallback = initialize(cfg).hypothesis_set.hypotheses[0].cluster_posteriors
+        fallback = initialize(cfg).hypothesis_set.posteriors
         for got, w, prior in zip(starts[0], warmed, fallback, strict=True):
             want = prior if w is None else w
             assert np.array_equal(got.mean, want.mean)
@@ -257,7 +261,7 @@ class TestGreedyDecision:
         _, scen = scenario(T=1)
         cfg = round_config(mode="greedy", m_max=1, T=1)
         state = initialize(cfg)
-        clusters = state.hypothesis_set.hypotheses[0].cluster_posteriors
+        clusters = state.hypothesis_set.posteriors
         clients = list(scen.rounds[0])
         want = tuple(
             int(np.argmax(assoc_log_weight_at_mean(clusters, [d], GM2)[0]))
@@ -275,6 +279,20 @@ class TestAssociationInvariants:
                 for labels in rep.assignments:
                     assert len(labels) == 4
                     assert all(0 <= v < 2 for v in labels)
+
+    @pytest.mark.parametrize("mode", ["multi-hypothesis", "consensus", "greedy"])
+    def test_ids_are_rows_and_parents_are_previous_ids(self, mode):
+        """Round t's ids are "t:0" ... "t:M-1" in row order, and every parent
+        id is one of round t-1's ids ("0:0", the root, in round 1)."""
+        _, scen = scenario(T=3)
+        reps = run_training(round_config(mode=mode, m_max=3, T=3), scen.rounds)
+        previous = ("0:0",)
+        for t, rep in enumerate(reps, start=1):
+            assert rep.hypothesis_ids == tuple(f"{t}:{m}" for m in range(len(rep.weights)))
+            assert set(rep.parent_ids) <= set(previous)
+            previous = rep.hypothesis_ids
+        if mode != "greedy":
+            assert max(len(rep.weights) for rep in reps) > 1
 
     def test_accuracy_metric_present_and_high_on_easy_scenario(self):
         _, scen = scenario(groups=2, cpg=2, sep=10.0, T=3)
@@ -294,8 +312,8 @@ class TestAssociationInvariants:
         naive, s_b = run_training(round_config(T=2, fusion_mode="naive-product"),
                                   scen.rounds, return_state=True)
         assert len(naive) == 2
-        cov_a = s_a.hypothesis_set.hypotheses[0].cluster_posteriors[0].covariance
-        cov_b = s_b.hypothesis_set.hypotheses[0].cluster_posteriors[0].covariance
+        cov_a = cluster_posteriors(s_a.hypothesis_set, 0)[0].covariance
+        cov_b = cluster_posteriors(s_b.hypothesis_set, 0)[0].covariance
         # the naive product over-counts the per-round prior, tightening covariance
         assert np.all(np.diag(cov_b) <= np.diag(cov_a) + 1e-15)
 
@@ -350,9 +368,10 @@ class TestPhaseReuse:
             mp.setattr(simulation, "_update_posteriors", uncached_update_posteriors)
             ref_reports, ref_state = _run(plan)
         assert reports == ref_reports
-        for hyp, ref in zip(state.hypothesis_set.hypotheses,
-                            ref_state.hypothesis_set.hypotheses, strict=True):
-            for got, want in zip(hyp.cluster_posteriors, ref.cluster_posteriors,
+        hset, ref_set = state.hypothesis_set, ref_state.hypothesis_set
+        assert len(hset) == len(ref_set)
+        for m in range(len(hset)):
+            for got, want in zip(cluster_posteriors(hset, m), cluster_posteriors(ref_set, m),
                                  strict=True):
                 assert np.array_equal(got.mean, want.mean)
                 assert np.array_equal(got.covariance, want.covariance)
@@ -387,9 +406,9 @@ class TestPhaseReuse:
 
         def seen_pairs(selected, clients, cfg_):
             pairs = {}
-            for hyp in selected.hypotheses:
-                for i, prior in enumerate(hyp.cluster_posteriors):
-                    for j, lab in enumerate(hyp.assignment.labels):
+            for m, labels in enumerate(selected.labels):
+                for i, prior in enumerate(cluster_posteriors(selected, m)):
+                    for j, lab in enumerate(labels):
                         if lab == i:
                             pairs.setdefault((id(prior), id(clients[j])), None)
             # clients in label order within a cluster, as the update visits them
@@ -421,9 +440,9 @@ class TestPhaseReuse:
         run_round = simulation.run_round
 
         def counted_round(server, *args, **kwargs):
-            hyps = server.hypothesis_set.hypotheses
-            parents.append(len(hyps))
-            distinct.append({id(c) for h in hyps for c in h.cluster_posteriors})
+            hset = server.hypothesis_set
+            parents.append(len(hset))
+            distinct.append({id(hset.posteriors[h]) for h in hset.handles.ravel()})
             return run_round(server, *args, **kwargs)
 
         monkeypatch.setattr(simulation, "run_round", counted_round)

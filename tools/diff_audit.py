@@ -4,14 +4,17 @@ Usage: python tools/diff_audit.py OLD NEW
 
 Runs ``bayescfl run`` from both checkouts (each on its own ``src``) on
 ``configs/{demo,label_skew,tiny}.json``, the three files in
-``perfbench/workloads/`` and three sampled-weight variants, at seeds 1000,
-1001, 2000 and 2001. The variants are written into the temporary directory
-from NEW's config files: ``configs/demo.json`` with ``sampled`` weights of 20
+``perfbench/workloads/`` and six variants, at seeds 1000, 1001, 2000 and
+2001: 48 runs. The variants are written into the temporary directory from
+NEW's config files: ``configs/demo.json`` with ``sampled`` weights of 20
 draws (several parents per round), ``configs/tiny.json`` as ``bayes-linear``
-with ``sampled`` weights, and the logistic-sampled workload as
+with ``sampled`` weights, the logistic-sampled workload as
 ``multi-hypothesis`` with m_max 3 and 20 draws (several parents per round on
-the Laplace path). Both sides read the same config files, so the two
-runs of a pair differ only in the program. For each run it prints whether
+the Laplace path), and one run of each mode that the files above leave out:
+``configs/demo.json`` as ``greedy``, ``configs/label_skew.json`` as
+``consensus`` (conjugate, at-mean) and ``configs/tiny.json`` as
+``conceptual``. Both sides read the same config files, so the two runs of a
+pair differ only in the program. For each run it prints whether
 ``rounds.ndjson`` and ``summary.json`` are byte-identical, whether the
 assignments, hypothesis ids and parent ids are identical in every round, and
 the largest absolute change in weights, log-weights, cluster means,
@@ -40,7 +43,7 @@ CONFIGS = ("configs/demo.json", "configs/label_skew.json", "configs/tiny.json",
            "perfbench/workloads/label_skew.json", "perfbench/workloads/scaled_rank.json",
            "perfbench/workloads/logistic_sampled.json")
 # (base config, name, overrides): sampled weights past the one-parent
-# consensus workload
+# consensus workload, and the modes no config file runs
 VARIANTS = (
     ("configs/demo.json", "demo+sampled",
      {"weight_estimator": "sampled", "weight_samples": 20}),
@@ -48,6 +51,9 @@ VARIANTS = (
      {"model_kind": "bayes-linear", "weight_estimator": "sampled"}),
     ("perfbench/workloads/logistic_sampled.json", "logistic+multi-hypothesis",
      {"mode": "multi-hypothesis", "m_max": 3, "weight_samples": 20}),
+    ("configs/demo.json", "demo+greedy", {"mode": "greedy"}),
+    ("configs/label_skew.json", "label_skew+consensus", {"mode": "consensus"}),
+    ("configs/tiny.json", "tiny+conceptual", {"mode": "conceptual"}),
 )
 SEEDS = (1000, 1001, 2000, 2001)
 OUTPUTS = ("rounds.ndjson", "summary.json")
