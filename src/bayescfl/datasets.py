@@ -8,11 +8,17 @@ ground-truth group label for evaluation.
 
 All randomness flows through per-purpose seed streams mixed with the round and
 client indices, so generation is reproducible and parallelizable by client.
+
+A ``ClientDataset`` is frozen: its arrays are read-only and checked finite
+once, at construction. What the models derive from those arrays alone, such as
+whether every label is 0 or 1 (``binary_labels``), is computed on first read
+and cached on the dataset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +73,12 @@ class ClientDataset:
 
     def is_empty(self) -> bool:
         return self.n_samples == 0
+
+    @cached_property
+    def binary_labels(self) -> bool:
+        """Whether the dataset has labels and every one is 0 or 1. The
+        labels are frozen, so they are scanned once, on first read."""
+        return self.labels is not None and not np.any((self.labels != 0) & (self.labels != 1))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ operation returns a new instance. Covariances are kept as full matrices
 Local updates and fusion work in information form (precision, precision @
 mean), where a product of Gaussians is a sum (Bishop, PRML section 2.3.6).
 ``from_info`` is the one place a pair becomes a density, which keeps that
-pair (the Laplace update, whose Hessians have passed their own Cholesky
-test, enters past that test, building a whole batch in one stacked step);
-a density built from moments inverts its covariance once, when its
-information form is first read.
+pair; a density built from moments inverts its covariance once, when its
+information form is first read. The Laplace update, whose Hessians have
+passed their own Cholesky test, enters past that test and builds a whole
+batch in one stacked step (``_from_tested_infos``): it checks the density
+invariants once over the stack and builds each density from read-only row
+views, without the per-density check of ``GaussianDensity.__post_init__``.
 
 numpy's Cholesky returns a NaN or infinite factor, without raising, for a
 matrix that holds NaN or +-inf. Every Cholesky test here (``_cholesky``)
@@ -135,7 +137,9 @@ class GaussianDensity:
     tolerance, and positive-definite (a Cholesky factorization must succeed).
     That lower factor is kept, read-only, as ``chol``; ``spd_gaussian`` hands
     in the factor it has already computed, so no covariance is factorized
-    twice.
+    twice. ``_from_tested_infos`` checks the same invariants once over a
+    stack (``_check_moments`` and the stacked Cholesky) and builds its
+    densities without calling ``__post_init__``.
     """
 
     mean: np.ndarray
@@ -246,9 +250,13 @@ def _from_tested_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensi
 def _from_tested_infos(precisions: np.ndarray, shifts: np.ndarray) -> list[GaussianDensity]:
     """``_from_tested_info`` of every pair of a stack, precisions (B, d, d) and
     shifts (B, d): one stacked inverse, symmetrize, ``cov @ shift`` and
-    ``spd_cholesky_stack``, each with the bits of its one-pair step, then one
-    ``_factored_gaussian`` per pair. A precision that cannot be inverted
-    raises SingularModelError, as its Hessian's failed test would."""
+    ``spd_cholesky_stack``, each with the bits of its one-pair step.
+    ``GaussianDensity``'s invariants are checked once over the stack
+    (``_check_moments``), and each density is then built from read-only row
+    views of the stacks, with no per-density ``__post_init__``. A precision
+    that cannot be inverted raises SingularModelError, as its Hessian's
+    failed test would."""
+    precisions, shifts = _freeze(precisions), _freeze(shifts)
     try:
         inv = np.linalg.inv(precisions)
     except np.linalg.LinAlgError as exc:
@@ -256,13 +264,38 @@ def _from_tested_infos(precisions: np.ndarray, shifts: np.ndarray) -> list[Gauss
     covs = (inv + inv.transpose(0, 2, 1)) / 2.0
     means = (covs @ shifts[:, :, None])[..., 0]
     covs, chols = spd_cholesky_stack(covs)
+    _check_moments(means, covs)
+    for stack in (means, covs, chols):
+        stack.flags.writeable = False
     out = []
-    for precision, shift, mean, cov, chol in zip(precisions, shifts, means, covs, chols):
-        density = _factored_gaussian(mean, cov, chol)
-        object.__setattr__(density, "precision", _freeze(precision))
-        object.__setattr__(density, "_shift", _freeze(shift))
+    for mean, cov, chol, precision, shift in zip(means, covs, chols, precisions, shifts):
+        density = object.__new__(GaussianDensity)
+        density.__dict__.update(mean=mean, covariance=cov, chol=chol,
+                                precision=precision, _shift=shift)
         out.append(density)
     return out
+
+
+def _check_moments(means: np.ndarray, covs: np.ndarray) -> None:
+    """``GaussianDensity``'s checks of mean and covariance values over stacks
+    (B, d) and (B, d, d) in a few stacked steps: finite means, finite
+    covariances, each symmetric to 1e-12 relative. Raises the ContractError
+    that ``GaussianDensity`` raises for the first density that fails one."""
+    tops = np.abs(covs).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):   # inf - inf where a covariance holds inf
+        asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
+    finite_means = np.isfinite(means).all(axis=1)
+    # NaN fails both comparisons, as in GaussianDensity
+    finite_covs = tops < math.inf
+    ok = finite_means & finite_covs & (asym <= 1e-12 * np.maximum(1.0, tops))
+    if ok.all():
+        return
+    k = int(np.argmin(ok))
+    if not finite_means[k]:
+        raise ContractError("mean must be finite")
+    if not finite_covs[k]:
+        raise ContractError("covariance must be finite")
+    raise ContractError("covariance is not symmetric")
 
 
 def fuse_local_posteriors(locals_: Sequence[GaussianDensity],

@@ -18,7 +18,9 @@ client x cluster table; the kernel still runs once per client, so its
 temporaries stay the size of one client's data. Each row takes
 the same floating-point operations in the same order as a one-row call, so
 the results are bit-identical to scoring the rows one by one. Public entry
-points validate each dataset once; the kernel itself checks nothing.
+points validate each dataset once per call; the kernel itself checks nothing.
+A laplace-logistic check reads the dataset's cached ``binary_labels`` flag,
+so each dataset's labels are scanned for 0/1 once, not on every call.
 
 The logistic likelihood's softplus log(1 + exp(z)) is computed as
 log1p(exp(-|z|)) + max(z, 0) in one buffer, which numpy runs as vector loops
@@ -34,7 +36,8 @@ the conjugate kinds it is ``density.from_info`` on the prior's pair plus the
 data's, so fusion and later rounds only add; for laplace-logistic the pairs
 are the Hessians at the modes and Hessian @ mode, tested by one stacked
 Cholesky in the mode search and built by one stacked
-``density._from_tested_infos``, each with the bits of its one-pair build.
+``density._from_tested_infos``, each with the bits of its one-pair build;
+that step checks the density invariants once over the whole stack.
 
 The Laplace mode search is a damped Newton loop that stops on the Newton
 decrement (Boyd & Vandenberghe, Convex Optimization, section 9.5): once
@@ -101,10 +104,8 @@ def _check_data(data: ClientDataset, spec: LocalModelSpec) -> None:
         return
     if data.labels is None:
         raise ContractError(f"{spec.kind} data needs labels/responses")
-    if spec.kind == "laplace-logistic":
-        y = np.asarray(data.labels)
-        if np.any((y != 0) & (y != 1)):
-            raise ContractError("laplace-logistic labels must be 0 or 1")
+    if spec.kind == "laplace-logistic" and not data.binary_labels:
+        raise ContractError("laplace-logistic labels must be 0 or 1")
 
 
 def _log_likelihoods(omegas: np.ndarray, data: ClientDataset,

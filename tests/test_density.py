@@ -292,15 +292,23 @@ class TestStackedBuild:
             want = density._from_tested_info(precision, shift)
             for name in ("mean", "covariance", "chol", "precision"):
                 assert np.array_equal(getattr(g, name), getattr(want, name)), name
-            assert np.array_equal(g.info_form()[1], want.info_form()[1])
-            assert not g.chol.flags.writeable and not g.precision.flags.writeable
+                assert not getattr(g, name).flags.writeable, name
+            for a, b in zip(g.info_form(), want.info_form()):
+                assert np.array_equal(a, b) and not a.flags.writeable
 
     @given(b=st.integers(1, 8), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
-           scale=st.integers(-3, 6))
-    def test_matches_one_pair_builds(self, b, d, seed, scale):
+           scale=st.integers(-3, 6), jitter_at=st.none() | st.integers(0, 8))
+    def test_matches_one_pair_builds(self, b, d, seed, scale, jitter_at):
+        """Random SPD precision stacks; with jitter_at, one more precision
+        whose covariance needs the jitter (JITTER_PRECISION in its leading
+        block, d >= 2) goes in at that row."""
         rng = np.random.default_rng(seed)
         precisions = 10.0 ** scale * random_precisions(rng, b, d)
-        self.assert_builds_match(precisions, rng.standard_normal((b, d)))
+        if jitter_at is not None and d >= 2:
+            needs_jitter = np.eye(d)
+            needs_jitter[:2, :2] = JITTER_PRECISION
+            precisions = np.insert(precisions, min(jitter_at, b), needs_jitter, axis=0)
+        self.assert_builds_match(precisions, rng.standard_normal((len(precisions), d)))
 
     def test_a_covariance_that_needs_the_jitter(self):
         inv = np.linalg.inv(JITTER_PRECISION)
@@ -330,6 +338,72 @@ class TestStackedBuild:
         stack = np.stack([np.eye(2), bad, np.eye(2)])
         with pytest.raises(ContractError, match="not positive-definite"):
             spd_cholesky_stack(stack)
+
+
+def _bad_moments(case):
+    """A mean and covariance that ``GaussianDensity`` may reject, by name."""
+    mean, cov = np.zeros(2), np.array([[2.0, 0.5], [0.5, 1.0]])
+    what, _, value = case.partition(" ")
+    bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}.get(value)
+    if what == "mean":
+        mean[1] = bad
+    elif what == "diagonal":
+        cov[1, 1] = bad
+    elif what == "off-diagonal":
+        cov[0, 1] = cov[1, 0] = bad
+    elif what == "one-side":
+        cov[1, 0] = bad
+    elif what == "asymmetric":    # value: the asymmetry relative to max(1, max |cov|)
+        cov = 1e3 * cov
+        cov[0, 1] += float(value) * 1e3 * 2.0
+    return mean, cov
+
+
+MOMENT_CASES = [f"{what} {value}" for what in ("mean", "diagonal", "off-diagonal", "one-side")
+                for value in ("nan", "inf", "-inf")] + [
+    "asymmetric 2e-12", "asymmetric 1.1e-12", "asymmetric 0.9e-12", "asymmetric 0", "valid"]
+
+
+class TestStackCheck:
+    """``_check_moments`` rejects, with the same ContractError, exactly the
+    means and covariances that ``GaussianDensity`` rejects, and in a stack it
+    raises the error of the first density that fails."""
+
+    @staticmethod
+    def error_of(build):
+        try:
+            build()
+        except ContractError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("case", MOMENT_CASES)
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_same_verdict_as_gaussian_density(self, case, row):
+        mean, cov = _bad_moments(case)
+        want = self.error_of(lambda: GaussianDensity(mean, cov))
+        assert (want is None) == (case.endswith(("0.9e-12", " 0")) or case == "valid")
+        means = np.zeros((3, 2))
+        covs = np.stack([np.eye(2)] * 3)
+        means[row], covs[row] = mean, cov
+        assert self.error_of(lambda: density._check_moments(means, covs)) == want
+
+    def test_first_failing_density_sets_the_error(self):
+        means, covs = np.zeros((3, 2)), np.stack([np.eye(2)] * 3)
+        covs[1, 0, 1] = 1e-6
+        means[2, 0] = np.nan
+        with pytest.raises(ContractError, match="not symmetric"):
+            density._check_moments(means, covs)
+        with pytest.raises(ContractError, match="mean must be finite"):
+            density._check_moments(means[::-1], covs[::-1])
+
+    def test_a_stacked_build_with_an_infinite_mean(self):
+        shifts = np.array([[0.0, 1.0], [np.inf, 0.0]])
+        with np.errstate(invalid="ignore"):    # inf * 0 in cov @ shift
+            with pytest.raises(ContractError, match="mean must be finite"):
+                density._from_tested_info(np.eye(2), shifts[1])
+            with pytest.raises(ContractError, match="mean must be finite"):
+                density._from_tested_infos(np.stack([np.eye(2)] * 2), shifts)
 
 
 class TestNonFinite:

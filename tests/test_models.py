@@ -1,3 +1,5 @@
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from bayescfl import (ClientDataset, ConfigError, ContractError,
                       GaussianDensity, LocalModelSpec, assoc_log_weight_at_mean,
                       assoc_log_weight_sampled, posterior_update)
 from bayescfl import models
+from bayescfl.cli import cli_run
 from bayescfl.config import plan_from_dict
 from bayescfl.density import SPD_JITTER, spd_cholesky
 from bayescfl.errors import SingularModelError
@@ -27,7 +30,8 @@ def g1(mean, var):
 
 
 GM1 = LocalModelSpec("gaussian-mean", feature_dim=1, noise_variance=1.0)
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+REPO = Path(__file__).resolve().parents[1]
+SRC = str(REPO / "src")
 
 
 class TestSpecValidation:
@@ -161,9 +165,56 @@ class TestLaplaceLogistic:
         np.testing.assert_allclose(post.covariance, cov, rtol=0.25)
 
     def test_bad_labels(self):
+        """Every entry point rejects labels {0, 2}, also on a second call,
+        which reads the dataset's cached flag."""
         spec = LocalModelSpec("laplace-logistic", feature_dim=1)
-        with pytest.raises(ContractError):
-            posterior_update(g1(0, 1), binary_dataset(np.ones((2, 1)), [0, 2]), spec)
+        data = binary_dataset(np.ones((2, 1)), [0, 2])
+        calls = (lambda: posterior_update(g1(0, 1), data, spec),
+                 lambda: assoc_log_weight_at_mean([g1(0, 1)], [data], spec),
+                 lambda: assoc_log_weight_sampled([g1(0, 1)], [data], spec,
+                                                  np.zeros((1, 1, 3, 1))),
+                 lambda: models.data_log_likelihoods(np.zeros((1, 1)), data, spec))
+        for call in calls * 2:
+            with pytest.raises(ContractError, match="labels must be 0 or 1"):
+                call()
+
+
+class TestLabelScan:
+    """A dataset's labels are scanned for 0/1 once, by the first
+    laplace-logistic check that reads ``binary_labels``."""
+
+    def test_once_per_dataset_over_a_run(self, monkeypatch, tmp_path):
+        scanned = []
+        scan = ClientDataset.binary_labels.func
+
+        def counted(data):
+            scanned.append(data)
+            return scan(data)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(ClientDataset, "binary_labels")
+        monkeypatch.setattr(ClientDataset, "binary_labels", prop)
+        raw = json.loads((REPO / "perfbench" / "workloads" / "logistic_sampled.json").read_text())
+        raw.update(T=3, clients_per_group=3, samples_per_round=12, weight_samples=10,
+                   test_samples=20)
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        assert cli_run(["run", "--config", str(tmp_path / "config.json"), "--seed", "7",
+                        "--out", str(tmp_path / "out")]) == 0
+        clients = raw["groups"] * raw["clients_per_group"]
+        # every round's datasets and one held-out set per client, each once
+        assert len({id(data) for data in scanned}) == len(scanned) == (raw["T"] + 1) * clients
+
+    @pytest.mark.parametrize("kind", ["gaussian-mean", "bayes-linear"])
+    def test_conjugate_kinds_never_scan(self, kind):
+        spec = LocalModelSpec(kind, feature_dim=2, noise_variance=1.0)
+        rng = np.random.default_rng(0)
+        data = ClientDataset(0, 0, rng.standard_normal((6, 2)), [0, 1, 2, 0, 1, 2])
+        prior = GaussianDensity(np.zeros(2), np.eye(2))
+        posterior_update(prior, data, spec)
+        assoc_log_weight_at_mean([prior], [data], spec)
+        assoc_log_weight_sampled([prior], [data], spec, np.zeros((1, 1, 3, 2)))
+        models.data_log_likelihoods(np.zeros((1, 2)), data, spec)
+        assert "binary_labels" not in vars(data)
 
 
 class TestAssociationWeights:

@@ -4,24 +4,26 @@ Usage: python tools/diff_audit.py OLD NEW
 
 Runs ``bayescfl run`` from both checkouts (each on its own ``src``) on
 ``configs/{demo,label_skew,tiny}.json``, the three files in
-``perfbench/workloads/`` and six variants, at seeds 1000, 1001, 2000 and
-2001: 48 runs. The variants are written into the temporary directory from
+``perfbench/workloads/`` and seven variants, at seeds 1000, 1001, 2000 and
+2001: 52 runs. The variants are written into the temporary directory from
 NEW's config files: ``configs/demo.json`` with ``sampled`` weights of 20
 draws (several parents per round), ``configs/tiny.json`` as ``bayes-linear``
 with ``sampled`` weights, the logistic-sampled workload as
 ``multi-hypothesis`` with m_max 3 and 20 draws (several parents per round on
-the Laplace path), and one run of each mode that the files above leave out:
-``configs/demo.json`` as ``greedy``, ``configs/label_skew.json`` as
-``consensus`` (conjugate, at-mean) and ``configs/tiny.json`` as
-``conceptual``. Both sides read the same config files, so the two runs of a
-pair differ only in the program. For each run it prints whether
-``rounds.ndjson`` and ``summary.json`` are byte-identical, whether the
-assignments, hypothesis ids and parent ids are identical in every round, and
-the largest absolute change in weights, log-weights, cluster means,
-association accuracy and held-out log-likelihood. A second table gives, per
-config, the mean over its seeds of the final association accuracy and the
-held-out log-likelihood (both from ``summary.json``) on each side, so a
-change that moves report values can quote what it moved.
+the Laplace path), the same workload with one warm-up round, ``at-mean``
+weights and ``multi-hypothesis`` at m_max 3 (the warm-up's batched Laplace
+fits, and at-mean weights on Laplace posteriors), and one run of each mode
+that the files above leave out: ``configs/demo.json`` as ``greedy``,
+``configs/label_skew.json`` as ``consensus`` (conjugate, at-mean) and
+``configs/tiny.json`` as ``conceptual``. Both sides read the same config
+files, so the two runs of a pair differ only in the program. For each run it
+prints whether ``rounds.ndjson`` and ``summary.json`` are byte-identical,
+whether the assignments, hypothesis ids and parent ids are identical in every
+round, and the largest absolute change in weights, log-weights, cluster
+means, association accuracy and held-out log-likelihood. A second table
+gives, per config, the mean over its seeds of the final association accuracy
+and the held-out log-likelihood (both from ``summary.json``) on each side, so
+a change that moves report values can quote what it moved.
 
 Exit code 0 when every run finished on both sides with identical
 assignments and ids (bytes may still differ: read the table), 1 otherwise.
@@ -51,6 +53,9 @@ VARIANTS = (
      {"model_kind": "bayes-linear", "weight_estimator": "sampled"}),
     ("perfbench/workloads/logistic_sampled.json", "logistic+multi-hypothesis",
      {"mode": "multi-hypothesis", "m_max": 3, "weight_samples": 20}),
+    ("perfbench/workloads/logistic_sampled.json", "logistic+warm-up",
+     {"warm_up_rounds": 1, "weight_estimator": "at-mean", "mode": "multi-hypothesis",
+      "m_max": 3}),
     ("configs/demo.json", "demo+greedy", {"mode": "greedy"}),
     ("configs/label_skew.json", "label_skew+consensus", {"mode": "consensus"}),
     ("configs/tiny.json", "tiny+conceptual", {"mode": "conceptual"}),
