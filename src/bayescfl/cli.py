@@ -44,13 +44,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bayescfl", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in ("run", "sweep", "oracle", "export-coassoc"):
+    options = {"--config": {"help": "path to the JSON run configuration"},
+               "--out": {"default": "out", "help": "output directory"},
+               "--seed": {"type": int, "help": "override config seed"},
+               "--mode": {"help": "override config mode"},
+               "--m-max": {"type": int, "help": "override config m_max"}}
+    for name, (_, names) in _COMMANDS.items():    # only the options it reads
         p = sub.add_parser(name)
-        p.add_argument("--config", help="path to the JSON run configuration")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--mode", default=None, help="override config mode")
-        p.add_argument("--m-max", type=int, default=None, help="override config m_max")
+        for option in names:
+            p.add_argument(option, **options[option])
     return parser
 
 
@@ -58,7 +60,8 @@ def _load_plan(args) -> RunPlan:
     if not args.config:
         raise ConfigError("--config is required for this command")
     plan = load_config(args.config)
-    return plan.with_overrides(seed=args.seed, mode=args.mode, m_max=args.m_max)
+    return plan.with_overrides(seed=args.seed, mode=getattr(args, "mode", None),
+                               m_max=getattr(args, "m_max", None))
 
 
 def _execute_run(plan: RunPlan, out_dir: Path) -> dict:
@@ -159,10 +162,10 @@ def _cmd_export_coassoc(args) -> int:
 
 
 _COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
-    "export-coassoc": _cmd_export_coassoc,
+    "run": (_cmd_run, ("--config", "--out", "--seed", "--mode", "--m-max")),
+    "sweep": (_cmd_sweep, ("--config", "--out", "--seed")),
+    "oracle": (_cmd_oracle, ("--config", "--seed")),
+    "export-coassoc": (_cmd_export_coassoc, ("--out",)),
 }
 
 
@@ -173,7 +176,7 @@ def cli_run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,8 +28,8 @@ where ``np.logaddexp(0, z)`` calls libm once per element; the two agree to
 within 3 ulp. The form is elementwise, so rows still match the one-row
 formula bit for bit.
 
-This module draws nothing: a sampled weight call takes the round's standard
-normals as one table from its caller and turns them into draws.
+This module draws nothing: a sampled weight takes client j's draws under
+every cluster from row j of its caller's (C, S, d) table of normals.
 
 Every posterior update ends in an information pair becoming a density. For
 the conjugate kinds it is ``density.from_info`` on the prior's pair plus the
@@ -343,33 +343,33 @@ def assoc_log_weight_sampled(clusters: Sequence[GaussianDensity],
                              clients: Sequence[ClientDataset], spec: LocalModelSpec,
                              normals: np.ndarray) -> np.ndarray:
     """Monte Carlo association weights log mean_l p(D_j | w_l), w_l ~ cluster
-    i, for every client j and cluster i: a C x P table, one row per client
+    u, for every client j and cluster u: a C x U table, one row per client
     and one column per cluster, in order.
 
-    ``normals`` is a (C, P, S, d) table of standard normals, S >= 1: block
-    (j, i) holds the S draws of client j against cluster i, which become
-    ``mean_i + z @ chol_i.T`` in one stacked product. Equal sample weights.
-    Each client's data is checked and scored against its P * S draws in one
-    kernel call, and one ``logsumexp`` reduces all C * P rows, each with the
-    bits of a one-row call.
+    ``normals`` is a (C, S, d) table of standard normals, S >= 1: row j holds
+    client j's S normals z_j, which become the draws ``mean_u + z_j @
+    chol_u.T`` under every cluster u, in one stacked product. Equal sample
+    weights. Each client's data is checked and scored against its U * S
+    draws in one kernel call, and one ``logsumexp`` reduces all C * U rows,
+    each with the bits of a one-row call.
     """
-    c, p, d = len(clients), len(clusters), spec.param_dim
+    c, u, d = len(clients), len(clusters), spec.param_dim
     z = np.asarray(normals, dtype=float)
-    if z.ndim != 4 or z.shape[:2] != (c, p) or z.shape[2] < 1 or z.shape[3] != d:
-        raise ContractError(f"need a {c} x {p} x S x {d} table of standard normals "
+    if z.ndim != 3 or z.shape[0] != c or z.shape[1] < 1 or z.shape[2] != d:
+        raise ContractError(f"need a {c} x S x {d} table of standard normals "
                             f"with S >= 1, got shape {z.shape}")
     for cluster in clusters:
         if cluster.dim != spec.param_dim:
             raise ContractError(
                 f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
-    n_samples = z.shape[2]
-    means = np.array([cluster.mean for cluster in clusters]).reshape(p, 1, d)
-    chols = np.array([cluster.chol for cluster in clusters]).reshape(p, d, d)
-    draws = z @ chols.transpose(0, 2, 1)
+    n_samples = z.shape[1]
+    means = np.array([cluster.mean for cluster in clusters]).reshape(u, 1, d)
+    chols = np.array([cluster.chol for cluster in clusters]).reshape(u, d, d)
+    draws = z[:, None] @ chols.transpose(0, 2, 1)
     draws += means
-    logliks = np.empty((c, p * n_samples))
-    for row, data, omegas in zip(logliks, clients, draws.reshape(c, p * n_samples, d)):
+    logliks = np.empty((c, u * n_samples))
+    for row, data, omegas in zip(logliks, clients, draws.reshape(c, u * n_samples, d)):
         _check_data(data, spec)
         row[:] = _log_likelihoods(omegas, data, spec)
-    return logsumexp(logliks.reshape(c * p, n_samples),
-                     np.full(n_samples, 1.0 / n_samples)).reshape(c, p)
+    return logsumexp(logliks.reshape(c * u, n_samples),
+                     np.full(n_samples, 1.0 / n_samples)).reshape(c, u)

@@ -13,19 +13,20 @@ applies the mode-specific hypothesis reduction:
   conceptual        keep every association (exhaustive oracle; guarded)
 
 A run is deterministic given the config seed: each round's sampled
-association weights take their standard normals from one table, drawn by one
-generator seeded from the run seed and the round index.
+association weights take their standard normals from one (C, S, d) table,
+drawn by one generator seeded from the run seed and the round index. Client
+j's row gives its draws under every posterior, so a weight is a function of
+(posterior, client, round), whichever hypotheses hold that posterior.
 
-Each round computes each distinct local update, fusion and at-mean weight
+Each round computes each distinct local update, fusion and association weight
 once. A hypothesis set holds its cluster posteriors in one table, and each
 hypothesis names its clusters' posteriors by integer handles into it. The
 children of one parent start from the parent's handles and M-best siblings
 differ in a few labels, so most of that work repeats; round-scoped memos
-keyed on handles share it. Phase one is batched: one at-mean call per round
-scores every client against every posterior of the table, and one sampled
-call per round scores every client against the draws of every (hypothesis,
-cluster) pair, made from that round's table of normals. Phase two is batched
-too: one ``posterior_update`` call per round fits the round's distinct
+keyed on handles share it. Phase one is batched: one weight call per round,
+at-mean or sampled, scores every client against every posterior of the
+table, and each hypothesis gathers its columns by its handles. Phase two is
+batched too: one ``posterior_update`` call per round fits the round's distinct
 (handle, client) pairs, and the warm-up fits its clients in one call. The
 same inputs reach the same arithmetic, so the outputs are the bytes the
 per-hypothesis, per-draw and per-pair loops give.
@@ -210,15 +211,11 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
                         cfg: RoundConfig, round_index: int) -> list[np.ndarray]:
     """One C x K log-weight matrix per live hypothesis.
 
-    At-mean weights take one call per round, over all clients and the
-    posteriors of ``hset``'s table; each hypothesis gathers its columns from
-    the C x U table it returns by its handles. Sampled weights take one call
-    per round too, over all clients and every (hypothesis, cluster) pair in
-    ``hset`` order, and are never shared.
-    One generator per round, seeded from (seed, ``_WEIGHTS``, round), fills
-    their (C, P, S, d) table of standard normals in one ``standard_normal``
-    call, so the draws depend only on the seed, the round and the order of
-    ``hset``.
+    Either estimator takes one call per round, over all clients and the
+    posteriors of ``hset``'s table, and each hypothesis gathers its columns
+    of the C x U result by its handles. Sampled weights draw from one
+    (C, S, d) table of normals, seeded from (seed, ``_WEIGHTS``, round), whose
+    row j serves client j under every posterior.
 
     Finite data give finite log weights, so a table entry that is not finite
     comes from overflow in the likelihood: it raises NumericalError before
@@ -226,13 +223,13 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
     """
     est = cfg.weight_estimator
     if est.kind == "at-mean":
-        table = _floored(assoc_log_weight_at_mean(hset.posteriors, clients, cfg.model))
-        return [table.take(row, axis=1) for row in hset.handles]
-    clusters = [hset.posteriors[h] for h in hset.handles.ravel().tolist()]
-    normals = _rng(cfg.seed, _WEIGHTS, round_index).standard_normal(
-        (len(clients), len(clusters), est.n_samples, cfg.model.param_dim))
-    table = _floored(assoc_log_weight_sampled(clusters, clients, cfg.model, normals))
-    return np.split(table, len(hset), axis=1)
+        table = assoc_log_weight_at_mean(hset.posteriors, clients, cfg.model)
+    else:
+        normals = _rng(cfg.seed, _WEIGHTS, round_index).standard_normal(
+            (len(clients), est.n_samples, cfg.model.param_dim))
+        table = assoc_log_weight_sampled(hset.posteriors, clients, cfg.model, normals)
+    table = _floored(table)
+    return [table.take(row, axis=1) for row in hset.handles]
 
 
 def _floored(table: np.ndarray) -> np.ndarray:

@@ -115,37 +115,35 @@ def reference_laplace_logistic_update(prior, data, spec):
 
 
 def reference_assoc_log_weight_sampled(cluster, data, spec, normals) -> float:
-    """One pair's sampled association weight from its (S, d) block of standard
-    normals, with one likelihood call per draw: the loop that the batched
-    ``assoc_log_weight_sampled`` must match exactly for each of its (client,
-    cluster) pairs."""
+    """One pair's sampled association weight from the client's (S, d) block of
+    standard normals, with one likelihood call per draw: the loop that the
+    batched ``assoc_log_weight_sampled`` must match exactly for each of its
+    (client, cluster) pairs."""
     draws = cluster.mean + normals @ cluster.chol.T
     logliks = np.array([reference_data_log_likelihood(w, data, spec) for w in draws])
     return float(logsumexp(logliks, b=np.full(len(draws), 1.0 / len(draws))))
 
 
-def round_normals(cfg, round_index, n_clients, n_pairs):
-    """The round's (C, P, S, d) table of standard normals, drawn as the
-    sampled weights of that round must draw it: one generator seeded from
-    the masked run seed, the weights tag and the round index."""
+def round_normals(cfg, round_index, n_clients):
+    """The round's (C, S, d) table of standard normals, drawn as the sampled
+    weights of that round must draw it: one generator seeded from the masked
+    run seed, the weights tag and the round index."""
     rng = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed & ((1 << 63) - 1), simulation._WEIGHTS, round_index]))
-    return rng.standard_normal((n_clients, n_pairs, cfg.weight_estimator.n_samples,
+    return rng.standard_normal((n_clients, cfg.weight_estimator.n_samples,
                                 cfg.model.param_dim))
 
 
 def uncached_client_log_weights(hset, clients, cfg, round_index):
     """Phase one with one weight call per (hypothesis, client, cluster): the
     loop that the batched ``simulation._client_log_weights`` must match
-    exactly. A sampled weight takes its block of the round's table of
-    normals, whose pair axis runs over (hypothesis, cluster) in order. Calls
-    go through the ``simulation`` namespace, so counters patched there see
-    them."""
+    exactly. A sampled weight takes client j's block of the round's table of
+    normals, whatever the hypothesis and cluster. Calls go through the
+    ``simulation`` namespace, so counters patched there see them."""
     est = cfg.weight_estimator
     if est.kind == "sampled":
-        normals = round_normals(cfg, round_index, len(clients), hset.handles.size)
+        normals = round_normals(cfg, round_index, len(clients))
     mats = []
-    pair = 0
     for handles in hset.handles:
         mat = np.empty((len(clients), len(handles)))
         for j, client in enumerate(clients):
@@ -153,11 +151,9 @@ def uncached_client_log_weights(hset, clients, cfg, round_index):
                 if est.kind == "at-mean":
                     w = simulation.assoc_log_weight_at_mean([cluster], [client], cfg.model)[0, 0]
                 else:
-                    block = normals[j:j + 1, pair + i:pair + i + 1]
                     w = simulation.assoc_log_weight_sampled([cluster], [client], cfg.model,
-                                                            block)[0, 0]
+                                                            normals[j:j + 1])[0, 0]
                 mat[j, i] = max(w, simulation.LOG_WEIGHT_FLOOR)
-        pair += len(handles)
         mats.append(mat)
     return mats
 

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bayescfl.cli import cli_run
 from bayescfl.config import canonical_dict, load_config, plan_from_dict
@@ -100,6 +105,20 @@ class TestRun:
     def test_unknown_flag_exits_one(self, capsys):
         assert cli_run(["run", "--frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "{config}", "--out", "{out}", "--mode", "greedy"],
+        ["sweep", "--config", "{config}", "--out", "{out}", "--m-max", "2"],
+        ["oracle", "--config", "{config}", "--seed", "3", "--out", "{out}"],
+        ["export-coassoc", "--out", "{out}", "--seed", "3"]])
+    def test_subcommands_reject_options_they_do_not_read(self, config_path, tmp_path,
+                                                          capsys, argv):
+        """Each subcommand takes only the options it reads; any other exits 1
+        with a usage error before anything runs, instead of being ignored."""
+        out = tmp_path / "out"
+        assert cli_run([arg.format(config=config_path, out=out) for arg in argv]) == 1
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -261,6 +280,47 @@ class TestOracle:
         assert cli_run(["oracle", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "max weight deviation" in out
+
+    TINY = json.loads((REPO / "configs" / "tiny.json").read_text())
+
+    @staticmethod
+    def _oracle(cfg):
+        """``bayescfl oracle`` on the config dict: its exit code and the
+        weight and posterior-mean deviations it prints."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "oracle.json"
+            path.write_text(json.dumps(cfg))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_run(["oracle", "--config", str(path)])
+        return code, [float(line.rsplit(": ", 1)[1])
+                      for line in out.getvalue().splitlines() if "deviation" in line]
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("separation", [2.0, 1.0, 0.5])
+    def test_sampled_weights_agree_exactly(self, separation, seed):
+        """A sampled weight depends on the posterior, the client and the
+        round, not on the row of its hypothesis, so the conceptual and the
+        full-width runs, which order the same hypotheses differently, give
+        the same weights."""
+        cfg = dict(self.TINY, weight_estimator="sampled", weight_samples=7,
+                   separation=separation, seed=seed)
+        assert self._oracle(cfg) == (0, [0.0, 0.0])
+
+    @given(kind=st.sampled_from(["gaussian-mean", "bayes-linear", "laplace-logistic"]),
+           estimator=st.sampled_from(["at-mean", "sampled"]),
+           separation=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
+           seed=st.integers(-2**64, 2**64))
+    def test_every_kind_and_estimator_agrees(self, kind, estimator, separation, seed):
+        """The oracle passes on tiny instances of each model kind, with either
+        weight estimator; laplace-logistic runs on two-label label-skew data
+        (K = C = T = 2)."""
+        cfg = dict(self.TINY, model_kind=kind, weight_estimator=estimator, weight_samples=7,
+                   separation=separation, seed=seed)
+        if kind == "laplace-logistic":
+            cfg.update(scheme="label-skew", label_count=2)
+        code, devs = self._oracle(cfg)
+        assert code == 0 and len(devs) == 2 and max(devs) < 1e-9
 
 
 class TestExportCoassoc:

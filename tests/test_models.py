@@ -172,7 +172,7 @@ class TestLaplaceLogistic:
         calls = (lambda: posterior_update(g1(0, 1), data, spec),
                  lambda: assoc_log_weight_at_mean([g1(0, 1)], [data], spec),
                  lambda: assoc_log_weight_sampled([g1(0, 1)], [data], spec,
-                                                  np.zeros((1, 1, 3, 1))),
+                                                  np.zeros((1, 3, 1))),
                  lambda: models.data_log_likelihoods(np.zeros((1, 1)), data, spec))
         for call in calls * 2:
             with pytest.raises(ContractError, match="labels must be 0 or 1"):
@@ -212,7 +212,7 @@ class TestLabelScan:
         prior = GaussianDensity(np.zeros(2), np.eye(2))
         posterior_update(prior, data, spec)
         assoc_log_weight_at_mean([prior], [data], spec)
-        assoc_log_weight_sampled([prior], [data], spec, np.zeros((1, 1, 3, 2)))
+        assoc_log_weight_sampled([prior], [data], spec, np.zeros((1, 3, 2)))
         models.data_log_likelihoods(np.zeros((1, 2)), data, spec)
         assert "binary_labels" not in vars(data)
 
@@ -237,14 +237,14 @@ class TestAssociationWeights:
         cluster = GaussianDensity(np.array([0.7]), np.array([[1e-12]]))
         data = gaussian_mean_dataset([0.0, 1.0, 0.5])
         (at_mean,) = assoc_log_weight_at_mean([cluster], [data], GM1)[0]
-        normals = np.random.default_rng(4).standard_normal((1, 1, 1, 1))
+        normals = np.random.default_rng(4).standard_normal((1, 1, 1))
         (sampled,) = assoc_log_weight_sampled([cluster], [data], GM1, normals)[0]
         assert abs(at_mean - sampled) < 1e-6
 
     def test_sampled_deterministic(self):
         cluster = g1(0.0, 2.0)
         data = gaussian_mean_dataset([0.3, -0.2])
-        normals = np.random.default_rng(77).standard_normal((1, 1, 64, 1))
+        normals = np.random.default_rng(77).standard_normal((1, 64, 1))
         a = assoc_log_weight_sampled([cluster], [data], GM1, normals)[0]
         b = assoc_log_weight_sampled([cluster], [data], GM1, normals)[0]
         assert a == b
@@ -258,7 +258,7 @@ class TestAssociationWeights:
         exact = multivariate_normal(
             np.full(5, m0), v * np.eye(5) + s0sq * np.ones((5, 5))).logpdf(y)
         spec = LocalModelSpec("gaussian-mean", feature_dim=1, noise_variance=v)
-        normals = np.random.default_rng(123).standard_normal((1, 1, 10_000, 1))
+        normals = np.random.default_rng(123).standard_normal((1, 10_000, 1))
         (got,) = assoc_log_weight_sampled([g1(m0, s0sq)], [gaussian_mean_dataset(y)],
                                           spec, normals)[0]
         assert abs(got - exact) < np.log(1.02)  # 2% relative on the likelihood
@@ -424,8 +424,8 @@ class TestBatchedLikelihood:
     @given(case=likelihood_cases(),
            seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
     def test_sampled_matches_per_draw_loop(self, case, seeds):
-        """One call over 1-6 clusters gives, pair by pair, the bits of the
-        per-draw loop on that pair's block of the table of normals."""
+        """One call over 1-6 clusters gives, cluster by cluster, the bits of
+        the per-draw loop on the client's block of the table of normals."""
         spec, data, omegas = case
         d = spec.param_dim
         clusters = []
@@ -434,16 +434,16 @@ class TestBatchedLikelihood:
             clusters.append(GaussianDensity(omegas[k % len(omegas)],
                                             low @ low.T + 0.1 * np.eye(d)))
         s = omegas.shape[0]
-        normals = np.random.default_rng(seeds[0]).standard_normal((1, len(seeds), s, d))
-        want = [reference_assoc_log_weight_sampled(c, data, spec, block)
-                for c, block in zip(clusters, normals[0])]
+        normals = np.random.default_rng(seeds[0]).standard_normal((1, s, d))
+        want = [reference_assoc_log_weight_sampled(c, data, spec, normals[0])
+                for c in clusters]
         assert np.array_equal(assoc_log_weight_sampled(clusters, [data], spec, normals)[0],
                               want)
 
     @staticmethod
     def _sampled_reference(clusters, clients, spec, normals):
         return [[reference_assoc_log_weight_sampled(cluster, data, spec, block)
-                 for cluster, block in zip(clusters, row)] for data, row in zip(clients, normals)]
+                 for cluster in clusters] for data, block in zip(clients, normals)]
 
     @given(case=at_mean_rounds(), n_clusters=st.integers(1, 4),
            n_samples=st.sampled_from([1, 2]) | st.integers(1, 12),
@@ -451,8 +451,8 @@ class TestBatchedLikelihood:
     def test_sampled_round_table_matches_per_draw_loop(self, case, n_clusters, n_samples,
                                                        seed):
         """One call over a round of clients of unequal sizes, one of them
-        empty, gives a C x P table whose entry (j, i) is the bits of the
-        per-draw loop for client j and cluster i on block (j, i) of the
+        empty, gives a C x U table whose entry (j, u) is the bits of the
+        per-draw loop for client j and cluster u on block j of the
         normals."""
         spec, clusters, clients = case
         d = spec.param_dim
@@ -460,7 +460,7 @@ class TestBatchedLikelihood:
         low = np.tril(rng.standard_normal((n_clusters, d, d)))
         clusters = [GaussianDensity(c.mean, m @ m.T + 0.1 * np.eye(d))
                     for c, m in zip(clusters, low)]
-        normals = rng.standard_normal((len(clients), len(clusters), n_samples, d))
+        normals = rng.standard_normal((len(clients), n_samples, d))
         got = assoc_log_weight_sampled(clusters, clients, spec, normals)
         assert got.shape == (len(clients), len(clusters))
         assert np.array_equal(got, self._sampled_reference(clusters, clients, spec, normals))
@@ -480,7 +480,7 @@ class TestBatchedLikelihood:
             clients.append(ClientDataset(0, 0, rng.standard_normal((n, 2)), labels))
         clusters = [GaussianDensity(rng.standard_normal(2), (1.0 + i) * np.eye(2))
                     for i in range(n_clusters)]
-        normals = rng.standard_normal((3, n_clusters, n_samples, 2))
+        normals = rng.standard_normal((3, n_samples, 2))
         got = assoc_log_weight_sampled(clusters, clients, spec, normals)
         want = self._sampled_reference(clusters, clients, spec, normals)
         assert np.array_equal(got, want)
@@ -489,11 +489,20 @@ class TestBatchedLikelihood:
     @pytest.mark.parametrize("seeds", [
         (1, 2, 4, 1), (2, 1, 4, 1), (3, 2, 4, 1), (2, 2, 0, 1), (2, 2, 4, 2), (2, 2, 4)])
     def test_sampled_rejects_a_seed_table_that_is_not_c_by_p(self, seeds):
-        """The table of normals must be C x P x S x d with S >= 1: here C = 2,
-        P = 2 and d = 1, and ``seeds`` is a shape that breaks one of these."""
+        """The table of normals must be C x S x d with S >= 1, whatever the
+        number of clusters: here C = 2 and d = 1, and no ``seeds`` shape is
+        such a table (the first five have a cluster axis)."""
         clients = [gaussian_mean_dataset([0.0, 1.0]), gaussian_mean_dataset([2.0])]
         with pytest.raises(ContractError, match="table of standard normals"):
             assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], clients, GM1, np.zeros(seeds))
+
+    @pytest.mark.parametrize("shape", [(1, 4, 1), (3, 4, 1), (2, 0, 1), (2, 4, 2), (2, 4)])
+    def test_sampled_rejects_a_table_that_is_not_c_by_s_by_d(self, shape):
+        """A table of one client too few or too many, of no draws, of the
+        wrong d or without the draw axis is rejected: C = 2 and d = 1."""
+        clients = [gaussian_mean_dataset([0.0, 1.0]), gaussian_mean_dataset([2.0])]
+        with pytest.raises(ContractError, match="table of standard normals"):
+            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], clients, GM1, np.zeros(shape))
 
     def test_softplus_within_4_ulp_of_logaddexp(self):
         rng = np.random.default_rng(12)
@@ -666,6 +675,6 @@ class TestBatchedLikelihood:
                                      [data], GM1)
         with pytest.raises(ContractError):
             assoc_log_weight_sampled([GaussianDensity(np.zeros(2), np.eye(2))], [data],
-                                     GM1, np.zeros((1, 1, 4, 1)))
-        with pytest.raises(ContractError):    # one block of normals per cluster
-            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], [data], GM1, np.zeros((1, 1, 4, 1)))
+                                     GM1, np.zeros((1, 4, 1)))
+        with pytest.raises(ContractError):    # one block of normals per client
+            assoc_log_weight_sampled([g1(0, 1), g1(1, 1)], [data], GM1, np.zeros((2, 4, 1)))

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +358,7 @@ def _run(plan):
 
 
 class TestPhaseReuse:
-    """Each round computes every distinct local update, fusion and at-mean
+    """Each round computes every distinct local update, fusion and association
     weight once; the results must equal the per-hypothesis loops bit for bit."""
 
     @given(plan=tiny_plans())
@@ -459,27 +460,60 @@ class TestPhaseReuse:
 
     def test_sampled_weights_keep_one_stream_each(self, monkeypatch):
         """One sampled call per round, over all the round's clients in order,
-        every (hypothesis, cluster) pair, and the round's one table of
-        normals: C x P x S x d, drawn by the round's own generator."""
+        exactly the round's distinct cluster posteriors, each passed once,
+        and the round's one table of normals: C x S x d, drawn by the round's
+        own generator."""
         _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
         cfg = round_config(K=3, C=6, m_max=6,
                            weight_estimator=WeightEstimator("sampled", n_samples=8))
-        parents = []
+        parents, distinct = [], []
         run_round = simulation.run_round
 
         def counted_round(server, *args, **kwargs):
-            parents.append(len(server.hypothesis_set))
+            hset = server.hypothesis_set
+            parents.append(len(hset))
+            distinct.append({id(hset.posteriors[h]) for h in hset.handles.ravel()})
             return run_round(server, *args, **kwargs)
 
         monkeypatch.setattr(simulation, "run_round", counted_round)
         calls = self._record(monkeypatch, "assoc_log_weight_sampled",
                              lambda clusters, clients, spec, normals:
-                             (len(clusters), tuple(id(d) for d in clients), normals))
+                             (tuple(id(c) for c in clusters), tuple(id(d) for d in clients),
+                              normals))
         run_training(cfg, scen.rounds)
         assert max(parents) > 1
         assert [r for r, _, _ in calls] == list(range(cfg.T))    # one call per round
-        for (t, (n_pairs, clients, normals), _), n_parents, data in zip(
-                calls, parents, scen.rounds, strict=True):
+        for (t, (clusters, clients, normals), _), ids, data in zip(
+                calls, distinct, scen.rounds, strict=True):
             assert clients == tuple(id(d) for d in data)
-            assert n_pairs == n_parents * cfg.K
-            assert np.array_equal(normals, round_normals(cfg, t, cfg.C, n_pairs))
+            assert len(clusters) == len(ids) and set(clusters) == ids
+            assert np.array_equal(normals, round_normals(cfg, t, cfg.C))
+        assert sum(map(len, distinct)) < sum(parents) * cfg.K    # some posteriors were shared
+
+
+class TestWeightsIgnoreSetOrder:
+    @pytest.mark.parametrize("kind", ["at-mean", "sampled"])
+    @given(data=st.data())
+    def test_permuted_rows_and_table_give_the_same_matrices(self, kind, data):
+        """Permuting a set's rows and its posterior table, with the handles
+        remapped, leaves every hypothesis's C x K log-weight matrix the same
+        bits: a weight is a function of (posterior, client, round)."""
+        _, scen = scenario(groups=3, cpg=2, sep=1.0, T=2)
+        cfg = round_config(K=3, C=6, T=2, m_max=6,
+                           weight_estimator=WeightEstimator(kind, n_samples=5))
+        hset = simulation.run_round(simulation.initialize(cfg), scen.rounds[0],
+                                    cfg)[0].hypothesis_set
+        rows = np.array(data.draw(st.permutations(range(len(hset)))))
+        table = np.array(data.draw(st.permutations(range(len(hset.posteriors)))))
+        new_handle = np.argsort(table)    # old handle -> its new position
+        permuted = dataclasses.replace(
+            hset, labels=hset.labels[rows], parents=hset.parents[rows],
+            log_weights=hset.log_weights[rows],
+            normalized_weights=hset.normalized_weights[rows],
+            handles=new_handle[hset.handles[rows]],
+            posteriors=tuple(hset.posteriors[h] for h in table))
+        want = simulation._client_log_weights(hset, scen.rounds[1], cfg, 1)
+        got = simulation._client_log_weights(permuted, scen.rounds[1], cfg, 1)
+        assert len(hset) > 1 and len(hset.posteriors) > cfg.K
+        for row, mat in zip(rows, got, strict=True):
+            assert np.array_equal(mat, want[row])

@@ -15,18 +15,24 @@ weights and ``multi-hypothesis`` at m_max 3 (the warm-up's batched Laplace
 fits, and at-mean weights on Laplace posteriors), and one run of each mode
 that the files above leave out: ``configs/demo.json`` as ``greedy``,
 ``configs/label_skew.json`` as ``consensus`` (conjugate, at-mean) and
-``configs/tiny.json`` as ``conceptual``. Both sides read the same config
-files, so the two runs of a pair differ only in the program. For each run it
-prints whether ``rounds.ndjson`` and ``summary.json`` are byte-identical,
-whether the assignments, hypothesis ids and parent ids are identical in every
-round, and the largest absolute change in weights, log-weights, cluster
-means, association accuracy and held-out log-likelihood. A second table
+``configs/tiny.json`` as ``conceptual``. Then it runs ``bayescfl oracle``
+from both checkouts on ``configs/tiny.json`` and on a ``tiny+sampled``
+variant (7 draws, separation 1), at the same four seeds: 8 oracle runs per
+side. Both sides read the same config files, so the two runs of a pair differ
+only in the program. For each run it prints whether ``rounds.ndjson`` and
+``summary.json`` are byte-identical, whether the assignments, hypothesis ids
+and parent ids are identical in every round, and the largest absolute change
+in weights, log-weights, cluster means, association accuracy and held-out
+log-likelihood. A second table
 gives, per config, the mean over its seeds of the final association accuracy
 and the held-out log-likelihood (both from ``summary.json``) on each side, so
-a change that moves report values can quote what it moved.
+a change that moves report values can quote what it moved. A third table
+gives, per oracle run, each side's maximum weight and posterior-mean
+deviation and its exit code.
 
 Exit code 0 when every run finished on both sides with identical
-assignments and ids (bytes may still differ: read the table), 1 otherwise.
+assignments and ids (bytes may still differ: read the table) and every
+oracle run of NEW exits 0, 1 otherwise.
 Standard library only.
 """
 
@@ -60,21 +66,46 @@ VARIANTS = (
     ("configs/label_skew.json", "label_skew+consensus", {"mode": "consensus"}),
     ("configs/tiny.json", "tiny+conceptual", {"mode": "conceptual"}),
 )
+# ``bayescfl oracle`` runs on configs/tiny.json (at-mean weights) and on this
+# variant: sampled weights, at a separation where they do not saturate
+ORACLE_VARIANT = ("configs/tiny.json", "tiny+sampled",
+                  {"weight_estimator": "sampled", "weight_samples": 7, "separation": 1.0})
 SEEDS = (1000, 1001, 2000, 2001)
 OUTPUTS = ("rounds.ndjson", "summary.json")
 ID_FIELDS = ("assignments", "hypothesis_ids", "parent_ids")
 
 
+def cli(checkout: Path, *args: str) -> subprocess.CompletedProcess:
+    """``bayescfl ARGS`` from checkout's src."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return subprocess.run([sys.executable, "-m", "bayescfl.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
+def write_variant(new: Path, tmp: Path, base: str, name: str, overrides: dict) -> Path:
+    """NEW's config file ``base`` with ``overrides``, written to a file in tmp."""
+    path = tmp / "variants" / f"{name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({**json.loads((new / base).read_text()), **overrides}))
+    return path
+
+
 def run(checkout: Path, config: Path, seed: int, out: Path) -> str | None:
     """``bayescfl run`` from checkout's src; None on success, else the error."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bayescfl.cli", "run", "--config", str(config),
-         "--seed", str(seed), "--out", str(out)],
-        env=env, capture_output=True, text=True)
+    proc = cli(checkout, "run", "--config", str(config), "--seed", str(seed),
+               "--out", str(out))
     if proc.returncode != 0:
         return f"exit {proc.returncode}: {proc.stderr.strip().splitlines()[-1:]}"
     return None
+
+
+def oracle(checkout: Path, config: Path, seed: int) -> tuple[int, str]:
+    """``bayescfl oracle`` from checkout's src: its exit code, and its weight
+    and posterior-mean deviations (or its first line when it printed none)."""
+    proc = cli(checkout, "oracle", "--config", str(config), "--seed", str(seed))
+    lines = proc.stdout.splitlines() or proc.stderr.splitlines() or [""]
+    devs = [line.rsplit(": ", 1)[1] for line in lines if "deviation:" in line]
+    return proc.returncode, " ".join(f"{dev:>9}" for dev in devs) if devs else lines[0]
 
 
 def flat(value) -> list[float]:
@@ -140,12 +171,10 @@ def main(argv=None) -> int:
           f"max |change|: weights log_weights means accuracy heldout_ll")
     with tempfile.TemporaryDirectory(prefix="diff-audit-") as tmp:
         configs = {config: new / config for config in CONFIGS}
-        for base, name, overrides in VARIANTS:
-            path = Path(tmp) / "variants" / f"{name}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps({**json.loads((new / base).read_text()),
-                                        **overrides}))
-            configs[name] = path
+        for variant in VARIANTS:
+            configs[variant[1]] = write_variant(new, Path(tmp), *variant)
+        oracle_configs = {"configs/tiny.json": new / "configs/tiny.json",
+                          ORACLE_VARIANT[1]: write_variant(new, Path(tmp), *ORACLE_VARIANT)}
         for config, path in configs.items():
             for seed in SEEDS:
                 total += 1
@@ -168,6 +197,8 @@ def main(argv=None) -> int:
                       + " ".join(f"{c[k]:.3g}" for k in
                                  ("weights", "log_weights", "means", "accuracy",
                                   "heldout_ll")))
+        oracles = [(config, seed, oracle(old, path, seed), oracle(new, path, seed))
+                   for config, path in oracle_configs.items() for seed in SEEDS]
     print(f"{total} runs: {identical} byte-identical on both files, "
           f"{failures} failed or with differing assignments or ids")
     print(f"\nmeans over seeds{'':26} {'seeds':>5}  {'accuracy old':>12} {'new':>8}  "
@@ -178,6 +209,12 @@ def main(argv=None) -> int:
             for side in (0, 1))
         print(f"{config:42} {len(runs):>5}  {old_acc:12.4f} {new_acc:8.4f}  "
               f"{old_ll:16.4f} {new_ll:12.4f}")
+    print(f"\noracle{'':36} {'seed':>5}  old: weights     means exit  "
+          f"new: weights     means exit")
+    for config, seed, (old_code, old_devs), (new_code, new_devs) in oracles:
+        failures += new_code != 0
+        print(f"{config:42} {seed:>5}  {old_devs:>19} {old_code:>4}  "
+              f"{new_devs:>19} {new_code:>4}")
     return 1 if failures else 0
 
 
