@@ -18,9 +18,7 @@ from .errors import (ConfigError, ContractError, DegenerateHypothesisSetError,
                      FusionDegenerateError, NumericalError, SingularModelError)
 from .hypotheses import (HypothesisSet, consensus_merge, expand, prune_top_m,
                          select_greedy)
-from .metrics import (CoAssociationMatrix, accumulate_coassociation,
-                      association_accuracy, heldout_log_likelihood,
-                      parameter_rmse)
+from .metrics import association_accuracy, heldout_log_likelihood, parameter_rmse
 from .models import (LocalModelSpec, assoc_log_weight_at_mean,
                      assoc_log_weight_sampled, posterior_update)
 from .reports import CommLedger, RoundReport
@@ -41,8 +39,7 @@ __all__ = [
     "FusionDegenerateError", "NumericalError", "SingularModelError",
     "HypothesisSet", "consensus_merge", "expand",
     "prune_top_m", "select_greedy",
-    "CoAssociationMatrix", "accumulate_coassociation", "association_accuracy",
-    "heldout_log_likelihood", "parameter_rmse",
+    "association_accuracy", "heldout_log_likelihood", "parameter_rmse",
     "LocalModelSpec", "assoc_log_weight_at_mean", "assoc_log_weight_sampled",
     "posterior_update",
     "CommLedger", "RoundReport",

@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Subcommands:
-  run             execute a configured training run, write rounds.ndjson and
-                  summary.json into the output directory
-  sweep           grid of runs over the config's sweep.mode x sweep.m_max,
-                  one subdirectory per combination
-  oracle          tiny-instance check: exhaustive conceptual enumeration vs
-                  full-width multi-hypothesis, printing the max deviations
-  export-coassoc  accumulate rounds.ndjson into coassoc.csv
+  run     execute a configured training run, write rounds.ndjson,
+          summary.json and coassoc.csv into the output directory
+  sweep   grid of runs over the config's sweep.mode x sweep.m_max,
+          one subdirectory per combination
+  oracle  tiny-instance check: exhaustive conceptual enumeration vs
+          full-width multi-hypothesis, printing the max deviations
+
+coassoc.csv is the C x C sum over rounds of the exact probability that two
+clients share a cluster; its diagonal is T.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure.
 """
@@ -64,14 +66,22 @@ def _load_plan(args) -> RunPlan:
                                m_max=getattr(args, "m_max", None))
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+
+
 def _execute_run(plan: RunPlan, out_dir: Path) -> dict:
     rc, sc = plan.round_config, plan.skew_config
+    _make_out_dir(out_dir)
     scenario = gen_scenario(sc, rc.T)
     heldout = gen_heldout(sc, plan.test_samples)
-    run_reports = run_training(rc, scenario.rounds,
-                               true_params=scenario.group_params)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run_reports, state = run_training(rc, scenario.rounds,
+                                      true_params=scenario.group_params, return_state=True)
     reports.write_ndjson(run_reports, out_dir / "rounds.ndjson")
+    metrics.coassociation_to_csv(state.coassociation, out_dir / "coassoc.csv")
     final = run_reports[-1]
     summary = {
         "config": canonical_dict(plan),
@@ -100,6 +110,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     plan = _load_plan(args)
     out_root = Path(args.out)
+    _make_out_dir(out_root)
     index = []
     for mode in plan.sweep_modes:
         for m_max in plan.sweep_m_max:
@@ -109,7 +120,6 @@ def _cmd_sweep(args) -> int:
             index.append({"run": name, "mode": mode, "m_max": m_max,
                           "final_metrics": summary["final_metrics"],
                           "heldout_log_likelihood": summary["heldout_log_likelihood"]})
-    out_root.mkdir(parents=True, exist_ok=True)
     reports.write_summary({"runs": index}, out_root / "sweep.json")
     return EXIT_OK
 
@@ -149,23 +159,10 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export_coassoc(args) -> int:
-    out_dir = Path(args.out)
-    log_path = out_dir / "rounds.ndjson"
-    try:
-        run_reports = reports.read_ndjson(log_path)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
-    matrix = metrics.coassociation_from_report_log(run_reports)
-    metrics.coassociation_to_csv(matrix, out_dir / "coassoc.csv")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": (_cmd_run, ("--config", "--out", "--seed", "--mode", "--m-max")),
     "sweep": (_cmd_sweep, ("--config", "--out", "--seed")),
     "oracle": (_cmd_oracle, ("--config", "--seed")),
-    "export-coassoc": (_cmd_export_coassoc, ("--out",)),
 }
 
 

@@ -89,11 +89,18 @@ def _float(raw: dict, key: str, default: float) -> float:
     return _as_float(key, _get(raw, key, default))
 
 
-def _sweep_list(sweep: dict, key: str, default: list) -> list:
+def _sweep_list(sweep: dict, key: str, default: list, convert) -> tuple:
+    """The converted values of the sweep list at key; an empty list, which
+    would run nothing, or a repeated value, which would run twice into one
+    directory, is rejected."""
     value = sweep.get(key, default)
     if not isinstance(value, list):
         raise ConfigError(f"config key 'sweep.{key}' must be a list, got {value!r}")
-    return value
+    values = tuple(convert(v) for v in value)
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"config key 'sweep.{key}' must be a nonempty list without "
+                          f"repeats, got {value!r}")
+    return values
 
 
 def _bool(raw: dict, key: str, default: bool) -> bool:
@@ -181,9 +188,9 @@ def plan_from_dict(raw: dict) -> RunPlan:
         unknown = set(sweep) - {"mode", "m_max"}
         if unknown:
             raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
-        sweep_modes = tuple(str(m) for m in _sweep_list(sweep, "mode", [round_config.mode]))
-        sweep_m_max = tuple(_as_int("sweep.m_max", m)
-                            for m in _sweep_list(sweep, "m_max", [round_config.m_max]))
+        sweep_modes = _sweep_list(sweep, "mode", [round_config.mode], str)
+        sweep_m_max = _sweep_list(sweep, "m_max", [round_config.m_max],
+                                  lambda m: _as_int("sweep.m_max", m))
         test_samples = _int(raw, "test_samples", 500)
         if test_samples < 1:
             raise ConfigError("test_samples must be positive")

@@ -1,14 +1,13 @@
-"""Evaluation: association accuracy, co-association accumulation, parameter
+"""Evaluation: association accuracy, exact co-association, parameter
 recovery error, and held-out likelihood."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .density import logsumexp
 from .errors import ContractError
+from .hypotheses import softmax_weights
 from .models import LocalModelSpec, data_log_likelihoods
 from .reports import RoundReport
 
@@ -92,40 +91,37 @@ def association_accuracy(report: RoundReport, truth) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
-class CoAssociationMatrix:
-    """Accumulated probability that two clients share a cluster."""
+def _association_marginals(weights, log_weight_tables) -> tuple[np.ndarray, np.ndarray]:
+    """Exact marginals over every child of a round's parents, under separable
+    association weights: (parent weights w~ (P,), cluster probabilities
+    pi (P, C, K)).
 
-    entries: np.ndarray
-    rounds_accumulated: int = 0
+    A child of parent p labels each client j with a cluster i_j and weighs
+    w_p prod_j exp(L_p[j, i_j]), for p's C x K log-weight table L_p. Summed
+    over p's K^C children, the labels are independent given p:
+    pi_pj = softmax_i L_p[j, :], and p carries w~ = softmax_p(log w_p +
+    log Z_p), with log Z_p = sum_j logsumexp_i L_p[j, :].
+    """
+    tables = np.asarray(log_weight_tables, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.asarray(weights, dtype=float))
+    row_max = tables.max(axis=2, keepdims=True)
+    e = np.exp(tables - row_max)
+    total = e.sum(axis=2, keepdims=True)
+    log_z = (row_max + np.log(total)).sum(axis=(1, 2))
+    return softmax_weights(log_w + log_z), e / total
 
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ContractError("co-association matrix must be square")
-        if float(np.max(np.abs(entries - entries.T))) > 1e-12:
-            raise ContractError("co-association matrix must be symmetric")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def empty(cls, client_count: int) -> "CoAssociationMatrix":
-        return cls(np.zeros((client_count, client_count)), 0)
-
-
-def accumulate_coassociation(matrix: CoAssociationMatrix,
-                             report: RoundReport) -> CoAssociationMatrix:
-    """Add one round: each hypothesis contributes its weight to every client
-    pair (including self-pairs) that shares a cluster label."""
-    c = matrix.entries.shape[0]
-    out = matrix.entries.copy()
-    for labels, weight in zip(report.assignments, report.weights):
-        if len(labels) != c:
-            raise ContractError("report client count does not match the matrix")
-        lab = np.asarray(labels)
-        same = lab[:, None] == lab[None, :]
-        out += weight * same
-    return CoAssociationMatrix(out, matrix.rounds_accumulated + 1)
+def round_coassociation(weights, log_weight_tables) -> np.ndarray:
+    """The C x C probability that two clients share a cluster, over every
+    child of the round's parents: sum_p w~_p pi_p pi_p^T off the diagonal,
+    1 on it, from one C x K by K x C product per parent. Rounding can carry
+    a sum past 1 by an ulp; it is capped there."""
+    parent_w, pi = _association_marginals(weights, log_weight_tables)
+    out = sum(w_p * (pi_p @ pi_p.T) for w_p, pi_p in zip(parent_w.tolist(), pi))
+    np.minimum(out, 1.0, out=out)
+    np.fill_diagonal(out, 1.0)
+    return out
 
 
 def parameter_rmse(report: RoundReport, true_params) -> float:
@@ -160,17 +156,7 @@ def heldout_log_likelihood(report: RoundReport, test_sets,
     return float(np.mean(per_client))
 
 
-def coassociation_to_csv(matrix: CoAssociationMatrix, path) -> None:
+def coassociation_to_csv(matrix: np.ndarray, path) -> None:
     with open(path, "w") as fh:
-        for row in matrix.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def coassociation_from_report_log(reports: list[RoundReport]) -> CoAssociationMatrix:
-    if not reports:
-        raise ContractError("no reports to accumulate")
-    c = len(reports[0].assignments[0])
-    matrix = CoAssociationMatrix.empty(c)
-    for rep in reports:
-        matrix = accumulate_coassociation(matrix, rep)
-    return matrix
+        for row in matrix.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

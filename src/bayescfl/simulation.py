@@ -30,6 +30,11 @@ batched too: one ``posterior_update`` call per round fits the round's distinct
 (handle, client) pairs, and the warm-up fits its clients in one call. The
 same inputs reach the same arithmetic, so the outputs are the bytes the
 per-hypothesis, per-draw and per-pair loops give.
+
+Each round also adds its co-association to the server state: the exact
+probability that two clients share a cluster, over every child of the
+round's parents rather than only the kept ones, computed from the phase-one
+tables (``metrics.round_coassociation``).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .density import (GaussianDensity, _factored_gaussian, fuse_local_posteriors
 from .errors import ContractError, NumericalError
 from .hypotheses import (Candidates, HypothesisSet, consensus_merge, expand,
                          materialize, prune_top_m, root_set, select_greedy)
-from .metrics import association_accuracy, parameter_rmse
+from .metrics import association_accuracy, parameter_rmse, round_coassociation
 from .models import (LocalModelSpec, assoc_log_weight_at_mean, assoc_log_weight_sampled,
                      posterior_update)
 from .reports import CommLedger, RoundReport, report_from_set
@@ -118,10 +123,12 @@ class RoundConfig:
 
 @dataclass(frozen=True)
 class ServerState:
-    """The live hypotheses (their round is the server's) and the ledger."""
+    """The live hypotheses (their round is the server's), the ledger, and the
+    C x C co-association summed over the rounds so far."""
 
     hypothesis_set: HypothesisSet
     comm: CommLedger
+    coassociation: np.ndarray
 
 
 def initialize(cfg: RoundConfig) -> ServerState:
@@ -133,7 +140,8 @@ def initialize(cfg: RoundConfig) -> ServerState:
     cov, chol = spd_cholesky(cfg.prior_sigma2 * np.eye(dim))
     means = MEAN_PERTURB_SCALE * sigma0 * rng.standard_normal((cfg.K, dim))
     priors = [_factored_gaussian(mean, cov, chol) for mean in means]
-    return ServerState(hypothesis_set=root_set(priors), comm=CommLedger())
+    return ServerState(hypothesis_set=root_set(priors), comm=CommLedger(),
+                       coassociation=np.zeros((cfg.C, cfg.C)))
 
 
 def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -336,7 +344,8 @@ def run_round(server: ServerState, clients: Sequence[ClientDataset],
     report = report_from_set(updated, cfg.mode, comm=comm.snapshot())
     report = dataclasses.replace(
         report, metrics={"association_accuracy": association_accuracy(report, truth)})
-    new_state = ServerState(hypothesis_set=carried, comm=comm)
+    coassociation = server.coassociation + round_coassociation(hset.normalized_weights, mats)
+    new_state = ServerState(hypothesis_set=carried, comm=comm, coassociation=coassociation)
     return new_state, report
 
 

@@ -196,6 +196,38 @@ def reference_association_accuracy(report, truth) -> float:
     return float(total)
 
 
+def reference_kept_set_coassociation(reports) -> np.ndarray:
+    """The co-association of the kept hypotheses, summed over rounds: each
+    report row adds its weight to every client pair, self-pairs included,
+    that shares a cluster label. Equals the exact co-association when every
+    child of every round is kept (full width, or ``conceptual``)."""
+    c = len(reports[0].assignments[0])
+    out = np.zeros((c, c))
+    for rep in reports:
+        for labels, weight in zip(rep.assignments, rep.weights):
+            lab = np.asarray(labels)
+            out += weight * (lab[:, None] == lab[None, :])
+    return out
+
+
+def brute_force_coassociation(weights, tables) -> np.ndarray:
+    """One round's co-association summed over all P * K^C children: child
+    (p, labels) weighs w_p prod_j exp(L_p[j, labels_j])."""
+    w = np.asarray(weights, dtype=float)
+    tables = np.asarray(tables, dtype=float)
+    p_count, c, k = tables.shape
+    log_w, same = [], []
+    for p in range(p_count):
+        if w[p] == 0:
+            continue
+        for labels in itertools.product(range(k), repeat=c):
+            log_w.append(np.log(w[p]) + sum(tables[p, j, lab] for j, lab in enumerate(labels)))
+            lab = np.array(labels)
+            same.append(lab[:, None] == lab[None, :])
+    child_w = np.exp(np.array(log_w) - logsumexp(log_w))
+    return np.einsum("n,nij->ij", child_w, np.array(same, dtype=float))
+
+
 def grid_posterior_moments(prior: GaussianDensity, logliks, lo: float, hi: float,
                            n: int = 801):
     """Posterior mean/covariance by dense grid integration (1-D or 2-D);

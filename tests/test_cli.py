@@ -7,13 +7,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bayescfl.cli import cli_run
 from bayescfl.config import canonical_dict, load_config, plan_from_dict
-from bayescfl.errors import ConfigError
+from bayescfl.errors import ConfigError, ContractError
+from bayescfl.reports import read_ndjson
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -109,8 +111,7 @@ class TestRun:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--config", "{config}", "--out", "{out}", "--mode", "greedy"],
         ["sweep", "--config", "{config}", "--out", "{out}", "--m-max", "2"],
-        ["oracle", "--config", "{config}", "--seed", "3", "--out", "{out}"],
-        ["export-coassoc", "--out", "{out}", "--seed", "3"]])
+        ["oracle", "--config", "{config}", "--seed", "3", "--out", "{out}"]])
     def test_subcommands_reject_options_they_do_not_read(self, config_path, tmp_path,
                                                           capsys, argv):
         """Each subcommand takes only the options it reads; any other exits 1
@@ -119,6 +120,34 @@ class TestRun:
         assert cli_run([arg.format(config=config_path, out=out) for arg in argv]) == 1
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_export_coassoc_is_an_unknown_command(self, tmp_path, capsys):
+        """``run`` writes coassoc.csv itself; the command that rebuilt it from
+        rounds.ndjson is gone and exits 1 as a usage error."""
+        out = tmp_path / "out"
+        assert cli_run(["export-coassoc", "--out", str(out)]) == 1
+        assert "invalid choice: 'export-coassoc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unusable_out_fails_before_training(self, config_path, tmp_path, capsys,
+                                                monkeypatch, command):
+        """An --out that is an existing file exits 1 with one line, before
+        any data are generated or trained on."""
+        import bayescfl.cli as cli_mod
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_mod, "gen_scenario", no_training)
+        monkeypatch.setattr(cli_mod, "run_training", no_training)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert cli_run([command, "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}")
+        assert err.count("\n") == 1
+        assert out.read_text() == "not a directory"
 
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -325,17 +354,23 @@ class TestOracle:
 
 class TestExportCoassoc:
     def test_round_trip_from_run(self, config_path, tmp_path):
+        """``run`` writes coassoc.csv: C rows of C values, symmetric, T on
+        the diagonal (one per round) and [0, T] off it."""
         out = tmp_path / "out"
         assert cli_run(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        assert cli_run(["export-coassoc", "--out", str(out)]) == 0
         rows = (out / "coassoc.csv").read_text().splitlines()
-        assert len(rows) == 4
-        matrix = [[float(v) for v in row.split(",")] for row in rows]
-        for j in range(4):
-            assert abs(matrix[j][j] - 3.0) < 1e-9  # one per round
+        matrix = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert matrix.shape == (4, 4)
+        np.testing.assert_allclose(matrix, matrix.T, rtol=0, atol=1e-12)
+        assert np.all(np.diag(matrix) == 3.0)
+        assert np.all((matrix >= 0) & (matrix <= 3.0))
+
+    # The report log reader: each failure is a ContractError, which the CLI
+    # reports as a one-line config error.
 
     def test_missing_log_is_config_error(self, tmp_path):
-        assert cli_run(["export-coassoc", "--out", str(tmp_path / "void")]) == 1
+        with pytest.raises(ContractError, match="^report log not found: "):
+            read_ndjson(tmp_path / "void" / "rounds.ndjson")
 
     @pytest.mark.parametrize("corrupt, reason", [
         (lambda line: line[:len(line) // 2], "bad JSON"),
@@ -351,29 +386,25 @@ class TestExportCoassoc:
             [True] * len(a) for a in json.loads(line)["assignments"]])), "not a round report"),
         (lambda line: "[1, 2]", "not a round report"),
     ])
-    def test_malformed_line_is_config_error(self, config_path, tmp_path, capsys,
-                                            corrupt, reason):
-        """A bad second line exits 1 with one line naming the file, the line
-        and what is wrong with it, not a traceback."""
+    def test_malformed_line_is_config_error(self, config_path, tmp_path, corrupt, reason):
+        """A bad second line of a run's log raises a one-line ContractError
+        naming the file, the line and what is wrong with it."""
         out = tmp_path / "out"
         assert cli_run(["run", "--config", str(config_path), "--out", str(out)]) == 0
         log = out / "rounds.ndjson"
         lines = log.read_text().splitlines()
         lines[1] = corrupt(lines[1])
         log.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert cli_run(["export-coassoc", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert f"{log} line 2: {reason}" in err
-        assert not (out / "coassoc.csv").exists()
+        with pytest.raises(ContractError) as info:
+            read_ndjson(log)
+        assert str(info.value).startswith(f"{log} line 2: {reason}")
+        assert "\n" not in str(info.value)
 
-    def test_unreadable_log_is_config_error(self, tmp_path, capsys):
+    def test_unreadable_log_is_config_error(self, tmp_path):
         (tmp_path / "rounds.ndjson").mkdir()
-        assert cli_run(["export-coassoc", "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: cannot read report log ")
-        assert err.count("\n") == 1
+        with pytest.raises(ContractError, match="^cannot read report log ") as info:
+            read_ndjson(tmp_path / "rounds.ndjson")
+        assert "\n" not in str(info.value)
 
 
 class TestSweep:
@@ -388,6 +419,23 @@ class TestSweep:
         assert len(index["runs"]) == 4
         assert (out / "greedy-m1" / "rounds.ndjson").exists()
         assert (out / "multi-hypothesis-m2" / "summary.json").exists()
+        assert (out / "multi-hypothesis-m2" / "coassoc.csv").exists()
+
+    @pytest.mark.parametrize("sweep", [{"mode": []}, {"m_max": []},
+                                       {"mode": ["greedy", "greedy"]}, {"m_max": [2, 2]}],
+                             ids=["empty-mode", "empty-m_max", "repeated-mode",
+                                  "repeated-m_max"])
+    def test_empty_or_repeated_list_exits_one(self, tmp_path, capsys, sweep):
+        """An empty list would run nothing and a repeated value would run
+        twice into one directory: both are config errors before any run."""
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, sweep=sweep)))
+        out = tmp_path / "sweep"
+        assert cli_run(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        key = next(iter(sweep))
+        assert (f"config error: config key 'sweep.{key}' must be a nonempty list "
+                "without repeats") in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_runtime_imports_no_scipy(tmp_path):

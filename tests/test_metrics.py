@@ -4,17 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bayescfl import (CoAssociationMatrix, ContractError, LocalModelSpec,
-                      RoundReport, accumulate_coassociation,
-                      association_accuracy, heldout_log_likelihood,
-                      parameter_rmse)
-from bayescfl.metrics import _match_pairs
+from bayescfl import (ContractError, LocalModelSpec, RoundReport, association_accuracy,
+                      heldout_log_likelihood, parameter_rmse)
+from bayescfl.metrics import _association_marginals, _match_pairs, round_coassociation
 from bayescfl.reports import read_ndjson, write_ndjson
-from bayescfl.simulation import MODES
-from helpers import gaussian_mean_dataset, reference_association_accuracy
+from bayescfl.simulation import LOG_WEIGHT_FLOOR, MODES
+from helpers import (brute_force_coassociation, gaussian_mean_dataset,
+                     reference_association_accuracy)
 
 
 def report(assignments, weights, cluster_means=None, round_=1):
@@ -142,39 +141,80 @@ class TestMatchPairs:
             _match_pairs(np.array([[1.0, np.nan], [0.0, 2.0]]), maximize=True)
 
 
+def one_hot_tables(*assignments, k=None):
+    """Per assignment, the C x K log-weight table that puts all of each
+    client's mass on its label: 0 there, the floor elsewhere."""
+    k = k or max(max(a) for a in assignments) + 1
+    tables = np.full((len(assignments), len(assignments[0]), k), LOG_WEIGHT_FLOOR)
+    for table, labels in zip(tables, assignments):
+        table[np.arange(len(labels)), labels] = 0.0
+    return tables
+
+
+@st.composite
+def coassociation_cases(draw):
+    """1-3 parents over 1-4 clients and 1-3 clusters: log weights in
+    [-30, 5] or at the floor, parent weights with zeros among them but not
+    all zero. A row all at the floor gives its parent weight 0, so some
+    parent of positive weight has none: were every parent's mass at the
+    floor, the floor would have clamped away the values that rank them."""
+    p, c, k = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = st.one_of(st.floats(-30.0, 5.0), st.just(LOG_WEIGHT_FLOOR))
+    tables = np.array(draw(st.lists(entry, min_size=p * c * k, max_size=p * c * k)))
+    tables = tables.reshape(p, c, k)
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                        min_size=p, max_size=p).filter(any))
+    floor_free = (tables > LOG_WEIGHT_FLOOR).any(axis=2).all(axis=1)
+    assume(any(w > 0 and free for w, free in zip(raw, floor_free)))
+    return _normalized(raw), tables
+
+
 class TestCoAssociation:
+    """``round_coassociation``: one round's exact same-cluster probability
+    over every child of the parents."""
+
     def test_single_cluster_increments_everything(self):
-        rep = report([(0, 0, 0)], [1.0])
-        out = accumulate_coassociation(CoAssociationMatrix.empty(3), rep)
-        assert np.all(out.entries == 1.0)
-        assert out.rounds_accumulated == 1
+        out = round_coassociation([1.0], np.array([[[-3.0], [0.5], [-1e3]]]))
+        assert np.all(out == 1.0)
 
     def test_block_structure(self):
-        rep = report([(0, 0, 1, 1)], [1.0])
-        out = accumulate_coassociation(CoAssociationMatrix.empty(4), rep)
+        out = round_coassociation([1.0], one_hot_tables((0, 0, 1, 1)))
         want = np.array([[1, 1, 0, 0], [1, 1, 0, 0],
                          [0, 0, 1, 1], [0, 0, 1, 1]], dtype=float)
-        assert np.array_equal(out.entries, want)
+        assert np.array_equal(out, want)
 
     def test_weighted_disagreement(self):
-        rep = report([(0, 0), (0, 1)], [0.75, 0.25])
-        out = accumulate_coassociation(CoAssociationMatrix.empty(2), rep)
-        assert out.entries[0, 1] == 0.75
-        assert out.entries[0, 0] == 1.0
+        out = round_coassociation([0.75, 0.25], one_hot_tables((0, 0), (0, 1)))
+        assert out[0, 1] == 0.75
+        assert out[0, 0] == 1.0
 
     def test_diagonal_equals_rounds_and_bound(self):
         rng = np.random.default_rng(2)
-        matrix = CoAssociationMatrix.empty(5)
-        for t in range(7):
-            w = rng.dirichlet([1, 1])
-            rep = report([tuple(rng.integers(0, 3, size=5)),
-                          tuple(rng.integers(0, 3, size=5))],
-                         list(w), round_=t + 1)
-            matrix = accumulate_coassociation(matrix, rep)
-        np.testing.assert_allclose(np.diag(matrix.entries), 7.0, atol=1e-9)
-        assert matrix.rounds_accumulated == 7
-        assert np.all(matrix.entries <= 7.0 + 1e-9)
-        np.testing.assert_allclose(matrix.entries, matrix.entries.T, atol=1e-12)
+        matrix = np.zeros((5, 5))
+        for _ in range(7):
+            matrix += round_coassociation(rng.dirichlet([1, 1]),
+                                          rng.normal(scale=3.0, size=(2, 5, 3)))
+        assert np.all(np.diag(matrix) == 7.0)
+        assert np.all(matrix <= 7.0)
+        np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
+
+    @given(case=coassociation_cases())
+    def test_matches_enumeration_of_every_child(self, case):
+        weights, tables = case
+        got = round_coassociation(weights, tables)
+        np.testing.assert_allclose(got, brute_force_coassociation(weights, tables),
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 1.0)
+        assert np.all((got >= 0) & (got <= 1))
+
+    @given(case=coassociation_cases())
+    def test_marginals_are_distributions(self, case):
+        weights, tables = case
+        parent_w, pi = _association_marginals(weights, tables)
+        assert abs(parent_w.sum() - 1.0) < 1e-12
+        assert np.all(parent_w[np.asarray(weights) == 0] == 0)
+        np.testing.assert_allclose(pi.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
 class TestParameterRmse:

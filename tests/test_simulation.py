@@ -10,10 +10,10 @@ from bayescfl import (ConfigError, ContractError, GaussianDensity, LocalModelSpe
                       RoundConfig, SkewConfig, WeightEstimator, gen_scenario,
                       initialize, posterior_update, run_training, simulation, warm_up)
 from bayescfl.cli import cli_run
-from bayescfl.config import plan_from_dict
+from bayescfl.config import load_config, plan_from_dict
 from bayescfl.reports import trajectories
-from helpers import (gaussian_mean_dataset, round_normals, uncached_client_log_weights,
-                     uncached_update_posteriors)
+from helpers import (gaussian_mean_dataset, reference_kept_set_coassociation, round_normals,
+                     uncached_client_log_weights, uncached_update_posteriors)
 
 REPO = Path(__file__).resolve().parents[1]
 GM2 = LocalModelSpec("gaussian-mean", feature_dim=2, noise_variance=1.0)
@@ -150,6 +150,21 @@ class TestConceptualOracle:
                 assert abs(rep_a.weights[ia] - rep_b.weights[ib]) < 1e-9
                 np.testing.assert_allclose(rep_a.cluster_means[ia],
                                            rep_b.cluster_means[ib], atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [5, 6, 1000])
+    @pytest.mark.parametrize("mode", ["multi-hypothesis", "conceptual"])
+    def test_coassociation_equals_kept_set_at_full_width(self, mode, seed):
+        """configs/tiny.json keeps every child of every round (its m_max of
+        16 covers the last round's 4 x 2^2 children), so the exact
+        co-association equals the sum over the kept hypotheses."""
+        plan = load_config(REPO / "configs" / "tiny.json").with_overrides(seed=seed, mode=mode)
+        rc = plan.round_config
+        reports, state = run_training(rc, gen_scenario(plan.skew_config, rc.T).rounds,
+                                      return_state=True)
+        assert len(reports[-1].assignments) == 16
+        np.testing.assert_allclose(state.coassociation,
+                                   reference_kept_set_coassociation(reports),
+                                   rtol=0, atol=1e-12)
 
 
 class TestSingleClusterEqualsPooledBayes:

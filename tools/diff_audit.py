@@ -21,9 +21,12 @@ variant (7 draws, separation 1), at the same four seeds: 8 oracle runs per
 side. Both sides read the same config files, so the two runs of a pair differ
 only in the program. For each run it prints whether ``rounds.ndjson`` and
 ``summary.json`` are byte-identical, whether the assignments, hypothesis ids
-and parent ids are identical in every round, and the largest absolute change
+and parent ids are identical in every round, the largest absolute change
 in weights, log-weights, cluster means, association accuracy and held-out
-log-likelihood. A second table
+log-likelihood, and the max and mean absolute change over the off-diagonal
+entries of ``coassoc.csv``, the run's summed co-association. A checkout whose
+``run`` writes no ``coassoc.csv`` gets it from ``bayescfl export-coassoc
+--out`` on the run's directory. A second table
 gives, per config, the mean over its seeds of the final association accuracy
 and the held-out log-likelihood (both from ``summary.json``) on each side, so
 a change that moves report values can quote what it moved. A third table
@@ -108,6 +111,30 @@ def oracle(checkout: Path, config: Path, seed: int) -> tuple[int, str]:
     return proc.returncode, " ".join(f"{dev:>9}" for dev in devs) if devs else lines[0]
 
 
+def ensure_coassoc(checkout: Path, out: Path) -> None:
+    """Give a run directory its coassoc.csv: a checkout whose ``run`` writes
+    none rebuilds it from rounds.ndjson with ``export-coassoc``."""
+    if not (out / "coassoc.csv").exists():
+        cli(checkout, "export-coassoc", "--out", str(out))
+
+
+def coassoc_change(old_dir: Path, new_dir: Path) -> tuple[float, float]:
+    """Max and mean |new - old| over the off-diagonal entries of the two
+    coassoc.csv files; a missing file or a shape mismatch counts as an
+    infinite change."""
+    try:
+        old, new = ([[float(v) for v in line.split(",")]
+                     for line in (d / "coassoc.csv").read_text().splitlines()]
+                    for d in (old_dir, new_dir))
+    except OSError:
+        return math.inf, math.inf
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return math.inf, math.inf
+    deltas = [abs(b - a) for i, (row_a, row_b) in enumerate(zip(old, new))
+              for j, (a, b) in enumerate(zip(row_a, row_b)) if i != j]
+    return max(deltas, default=0.0), sum(deltas) / max(len(deltas), 1)
+
+
 def flat(value) -> list[float]:
     """The numbers of a nested list, in order."""
     if isinstance(value, list):
@@ -155,6 +182,7 @@ def compare(old_dir: Path, new_dir: Path) -> dict:
         "accuracy": change(lambda r: r["metrics"].get("association_accuracy", 0.0)),
         "heldout_ll": max_change([old_sum["heldout_log_likelihood"]],
                                  [new_sum["heldout_log_likelihood"]]),
+        "coassoc": coassoc_change(old_dir, new_dir),
     }
 
 
@@ -168,7 +196,8 @@ def main(argv=None) -> int:
     failures = identical = total = 0
     finals: dict[str, list] = {}
     print(f"{'config':42} {'seed':>5}  rounds  summary  ids   "
-          f"max |change|: weights log_weights means accuracy heldout_ll")
+          f"max |change|: weights log_weights means accuracy heldout_ll  "
+          f"coassoc max mean")
     with tempfile.TemporaryDirectory(prefix="diff-audit-") as tmp:
         configs = {config: new / config for config in CONFIGS}
         for variant in VARIANTS:
@@ -186,6 +215,8 @@ def main(argv=None) -> int:
                     failures += 1
                     print(f"{config:42} {seed:>5}  FAILED {errors}")
                     continue
+                ensure_coassoc(old, out["old"])
+                ensure_coassoc(new, out["new"])
                 c = compare(out["old"], out["new"])
                 finals.setdefault(config, []).append(c["finals"])
                 failures += not c["ids"]
@@ -196,7 +227,8 @@ def main(argv=None) -> int:
                       f"{'same' if c['ids'] else 'DIFF':4}  "
                       + " ".join(f"{c[k]:.3g}" for k in
                                  ("weights", "log_weights", "means", "accuracy",
-                                  "heldout_ll")))
+                                  "heldout_ll"))
+                      + "  " + " ".join(f"{x:.3g}" for x in c["coassoc"]))
         oracles = [(config, seed, oracle(old, path, seed), oracle(new, path, seed))
                    for config, path in oracle_configs.items() for seed in SEEDS]
     print(f"{total} runs: {identical} byte-identical on both files, "
