@@ -255,7 +255,7 @@ class TestConfigTyping:
 
 
 class TestNumericalExit:
-    def test_numerical_failure_maps_to_exit_two(self, config_path, monkeypatch):
+    def test_numerical_failure_maps_to_exit_two(self, config_path, tmp_path, monkeypatch):
         from bayescfl import FusionDegenerateError
         import bayescfl.cli as cli_mod
 
@@ -263,7 +263,7 @@ class TestNumericalExit:
             raise FusionDegenerateError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "run_training", boom)
-        assert cli_run(["run", "--config", str(config_path)]) == 2
+        assert cli_run(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
 
     def test_overflowing_logistic_data_exit_two(self, tmp_path, capsys):
         """Label-skew class means of 1e300 overflow the warm-up's Hessians;
