@@ -9,7 +9,10 @@ handle: children start from their parent's handles, and the round update
 gives one handle to every row whose cluster had the same prior and the same
 members. The set operations here implement the three reduction strategies
 (keep the best, keep M and merge, keep M trajectories) on top of the exact
-M-best ranking.
+M-best ranking: ``expand`` ranks the children of every parent in one
+``m_best_exact`` search per round, over the round's (P, C, K) stack of
+log-weight tables with each parent's log weight as its offset, and returns
+them best first, so selection and pruning take a prefix.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import build_cost_matrix, m_best_exact
+from .assignment import m_best_exact
 from .density import GaussianDensity, logsumexp, merge_mixture
-from .errors import ContractError, DegenerateHypothesisSetError
+from .errors import ContractError, DegenerateHypothesisSetError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,9 @@ class Candidates:
     def __len__(self) -> int:
         return len(self.log_weights)
 
-    def best_first(self, m: int) -> Candidates:
-        """The m best rows, best first: largest log-weight, then parent row,
-        then labels."""
-        keys = list(zip((-self.log_weights).tolist(), self.parents.tolist(),
-                        self.labels.tolist()))
-        rows = sorted(range(len(keys)), key=keys.__getitem__)[:m]
-        return Candidates(self.parents[rows], self.labels[rows], self.log_weights[rows])
+    def first(self, m: int) -> Candidates:
+        """The first m rows."""
+        return Candidates(self.parents[:m], self.labels[:m], self.log_weights[:m])
 
 
 def root_set(cluster_priors: Sequence[GaussianDensity]) -> HypothesisSet:
@@ -89,36 +88,29 @@ def root_set(cluster_priors: Sequence[GaussianDensity]) -> HypothesisSet:
                          tuple(cluster_priors))
 
 
-def expand(hset: HypothesisSet,
-           per_hyp_log_weight_matrices: Sequence[np.ndarray],
-           m_max: int,
+def expand(hset: HypothesisSet, log_weight_tables, m_max: int,
            prune_log_gap: float | None = None) -> Candidates:
-    """Globally best m_max children across all parents.
+    """Globally best m_max children across all parents, best first: largest
+    log-weight, then parent row, then labels.
 
-    Each parent contributes its m_max best assignments (exact ranking of its
-    cost matrix); children score log(parent weight) + sum of per-client log
-    weights. Optional prune_log_gap drops candidates whose log-weight trails
-    the best by more than the gap.
+    ``log_weight_tables`` holds one C x K table of per-client log weights
+    per parent, as a (P, C, K) stack or a sequence of P tables. A child
+    scores log(parent weight) + the sum of its per-client log weights. One
+    ``m_best_exact`` search ranks every parent's children together; optional
+    prune_log_gap drops children whose log-weight trails the best by more
+    than the gap.
     """
     if m_max < 1:
         raise ContractError("m_max must be >= 1")
-    if len(per_hyp_log_weight_matrices) != len(hset):
-        raise ContractError("need one log-weight matrix per hypothesis")
-
+    tables = np.asarray(log_weight_tables, dtype=float)
     k = hset.handles.shape[1]
-    rankings = []
-    for p, mat in enumerate(per_hyp_log_weight_matrices):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[1] != k:
-            raise ContractError(f"matrix for parent {p} must be C x {k}, got {mat.shape}")
-        rankings.append(m_best_exact(build_cost_matrix(mat), m_max))
+    if tables.ndim != 3 or len(tables) != len(hset) or tables.shape[2] != k:
+        raise ContractError(f"need one C x {k} log-weight table per hypothesis, "
+                            f"got shape {tables.shape}")
     with np.errstate(divide="ignore"):
         parent_log_w = np.log(hset.normalized_weights)
-    log_w = np.concatenate([lw - r.costs for lw, r in zip(parent_log_w, rankings)])
-    if prune_log_gap is not None:
-        m_max = min(m_max, int(np.count_nonzero(log_w >= log_w.max() - prune_log_gap)))
-    return Candidates(np.repeat(np.arange(len(rankings)), [len(r) for r in rankings]),
-                      np.concatenate([r.labels for r in rankings]), log_w).best_first(m_max)
+    ranked = m_best_exact(-tables, m_max, parent_log_w, prune_log_gap)
+    return Candidates(ranked.parents, ranked.labels, ranked.log_weights)
 
 
 def softmax_weights(log_weights: Sequence[float]) -> np.ndarray:
@@ -135,22 +127,29 @@ def materialize(candidates: Candidates, parents: HypothesisSet) -> HypothesisSet
     posterior phase."""
     if not len(candidates):
         raise ContractError("no candidates to materialize")
+    weights = softmax_weights(candidates.log_weights)
+    if abs(float(weights.sum()) - 1.0) > 1e-9:
+        raise NumericalError(
+            f"hypothesis log-weights down to {float(np.min(candidates.log_weights)):.3g} carry "
+            "the log-weight floor (-1e12): their softmax does not sum to 1")
     return HypothesisSet(parents.round + 1, candidates.labels, candidates.parents,
-                         candidates.log_weights, softmax_weights(candidates.log_weights),
+                         candidates.log_weights, weights,
                          parents.handles[candidates.parents], parents.posteriors)
 
 
 def select_greedy(candidates: Candidates, parents: HypothesisSet) -> HypothesisSet:
-    """Keep only the single best candidate, with weight exactly 1."""
-    return materialize(candidates.best_first(1), parents)
+    """Keep only the first candidate (the best, as ``expand`` orders them),
+    with weight exactly 1."""
+    return materialize(candidates.first(1), parents)
 
 
 def prune_top_m(candidates: Candidates, parents: HypothesisSet,
                 m_max: int) -> HypothesisSet:
-    """Keep the min(m_max, #candidates) best candidates, renormalized."""
+    """Keep the first min(m_max, #candidates) candidates (the best, as
+    ``expand`` orders them), renormalized."""
     if m_max < 1:
         raise ContractError("m_max must be >= 1")
-    return materialize(candidates.best_first(m_max), parents)
+    return materialize(candidates.first(m_max), parents)
 
 
 def consensus_merge(hset: HypothesisSet) -> HypothesisSet:

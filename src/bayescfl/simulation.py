@@ -216,8 +216,8 @@ def warm_up(clients: Sequence[ClientDataset],
 
 
 def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
-                        cfg: RoundConfig, round_index: int) -> list[np.ndarray]:
-    """One C x K log-weight matrix per live hypothesis.
+                        cfg: RoundConfig, round_index: int) -> np.ndarray:
+    """One C x K log-weight matrix per live hypothesis, as a (P, C, K) stack.
 
     Either estimator takes one call per round, over all clients and the
     posteriors of ``hset``'s table, and each hypothesis gathers its columns
@@ -237,7 +237,7 @@ def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
             (len(clients), est.n_samples, cfg.model.param_dim))
         table = assoc_log_weight_sampled(hset.posteriors, clients, cfg.model, normals)
     table = _floored(table)
-    return [table.take(row, axis=1) for row in hset.handles]
+    return np.ascontiguousarray(table.take(hset.handles, axis=1).transpose(1, 0, 2))
 
 
 def _floored(table: np.ndarray) -> np.ndarray:

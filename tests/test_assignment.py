@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bayescfl import (Assignment, ContractError, CostMatrix, best_assignment,
@@ -257,6 +258,75 @@ class TestMBestProperties:
             assert a == checked and hash(a) == hash(checked)
             assert type(a.labels) is tuple and len(a) == C
             assert all(type(lab) is int and 0 <= lab < K for lab in a.labels)
+
+
+def brute_force_children(entries, offsets, M, log_gap=None):
+    """Every child of every parent as (parent, labels, cost, log-weight), in
+    the order ``m_best_exact`` promises: log-weight descending, then parent
+    row, then labels, with each zero-weight parent's M cheapest children
+    after every finite child, by parent row and then labels; cut to M, then
+    to the children within log_gap of the best."""
+    P, C, K = entries.shape
+    finite, zero = [], []
+    for p in range(P):
+        children = sorted((_total_cost(entries[p], labels), labels)
+                          for labels in itertools.product(range(K), repeat=C))
+        rows = [(p, labels, cost, float(offsets[p] - cost)) for cost, labels in children]
+        if offsets[p] > -math.inf:
+            finite += rows
+        else:
+            zero += sorted(rows[:M], key=lambda row: row[1])
+    finite.sort(key=lambda row: (-row[3], row[0], row[1]))
+    ranked = (finite + zero)[:M]
+    if log_gap is not None:
+        ranked = [row for row in ranked if row[3] >= ranked[0][3] - log_gap]
+    return ranked
+
+
+@st.composite
+def stacked_cost_cases(draw):
+    """Integer costs and offsets on a half-integer grid, so that sums are
+    exact and ties occur within and across parents; some offsets are -inf."""
+    P, C, K = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cells = st.integers(0, 3).map(float)
+    entries = draw(st.lists(st.lists(st.lists(cells, min_size=K, max_size=K),
+                                     min_size=C, max_size=C), min_size=P, max_size=P))
+    offsets = draw(st.lists(st.sampled_from([0.0, -0.5, -1.0, -3.0, -math.inf]),
+                            min_size=P, max_size=P))
+    M = draw(st.integers(1, P * K**C + 2))
+    log_gap = draw(st.none() | st.sampled_from([0.0, 0.5, 2.0]))
+    return np.array(entries), np.array(offsets), M, log_gap
+
+
+class TestMBestAcrossParents:
+    """One search over a (P, C, K) stack of cost tables, each parent at its
+    offset, against brute force over all P * K^C children."""
+
+    @given(stacked_cost_cases())
+    # a zero-weight parent offers its 2 cheapest children, (1, 1) and (0, 1),
+    # in label order
+    @example((np.array([[[3.0, 0.0], [3.0, 0.0]]]), np.array([-math.inf]), 2, None))
+    @example((np.array([[[0.0, 1.0]], [[1.0, 0.0]]]), np.array([0.0, -math.inf]), 4, None))
+    def test_matches_brute_force(self, case):
+        entries, offsets, M, log_gap = case
+        ranked = m_best_exact(entries, M, offsets, log_gap)
+        got = list(zip(ranked.parents.tolist(), map(tuple, ranked.labels.tolist()),
+                       ranked.costs.tolist(), ranked.log_weights.tolist()))
+        assert got == brute_force_children(entries, offsets, M, log_gap)
+
+    def test_one_table_is_one_parent_at_offset_zero(self):
+        rng = np.random.default_rng(5)
+        entries = rng.standard_normal((6, 3))
+        ranked = m_best_exact(CostMatrix(entries), 20)
+        for other in (m_best_exact(entries, 20), m_best_exact(entries[None], 20, np.zeros(1))):
+            for name in ("parents", "labels", "costs", "log_weights"):
+                assert np.array_equal(getattr(ranked, name), getattr(other, name))
+        assert not ranked.parents.any()
+        assert np.array_equal(ranked.log_weights, -ranked.costs)
+
+    def test_rejects_offsets_of_the_wrong_shape(self):
+        with pytest.raises(ContractError):
+            m_best_exact(np.zeros((2, 3, 2)), 4, np.zeros(3))
 
 
 class TestMBestHeuristic:

@@ -5,7 +5,8 @@ refactor that drops one of them, or stops calling it, leaves that layer
 without spans; these tests run the probe on ``configs/tiny.json`` and on a
 shrunk copy of the logistic-sampled workload, and fail then. They read
 ``perfbench/`` and change nothing there. They check no trace coverage: these
-runs train for a few ms, so ``initialize`` dominates them.
+runs train for a few ms, so ``initialize`` dominates them. A last test runs
+``tools/gate_margin.py``, which scores traced reps with ``perfbench/run.py``.
 """
 
 import json
@@ -41,8 +42,11 @@ def test_traced_probe_sees_every_layer(tmp_path):
     assert set(SPANS) <= names, sorted(set(SPANS) - names)
     assert probe["counts"]["density.gaussians_built"] > 0
     # the probe counts len() of m_best_exact's result, expand's result and
-    # the live hypothesis set; tiny.json ranks 4 assignments for each of
-    # 1 + 4 parents, keeps 4 + 16 candidates and runs 1 + 4 live hypotheses
+    # the live hypothesis set; tiny.json (T = 2, K^C = 4, m_max 16) ranks
+    # its 1 and then 4 parents in one m_best_exact call per round, which
+    # returns every child: it ranks and keeps 4 + 16 and runs 1 + 4 live
+    # hypotheses
+    assert sum(span[0] == "assignment.m_best" for span in probe["spans"]) == 2
     assert probe["counts"]["assignment.ranked_items"] == 20
     assert probe["counts"]["hypotheses.kept"] == 20
     assert probe["counts"]["hypotheses.live"] == 5
@@ -55,3 +59,17 @@ def test_traced_probe_sees_the_logistic_sampled_layers(tmp_path):
     config.write_text(json.dumps(raw))
     _, names = traced_probe(tmp_path, config)
     assert set(LOGISTIC_SPANS) <= names, sorted(set(LOGISTIC_SPANS) - names)
+
+
+def test_gate_margin_runs_on_tiny():
+    """``tools/gate_margin.py`` scores traced probe reps with
+    ``perfbench/run.py``'s ``span_layers``; two reps on tiny.json."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "gate_margin.py"), "--reps", "2",
+         "--config", str(ROOT / "configs" / "tiny.json")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("rep ") for line in lines) == 2
+    assert any(line.startswith("uncovered share of run_training: min ") for line in lines)
+    assert sum(" would fail the 1% coverage check" in line for line in lines) == 4

@@ -299,6 +299,20 @@ class TestNumericalExit:
         assert cli_run(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "numerical failure: warm-up: squared distances" in capsys.readouterr().err
 
+    def test_floor_magnitude_log_weights_exit_two(self, tmp_path, capsys):
+        """Group means 1e9 apart leave finite log weights far below the
+        floor, so every child carries -1e12 terms; their softmax cannot sum
+        to 1 at that magnitude. The run fails as a numerical error naming the
+        floor, not as a config error from the hypothesis set's check."""
+        demo = json.loads((REPO / "configs" / "demo.json").read_text())
+        del demo["sweep"]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(dict(demo, separation=1e9)))
+        assert cli_run(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: " in err and "log-weight floor (-1e12)" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestOracle:
     def test_tiny_instance_agrees(self, tmp_path, capsys):

@@ -145,10 +145,14 @@ class TestSelection:
         np.testing.assert_allclose(hset.normalized_weights, [1.0])
 
     def test_greedy_tie_break(self):
-        parents = root_set([density([0.0]), density([1.0])])
-        cands = candidates([(0, (1, 0), -2.0), (0, (0, 1), -2.0)])
-        hset = select_greedy(cands, parents)
-        assert hset.labels.tolist() == [[0, 1]]
+        # four children tie for best: (0, 0) and (0, 1) under either parent of
+        # equal weight; the lower parent row and then the lower labels win
+        parents = dataclasses.replace(make_set([0.0, 0.0], c=2),
+                                      normalized_weights=np.array([0.5, 0.5]))
+        mat = np.array([[0.0, -1.0], [-2.0, -2.0]])
+        hset = select_greedy(expand(parents, [mat, mat], 1), parents)
+        assert hset.parents.tolist() == [0]
+        assert hset.labels.tolist() == [[0, 0]]
 
     def test_prune_keeps_all_when_m_large(self):
         parents = root_set([density([0.0]), density([1.0])])

@@ -4,8 +4,8 @@ Usage: python tools/diff_audit.py OLD NEW
 
 Runs ``bayescfl run`` from both checkouts (each on its own ``src``) on
 ``configs/{demo,label_skew,tiny}.json``, the three files in
-``perfbench/workloads/`` and seven variants, at seeds 1000, 1001, 2000 and
-2001: 52 runs. The variants are written into the temporary directory from
+``perfbench/workloads/`` and eight variants, at seeds 1000, 1001, 2000 and
+2001: 56 runs. The variants are written into the temporary directory from
 NEW's config files: ``configs/demo.json`` with ``sampled`` weights of 20
 draws (several parents per round), ``configs/tiny.json`` as ``bayes-linear``
 with ``sampled`` weights, the logistic-sampled workload as
@@ -15,7 +15,8 @@ weights and ``multi-hypothesis`` at m_max 3 (the warm-up's batched Laplace
 fits, and at-mean weights on Laplace posteriors), and one run of each mode
 that the files above leave out: ``configs/demo.json`` as ``greedy``,
 ``configs/label_skew.json`` as ``consensus`` (conjugate, at-mean) and
-``configs/tiny.json`` as ``conceptual``. Then it runs ``bayescfl oracle``
+``configs/tiny.json`` as ``conceptual``, and ``configs/label_skew.json`` with
+``prune_log_gap`` 5 (no config file sets a gap). Then it runs ``bayescfl oracle``
 from both checkouts on ``configs/tiny.json`` and on a ``tiny+sampled``
 variant (7 draws, separation 1), at the same four seeds: 8 oracle runs per
 side. Both sides read the same config files, so the two runs of a pair differ
@@ -54,7 +55,7 @@ CONFIGS = ("configs/demo.json", "configs/label_skew.json", "configs/tiny.json",
            "perfbench/workloads/label_skew.json", "perfbench/workloads/scaled_rank.json",
            "perfbench/workloads/logistic_sampled.json")
 # (base config, name, overrides): sampled weights past the one-parent
-# consensus workload, and the modes no config file runs
+# consensus workload, the modes no config file runs, and a pruning gap
 VARIANTS = (
     ("configs/demo.json", "demo+sampled",
      {"weight_estimator": "sampled", "weight_samples": 20}),
@@ -68,6 +69,7 @@ VARIANTS = (
     ("configs/demo.json", "demo+greedy", {"mode": "greedy"}),
     ("configs/label_skew.json", "label_skew+consensus", {"mode": "consensus"}),
     ("configs/tiny.json", "tiny+conceptual", {"mode": "conceptual"}),
+    ("configs/label_skew.json", "label_skew+gap", {"prune_log_gap": 5}),
 )
 # ``bayescfl oracle`` runs on configs/tiny.json (at-mean weights) and on this
 # variant: sampled weights, at a separation where they do not saturate
