@@ -6,13 +6,19 @@ operation returns a new instance. Covariances are kept as full matrices
 
 Local updates and fusion work in information form (precision, precision @
 mean), where a product of Gaussians is a sum (Bishop, PRML section 2.3.6).
-``from_info`` is the one place a pair becomes a density, which keeps that
-pair; a density built from moments inverts its covariance once, when its
-information form is first read. The Laplace update, whose Hessians have
-passed their own Cholesky test, enters past that test and builds a whole
-batch in one stacked step (``_from_tested_infos``): it checks the density
-invariants once over the stack and builds each density from read-only row
-views, without the per-density check of ``GaussianDensity.__post_init__``.
+A pair becomes a density in ``from_info``, or a stack of pairs in
+``from_infos``, and the density keeps that pair; a density built from
+moments inverts its covariance once, when its information form is first
+read. Fusion takes a whole round's member lists in one call and builds all
+its densities through ``from_infos``: one stacked symmetrize and Cholesky
+test (FusionDegenerateError), then ``_from_tested_infos``. The Laplace
+update, whose Hessians have passed their own Cholesky test
+(SingularModelError), enters ``_from_tested_infos`` directly. That stacked
+step checks the density invariants once over the stack and builds each
+density from read-only row views, without the per-density check of
+``GaussianDensity.__post_init__``, with the bits of the one-pair build. The
+initial priors, which share one covariance and its factor, are built the
+same way (``_factored_gaussians``).
 
 numpy's Cholesky returns a NaN or infinite factor, without raising, for a
 matrix that holds NaN or +-inf. Every Cholesky test here (``_cholesky``)
@@ -219,18 +225,56 @@ def _factored_gaussian(mean: np.ndarray, cov: np.ndarray,
     return density
 
 
+def _factored_gaussians(means: np.ndarray, cov: np.ndarray,
+                        chol: np.ndarray) -> list[GaussianDensity]:
+    """N(mean, cov) for every row of means (B, d), all on one covariance and
+    its lower Cholesky factor chol: the densities share cov and chol, are
+    checked once by ``_check_moments`` and are built from read-only row
+    views of means, with no per-density ``__post_init__``."""
+    means, cov, chol = _freeze(means), _freeze(cov), _freeze(chol)
+    # ndarray.repeat, not np.broadcast_to: a fresh process's first
+    # broadcast_to call costs ~40 us, all of it before the first round
+    _check_moments(means, cov[None].repeat(len(means), axis=0))
+    return [_unchecked(mean, cov, chol) for mean in means]
+
+
+def _unchecked(mean: np.ndarray, cov: np.ndarray, chol: np.ndarray,
+               **cached) -> GaussianDensity:
+    """A density from read-only arrays that the caller has checked, without
+    ``__post_init__``; ``cached`` fills its cached properties."""
+    density = object.__new__(GaussianDensity)
+    density.__dict__.update(mean=mean, covariance=cov, chol=chol, **cached)
+    return density
+
+
 def from_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
     """Density from information form: covariance = precision^-1, mean = cov @ shift.
 
-    Every fusion and conjugate update ends here, and the density keeps the
-    pair. A precision that fails the Cholesky test, or that passes it but
-    cannot be inverted, raises FusionDegenerateError. The Laplace update
-    tests its Hessians itself (SingularModelError) and goes straight to
-    ``_from_tested_infos``."""
+    Every conjugate update ends here, and the density keeps the pair. A
+    precision that fails the Cholesky test, or that passes it but cannot be
+    inverted, raises FusionDegenerateError. Fusion builds its densities a
+    stack at a time (``from_infos``); the Laplace update tests its Hessians
+    itself (SingularModelError) and goes straight to ``_from_tested_infos``."""
     precision = symmetrize(np.asarray(precision, dtype=float))
     if _cholesky(precision) is None:
         raise FusionDegenerateError("precision matrix is not positive-definite")
     return _from_tested_info(precision, shift)
+
+
+def from_infos(precisions: np.ndarray, shifts: np.ndarray) -> list[GaussianDensity]:
+    """``from_info`` of every pair of a stack, precisions (B, d, d) and shifts
+    (B, d): one stacked symmetrize and Cholesky test, then
+    ``_from_tested_infos``, each density with the bits of its one-pair
+    build. One precision that fails the test raises FusionDegenerateError,
+    as does one that passes it but cannot be inverted."""
+    precisions = np.asarray(precisions, dtype=float)
+    precisions = (precisions + precisions.transpose(0, 2, 1)) / 2.0
+    if _cholesky(precisions) is None:
+        raise FusionDegenerateError("precision matrix is not positive-definite")
+    try:
+        return _from_tested_infos(precisions, shifts)
+    except SingularModelError as exc:    # its inverse's only error
+        raise FusionDegenerateError("precision matrix is singular") from exc
 
 
 def _from_tested_info(precision: np.ndarray, shift: np.ndarray) -> GaussianDensity:
@@ -267,13 +311,8 @@ def _from_tested_infos(precisions: np.ndarray, shifts: np.ndarray) -> list[Gauss
     _check_moments(means, covs)
     for stack in (means, covs, chols):
         stack.flags.writeable = False
-    out = []
-    for mean, cov, chol, precision, shift in zip(means, covs, chols, precisions, shifts):
-        density = object.__new__(GaussianDensity)
-        density.__dict__.update(mean=mean, covariance=cov, chol=chol,
-                                precision=precision, _shift=shift)
-        out.append(density)
-    return out
+    return [_unchecked(mean, cov, chol, precision=precision, _shift=shift)
+            for mean, cov, chol, precision, shift in zip(means, covs, chols, precisions, shifts)]
 
 
 def _check_moments(means: np.ndarray, covs: np.ndarray) -> None:
@@ -298,36 +337,59 @@ def _check_moments(means: np.ndarray, covs: np.ndarray) -> None:
     raise ContractError("covariance is not symmetric")
 
 
-def fuse_local_posteriors(locals_: Sequence[GaussianDensity],
-                          prior: GaussianDensity,
-                          mode: str = "prior-corrected") -> GaussianDensity:
-    """Combine per-client posteriors into one density in information form.
+def fuse_local_posteriors(locals_: Sequence[GaussianDensity] | Sequence[Sequence[GaussianDensity]],
+                          prior: GaussianDensity | Sequence[GaussianDensity],
+                          mode: str = "prior-corrected") -> GaussianDensity | list[GaussianDensity]:
+    """Combine per-client posteriors into one density in information form;
+    or, given a sequence of member lists and an equal-length sequence of
+    priors, the list of each list's fusion with its prior.
 
     naive-product: normalized product of the locals (precisions and
     precision-means add). prior-corrected: additionally removes the n-1
     extra copies of the shared prior so that, for conjugate models, the
     result equals the posterior given the union of all client datasets.
+
+    Each list's pairs are summed in its own order, from zero, then the prior
+    correction is subtracted; one stacked accumulation does this for every
+    list at once, padded with zero pairs, and one ``from_infos`` builds all
+    the densities, so each has the bits of the one-list sum and build. The
+    single form is the sequence form on one list.
     """
-    if not locals_:
+    if isinstance(prior, GaussianDensity):
+        return fuse_local_posteriors([locals_], [prior], mode)[0]
+    groups, priors = [list(members) for members in locals_], list(prior)
+    if len(groups) != len(priors):
+        raise ContractError(f"{len(groups)} member lists but {len(priors)} priors")
+    if not groups:
+        return []
+    if not all(groups):
         raise ContractError("need at least one local posterior")
-    dim = locals_[0].dim
-    if any(g.dim != dim for g in locals_) or prior.dim != dim:
+    dim = priors[0].dim
+    if (any(g.dim != dim for members in groups for g in members)
+            or any(p.dim != dim for p in priors)):
         raise ContractError("all densities must share the same dimension")
     if mode not in ("naive-product", "prior-corrected"):
         raise ContractError(f"unknown fusion mode {mode!r}")
 
-    precision = np.zeros((dim, dim))
-    shift = np.zeros(dim)
-    for g in locals_:
-        lam, eta = g.info_form()
-        precision += lam
-        shift += eta
+    # np.array, not np.stack: the same copy, at half the per-array cost
+    counts = np.array([len(members) for members in groups])
+    pairs = [g.info_form() for members in groups for g in members]
+    lams = np.array([np.zeros((dim, dim))] + [lam for lam, _ in pairs])
+    etas = np.array([np.zeros(dim)] + [eta for _, eta in pairs])
+    # list k's members are rows starts[k] + 1 .. starts[k] + counts[k]; its
+    # column 0 and the columns past its end read the zero pair at row 0
+    col = np.arange(counts.max() + 1)
+    starts = np.cumsum(counts) - counts
+    index = np.where((col >= 1) & (col <= counts[:, None]), starts[:, None] + col, 0)
+    # a sum from zero is never -0.0, so adding the zero padding keeps its bits
+    precisions = np.add.accumulate(lams[index], axis=1)[:, -1]
+    shifts = np.add.accumulate(etas[index], axis=1)[:, -1]
     if mode == "prior-corrected":
-        lam0, eta0 = prior.info_form()
-        n_extra = len(locals_) - 1
-        precision -= n_extra * lam0
-        shift -= n_extra * eta0
-    return from_info(precision, shift)
+        n_extra = counts - 1
+        prior_pairs = [p.info_form() for p in priors]
+        precisions -= n_extra[:, None, None] * np.array([lam0 for lam0, _ in prior_pairs])
+        shifts -= n_extra[:, None] * np.array([eta0 for _, eta0 in prior_pairs])
+    return from_infos(precisions, shifts)
 
 
 def merge_mixture(weights: Sequence[float],

@@ -1,5 +1,11 @@
 """Evaluation: association accuracy, exact co-association, parameter
-recovery error, and held-out likelihood."""
+recovery error, and held-out likelihood.
+
+The held-out likelihood scores every client's test set against its assigned
+cluster mean under every hypothesis in stacked kernel calls, chunks of
+clients of one size at a time (``models.data_log_likelihoods``), and reduces
+all clients with one 2-D ``logsumexp``; each client's value keeps the bits
+of the one-client loop."""
 
 from __future__ import annotations
 
@@ -145,15 +151,22 @@ def parameter_rmse(report: RoundReport, true_params) -> float:
 
 def heldout_log_likelihood(report: RoundReport, test_sets,
                            spec: LocalModelSpec) -> float:
-    """Client-mean of log sum_h w_h p(D_test | assigned cluster mean of h)."""
+    """Client-mean of log sum_h w_h p(D_test | assigned cluster mean of h).
+
+    Every client's assigned means are gathered from one (H, K, d) array, the
+    test sets are scored against them by size in stacked kernel calls
+    (``data_log_likelihoods``), and one 2-D ``logsumexp`` reduces all
+    clients; each client's value is the bits of its one-client call.
+    """
     log_w = np.log(np.maximum(np.asarray(report.weights, dtype=float), 1e-300))
-    per_client = []
-    for j, data in enumerate(test_sets):
-        means = [means_h[labels[j]]
-                 for means_h, labels in zip(report.cluster_means, report.assignments,
-                                            strict=True)]
-        per_client.append(logsumexp(log_w + data_log_likelihoods(means, data, spec)))
-    return float(np.mean(per_client))
+    test_sets = list(test_sets)
+    means = np.asarray(report.cluster_means, dtype=float)
+    labels = np.asarray(report.assignments, dtype=int)
+    if len(means) != len(labels) or labels.shape[1] != len(test_sets):
+        raise ContractError("need one row of cluster means per hypothesis and one test "
+                            "set per client")
+    rows = means[np.arange(len(means)), labels.T]    # (C, H, d): client j's means
+    return float(np.mean(logsumexp(log_w + data_log_likelihoods(rows, test_sets, spec))))
 
 
 def coassociation_to_csv(matrix: np.ndarray, path) -> None:

@@ -9,16 +9,20 @@ Three model kinds:
                    inverse Hessian at the mode).
 
 Every likelihood goes through one batched kernel, ``_log_likelihoods``, which
-scores S parameter rows against one dataset in a single call: one client
-against the Monte Carlo draws of every cluster of a sampled weight call,
-every cluster mean against one client of an at-mean call, every hypothesis's
-mean in the held-out metric, and (one row at a time) the Newton objective.
-Both association-weight calls take a whole round of clients and return a
-client x cluster table; the kernel still runs once per client, so its
-temporaries stay the size of one client's data. Each row takes
-the same floating-point operations in the same order as a one-row call, so
-the results are bit-identical to scoring the rows one by one. Public entry
-points validate each dataset once per call; the kernel itself checks nothing.
+scores parameter rows against a stack of B equal-size datasets in a single
+call, the rows shared (S, d) or one block per dataset (B, S, d). Both
+association-weight calls take a whole round of clients and return a client x
+cluster table. An at-mean call groups its clients by size and scores each
+chunk of clients against every cluster mean in one call, as many clients as
+keep the call's temporaries near 256 KB (KERNEL_ENTRIES); the held-out
+metric does the same with each client's own block of assigned means. A sampled call scores one
+client at a time against the Monte Carlo draws of every cluster: stacking
+its clients' draws made larger temporaries and ran slower. The Newton
+objective scores each problem's one row through the logistic part of the
+kernel. Every entry takes the same floating-point operations in the same
+order as a one-dataset, one-row call, so the results are bit-identical to
+scoring them one by one. Public entry points validate each dataset once per
+call; the kernel itself checks nothing.
 A laplace-logistic check reads the dataset's cached ``binary_labels`` flag,
 so each dataset's labels are scanned for 0/1 once, not on every call.
 
@@ -71,6 +75,12 @@ NEWTON_DECREMENT_TOL = 1e-10
 
 KINDS = ("gaussian-mean", "bayes-linear", "laplace-logistic")
 
+# entries (datasets x rows x samples x features) per stacked kernel call:
+# its largest temporary stays at 256 KB. The held-out metric's 500-sample
+# test sets then go two at a time, and peak memory stays within ~0.5 MB of
+# scoring one dataset per call; a 2**16 budget ran at-mean weights no faster.
+KERNEL_ENTRIES = 2**15
+
 
 @dataclass(frozen=True)
 class LocalModelSpec:
@@ -108,41 +118,73 @@ def _check_data(data: ClientDataset, spec: LocalModelSpec) -> None:
         raise ContractError("laplace-logistic labels must be 0 or 1")
 
 
-def _log_likelihoods(omegas: np.ndarray, data: ClientDataset,
+def _log_likelihoods(omegas: np.ndarray, data: ClientDataset | Sequence[ClientDataset],
                      spec: LocalModelSpec) -> np.ndarray:
-    """log p(D | omega_s) for every row of omegas (S, d), unchecked.
+    """log p(D | omega_s) for every row of omegas (S, d), unchecked. Given a
+    sequence of B datasets of one size, the (B, S) table of every dataset
+    against rows shared, omegas (S, d), or per dataset, (B, S, d), in one
+    stacked call. The single form is the sequence form on one dataset.
 
-    ``x @ omegas[:, :, None]`` is a stacked matmul that runs one gemv per
-    row, as ``x @ omega`` does for one row; ``omegas @ x.T`` would be a gemm,
-    which rounds differently. Sums run along contiguous rows, as in the
-    one-row form, so every row's result is the same bits.
+    ``x @ omegas[..., None]`` is a stacked matmul that runs one gemv per
+    (dataset, row) pair, as ``x @ omega`` does for one of each; ``omegas @
+    x.T`` would be a gemm, which rounds differently. Sums run along
+    contiguous rows, as in the one-row form, so every entry is the bits of a
+    one-dataset, one-row call.
     """
-    s = omegas.shape[0]
-    if data.is_empty():
-        return np.zeros(s)   # log of an empty product
-    n = data.n_samples
-    x = data.features
+    if isinstance(data, ClientDataset):
+        return _log_likelihoods(omegas, [data], spec)[0]
+    b, n, s = len(data), data[0].n_samples, omegas.shape[-2]
+    if n == 0:
+        return np.zeros((b, s))   # log of an empty product
+    # (B, 1, n, d): one block of features per dataset, broadcast over its
+    # rows; np.array makes np.stack's copy at a third of its cost
+    x = data[0].features[None, None] if b == 1 else np.array([d.features for d in data])[:, None]
     if spec.kind == "gaussian-mean":
         v = spec.noise_variance
-        sq = ((x[None] - omegas[:, None, :]) ** 2).reshape(s, -1).sum(axis=1)
+        diff = x - omegas[..., None, :]
+        np.square(diff, out=diff)    # what ``** 2`` runs, without a second buffer
+        sq = diff.reshape(b, s, -1).sum(axis=2)
         return -0.5 * (n * spec.feature_dim * np.log(2.0 * np.pi * v) + sq / v)
-    y = np.asarray(data.labels, dtype=float)
+    y = np.array([np.asarray(d.labels, dtype=float) for d in data])[:, None]
     if spec.kind == "laplace-logistic":
         return _logistic_log_likelihoods(x, y, omegas)
     v = spec.noise_variance
-    resid = y - (x @ omegas[:, :, None])[..., 0]
-    sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+    resid = y - (x @ omegas[..., None])[..., 0]
+    sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
     return -0.5 * (n * np.log(2.0 * np.pi * v) + sq / v)
+
+
+def _log_likelihood_table(omegas: np.ndarray, datasets: Sequence[ClientDataset],
+                          spec: LocalModelSpec) -> np.ndarray:
+    """``_log_likelihoods`` of datasets of any sizes against rows shared
+    (S, d) or per dataset (C, S, d): a C x S table, unchecked. The datasets
+    are grouped by size in first-seen order, and each group is scored in
+    chunks of as many datasets as fit KERNEL_ENTRIES (at least one), one
+    kernel call per chunk."""
+    by_size: dict[int, list[int]] = {}
+    for k, data in enumerate(datasets):
+        by_size.setdefault(data.n_samples, []).append(k)
+    s = omegas.shape[-2]
+    table = np.empty((len(datasets), s))
+    for n, ks in by_size.items():
+        per_call = max(1, KERNEL_ENTRIES // (s * max(n, 1) * omegas.shape[-1]))
+        for start in range(0, len(ks), per_call):
+            chunk = ks[start:start + per_call]
+            rows = omegas if omegas.ndim == 2 else omegas[chunk]
+            table[chunk] = _log_likelihoods(rows, [datasets[k] for k in chunk], spec)
+    return table
 
 
 def _logistic_log_likelihoods(x, y, omegas):
     """sum_i [y_i z_i - log(1 + exp(z_i))], z = x @ omega, for every row of
-    omegas (S, d): against one dataset (x (n, d), y (n,)) or, row by row,
-    against a stack of S datasets of one size (x (S, n, d), y (S, n))."""
-    z = (x @ omegas[:, :, None])[..., 0]
+    omegas (..., S, d) against the datasets x (..., n, d), y (..., n) that
+    broadcast against them: one dataset against S rows, a stack of S datasets
+    of one size row by row (x (S, n, d), y (S, n), omegas (S, d)), or a stack
+    of B datasets against S rows each (x (B, 1, n, d), y (B, 1, n))."""
+    z = (x @ omegas[..., None])[..., 0]
     u = y * z
     u -= _softplus(z)
-    return np.sum(u, axis=1)
+    return np.sum(u, axis=-1)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -156,15 +198,26 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def data_log_likelihoods(omegas: np.ndarray, data: ClientDataset,
+def data_log_likelihoods(omegas: np.ndarray,
+                         data: ClientDataset | Sequence[ClientDataset],
                          spec: LocalModelSpec) -> np.ndarray:
     """log p(D | omega_s) for each row of omegas (S, d); zeros for an empty
-    dataset."""
+    dataset. Given a sequence of C datasets, of any sizes, the C x S table of
+    every dataset against rows shared (S, d) or per dataset (C, S, d), each
+    entry the bits of its one-dataset call."""
     omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim != 2 or omegas.shape[1] != spec.param_dim:
-        raise ContractError(f"parameters must have shape (S, {spec.param_dim})")
-    _check_data(data, spec)
-    return _log_likelihoods(omegas, data, spec)
+    if isinstance(data, ClientDataset):
+        if omegas.ndim != 2 or omegas.shape[1] != spec.param_dim:
+            raise ContractError(f"parameters must have shape (S, {spec.param_dim})")
+        return data_log_likelihoods(omegas, [data], spec)[0]
+    datasets = list(data)
+    if (omegas.ndim not in (2, 3) or omegas.shape[-1] != spec.param_dim
+            or (omegas.ndim == 3 and len(omegas) != len(datasets))):
+        raise ContractError(f"parameters must have shape (S, {spec.param_dim}) or "
+                            f"({len(datasets)}, S, {spec.param_dim})")
+    for data_i in datasets:
+        _check_data(data_i, spec)
+    return _log_likelihood_table(omegas, datasets, spec)
 
 
 def _conjugate_data_info(data, spec):
@@ -324,19 +377,18 @@ def assoc_log_weight_at_mean(clusters: Sequence[GaussianDensity],
     cluster's expected parameter value: a C x U table, one row per client and
     one column per cluster, in order.
 
-    The clusters are checked and their means stacked once per call; each
-    client's data is checked and scored against all means in one kernel call.
+    The clusters are checked and their means stacked once per call, and
+    every client's data once; the clients are then scored by size in chunks
+    that fit KERNEL_ENTRIES, each chunk against all means in one kernel call.
     """
     for cluster in clusters:
         if cluster.dim != spec.param_dim:
             raise ContractError(
                 f"cluster dim {cluster.dim} != parameter dim {spec.param_dim}")
     means = np.array([c.mean for c in clusters]).reshape(len(clusters), spec.param_dim)
-    table = np.empty((len(clients), len(clusters)))
-    for row, data in zip(table, clients):
+    for data in clients:
         _check_data(data, spec)
-        row[:] = _log_likelihoods(means, data, spec)
-    return table
+    return _log_likelihood_table(means, clients, spec)
 
 
 def assoc_log_weight_sampled(clusters: Sequence[GaussianDensity],

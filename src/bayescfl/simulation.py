@@ -27,9 +27,11 @@ keyed on handles share it. Phase one is batched: one weight call per round,
 at-mean or sampled, scores every client against every posterior of the
 table, and each hypothesis gathers its columns by its handles. Phase two is
 batched too: one ``posterior_update`` call per round fits the round's distinct
-(handle, client) pairs, and the warm-up fits its clients in one call. The
-same inputs reach the same arithmetic, so the outputs are the bytes the
-per-hypothesis, per-draw and per-pair loops give.
+(handle, client) pairs, and one ``fuse_local_posteriors`` call fuses its
+distinct nonempty (handle, member tuple) keys; the warm-up fits its clients
+in one call and fuses its groups in another. The same inputs reach the same
+arithmetic, so the outputs are the bytes the per-hypothesis, per-draw,
+per-pair and per-fusion loops give.
 
 Each round also adds its co-association to the server state: the exact
 probability that two clients share a cluster, over every child of the
@@ -40,6 +42,7 @@ tables (``metrics.round_coassociation``).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,8 +50,7 @@ import numpy as np
 
 from .assignment import count_hypotheses_constrained, enumerate_assignments
 from .datasets import ClientDataset, _rng
-from .density import (GaussianDensity, _factored_gaussian, fuse_local_posteriors,
-                      spd_cholesky)
+from .density import GaussianDensity, _factored_gaussians, fuse_local_posteriors
 from .errors import ContractError, NumericalError
 from .hypotheses import (Candidates, HypothesisSet, consensus_merge, expand,
                          materialize, prune_top_m, root_set, select_greedy)
@@ -113,8 +115,10 @@ class RoundConfig:
         # NaN fails the comparison too
         if self.prune_log_gap is not None and not self.prune_log_gap >= 0:
             raise ContractError("prune_log_gap must be >= 0")
-        if self.prior_sigma2 <= 0:
-            raise ContractError("prior_sigma2 must be positive")
+        # NaN fails the comparison too; the prior's closed-form factor needs
+        # a finite variance
+        if not 0 < self.prior_sigma2 < math.inf:
+            raise ContractError("prior_sigma2 must be positive and finite")
         if self.mode == "conceptual":
             if count_hypotheses_constrained(self.K, self.C) ** self.T > CONCEPTUAL_GUARD:
                 raise ContractError(
@@ -131,15 +135,26 @@ class ServerState:
     coassociation: np.ndarray
 
 
-def initialize(cfg: RoundConfig) -> ServerState:
+def initialize(cfg: RoundConfig,
+               warmed: Sequence[GaussianDensity | None] = ()) -> ServerState:
     """Fresh server: K broad priors with seeded mean perturbations to break
-    cluster symmetry, one root hypothesis of weight 1."""
+    cluster symmetry, one root hypothesis of weight 1. A warmed prior given
+    for a cluster (not None) takes the place of its broad one.
+
+    The K broad priors share one covariance, sigma^2 I, and its factor in
+    closed form, sigma I: the bits of LAPACK's Cholesky factor of sigma^2 I.
+    They are built in one stacked, once-checked step
+    (``density._factored_gaussians``).
+    """
     dim = cfg.model.param_dim
     sigma0 = float(np.sqrt(cfg.prior_sigma2))
     rng = _rng(cfg.seed, _INIT)
-    cov, chol = spd_cholesky(cfg.prior_sigma2 * np.eye(dim))
     means = MEAN_PERTURB_SCALE * sigma0 * rng.standard_normal((cfg.K, dim))
-    priors = [_factored_gaussian(mean, cov, chol) for mean in means]
+    eye = np.eye(dim)
+    priors = _factored_gaussians(means, cfg.prior_sigma2 * eye, sigma0 * eye)
+    for i, prior in enumerate(warmed):
+        if prior is not None:
+            priors[i] = prior
     return ServerState(hypothesis_set=root_set(priors), comm=CommLedger(),
                        coassociation=np.zeros((cfg.C, cfg.C)))
 
@@ -191,7 +206,8 @@ def warm_up(clients: Sequence[ClientDataset],
     on how many identical members a group happens to have, and the product of
     identical locals keeps their common mean exactly. A group that ends up
     empty (only possible with fewer clients than clusters) gives None, and
-    run_training keeps that cluster's initialize() prior.
+    run_training keeps that cluster's initialize() prior. The nonempty groups
+    are fused in one ``fuse_local_posteriors`` call.
 
     k-means only measures squared distances between these means and convex
     combinations of them, so when the pairwise squared distances are finite
@@ -211,8 +227,9 @@ def warm_up(clients: Sequence[ClientDataset],
                              "posterior means are not finite: the data overflow k-means")
     labels = _kmeans_labels(means, cfg.K, _rng(cfg.seed, _WARMUP))
     groups = [[g for g, lab in zip(locals_, labels) if lab == i] for i in range(cfg.K)]
-    return [fuse_local_posteriors(members, flat, "naive-product") if members else None
-            for members in groups]
+    nonempty = [members for members in groups if members]
+    fused = iter(fuse_local_posteriors(nonempty, [flat] * len(nonempty), "naive-product"))
+    return [next(fused) if members else None for members in groups]
 
 
 def _client_log_weights(hset: HypothesisSet, clients: Sequence[ClientDataset],
@@ -271,7 +288,8 @@ def _update_posteriors(selected: HypothesisSet, clients: Sequence[ClientDataset]
     The round's distinct (handle, client) pairs are collected in first-seen
     order and updated in one ``posterior_update`` call; each fusion is then
     computed once per (handle, member tuple), so siblings share one
-    posterior. The result's table holds each distinct (handle, member tuple)
+    posterior, and the round's fusions take one ``fuse_local_posteriors``
+    call. The result's table holds each distinct (handle, member tuple)
     once, in first-seen order; a cluster with no members keeps its
     posterior.
     """
@@ -290,16 +308,17 @@ def _update_posteriors(selected: HypothesisSet, clients: Sequence[ClientDataset]
                                              [clients[j] for _, j in pairs], cfg.model)))
 
     new_handle: dict[tuple[int, tuple[int, ...]], int] = {}
-    new_posts, flat_handles = [], []
+    flat_handles = []
     for handles, groups in zip(handle_rows, member_lists):
         for key in zip(handles, groups):
-            if key not in new_handle:
-                h, members = key
-                new_handle[key] = len(new_posts)
-                new_posts.append(fuse_local_posteriors([local[h, j] for j in members],
-                                                       posts[h], cfg.fusion_mode)
-                                 if members else posts[h])
-            flat_handles.append(new_handle[key])
+            flat_handles.append(new_handle.setdefault(key, len(new_handle)))
+    new_posts = [posts[h] for h, _ in new_handle]
+    fused_at = [k for k, (_, members) in enumerate(new_handle) if members]
+    fused = fuse_local_posteriors(
+        [[local[h, j] for j in members] for h, members in new_handle if members],
+        [posts[h] for h, members in new_handle if members], cfg.fusion_mode)
+    for k, posterior in zip(fused_at, fused):
+        new_posts[k] = posterior
     return dataclasses.replace(selected,
                                handles=np.reshape(flat_handles, selected.handles.shape),
                                posteriors=tuple(new_posts))
@@ -362,13 +381,8 @@ def run_training(cfg: RoundConfig, data, true_params=None,
         if len(r) != cfg.C:
             raise ContractError(f"each round needs {cfg.C} client datasets")
 
-    state = initialize(cfg)
-    if cfg.warm_up_rounds >= 1:
-        root = state.hypothesis_set
-        warmed = tuple(w if w is not None else prior
-                       for w, prior in zip(warm_up(rounds[0], cfg), root.posteriors))
-        state = dataclasses.replace(
-            state, hypothesis_set=dataclasses.replace(root, posteriors=warmed))
+    # the warmed priors go into the one root set that initialize builds
+    state = initialize(cfg, warm_up(rounds[0], cfg) if cfg.warm_up_rounds >= 1 else ())
 
     reports = []
     for t in range(cfg.T):

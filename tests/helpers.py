@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 from bayescfl import Assignment, ClientDataset, CostMatrix, GaussianDensity
 from bayescfl import models, simulation
 from bayescfl.assignment import _total_cost
-from bayescfl.density import symmetrize
+from bayescfl.density import from_info, symmetrize
 from bayescfl.metrics import _match_pairs
 
 
@@ -179,6 +179,23 @@ def uncached_update_posteriors(selected, clients, cfg):
     return dataclasses.replace(
         selected, handles=np.arange(selected.handles.size).reshape(selected.handles.shape),
         posteriors=tuple(p for per_cluster in new_lists for p in per_cluster))
+
+
+def reference_fusion(locals_, prior, mode) -> GaussianDensity:
+    """One list's fusion as a sum from zero, one member pair at a time, then
+    the prior correction and one ``from_info``: the one-list arithmetic that
+    every density of a batched ``fuse_local_posteriors`` must match bit for
+    bit."""
+    precision, shift = np.zeros((prior.dim, prior.dim)), np.zeros(prior.dim)
+    for g in locals_:
+        lam, eta = g.info_form()
+        precision += lam
+        shift += eta
+    if mode == "prior-corrected":
+        lam0, eta0 = prior.info_form()
+        precision -= (len(locals_) - 1) * lam0
+        shift -= (len(locals_) - 1) * eta0
+    return from_info(precision, shift)
 
 
 def reference_association_accuracy(report, truth) -> float:

@@ -63,13 +63,17 @@ def test_traced_probe_sees_the_logistic_sampled_layers(tmp_path):
 
 def test_gate_margin_runs_on_tiny():
     """``tools/gate_margin.py`` scores traced probe reps with
-    ``perfbench/run.py``'s ``span_layers``; two reps on tiny.json."""
+    ``perfbench/run.py``'s ``span_layers``; two reps each on two configs,
+    one block per config, in the order given."""
+    configs = [ROOT / "configs" / "tiny.json", ROOT / "configs" / "demo.json"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "gate_margin.py"), "--reps", "2",
-         "--config", str(ROOT / "configs" / "tiny.json")],
-        capture_output=True, text=True, timeout=120)
+         "--config", str(configs[0]), "--config", str(configs[1])],
+        capture_output=True, text=True, timeout=240)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert sum(line.startswith("rep ") for line in lines) == 2
-    assert any(line.startswith("uncovered share of run_training: min ") for line in lines)
-    assert sum(" would fail the 1% coverage check" in line for line in lines) == 4
+    assert sum(line.startswith("rep ") for line in lines) == 4
+    heads = [line for line in lines if line.startswith("2 of 2 traced reps of ")]
+    assert [head.split()[6] for head in heads] == [str(c) for c in configs]
+    assert sum(line.startswith("uncovered share of run_training: min ") for line in lines) == 2
+    assert sum(" would fail the 1% coverage check" in line for line in lines) == 8

@@ -11,7 +11,7 @@ from bayescfl.density import (SPD_JITTER, from_info, logsumexp, spd_cholesky,
                               spd_cholesky_stack, spd_gaussian)
 from bayescfl.errors import SingularModelError
 from bayescfl.simulation import LOG_WEIGHT_FLOOR
-from helpers import gaussian_mean_dataset, regression_dataset
+from helpers import gaussian_mean_dataset, reference_fusion, regression_dataset
 
 
 def g1(mean, var):
@@ -180,7 +180,7 @@ class TestFusion:
 
     def test_fusing_local_updates_inverts_nothing(self, monkeypatch):
         # local posteriors keep their information pair, so fusion only adds;
-        # the one inverse left is from_info's, which turns the sum into moments
+        # the one inverse left is from_infos', which turns the sums into moments
         rng = np.random.default_rng(19)
         spec = LocalModelSpec("gaussian-mean", feature_dim=2, noise_variance=0.7)
         prior = random_density(rng, 2)
@@ -194,12 +194,12 @@ class TestFusion:
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
-        monkeypatch.setattr(density, "from_info", lambda *pair: fused.append(pair))
+        monkeypatch.setattr(density, "from_infos", lambda *pair: fused.append(pair) or [None])
         fuse_local_posteriors(locs, prior, "naive-product")
         assert not inverted
-        lam, eta = fused[0]
-        assert np.array_equal(lam, sum(g.info_form()[0] for g in locs))
-        assert np.array_equal(eta, sum(g.info_form()[1] for g in locs))
+        (lams, etas), = fused
+        assert np.array_equal(lams, [sum(g.info_form()[0] for g in locs)])
+        assert np.array_equal(etas, [sum(g.info_form()[1] for g in locs)])
 
     @given(case=fusion_cases())
     def test_prior_corrected_equals_union_update(self, case):
@@ -236,6 +236,82 @@ class TestFusion:
             fuse_local_posteriors([g1(0, 1)],
                                   GaussianDensity(np.zeros(2), np.eye(2)),
                                   "naive-product")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def fusion_batches(draw):
+    """1-8 member lists of 1-12 conjugate-style locals each (a prior's pair
+    plus a random PSD data pair, at scales 1e-2 to 1e2), all of one dim 1-4,
+    with each list's own prior."""
+    d, lists = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups, priors = [], []
+    for _ in range(lists):
+        prior = random_density(rng, d)
+        lam0, eta0 = prior.info_form()
+        members = []
+        for _ in range(int(rng.integers(1, 13))):
+            x = 10.0 ** float(rng.integers(-2, 3)) * rng.standard_normal((3, d))
+            members.append(from_info(lam0 + x.T @ x, eta0 + rng.standard_normal(d)))
+        groups.append(members)
+        priors.append(prior)
+    return groups, priors
+
+
+class TestBatchedFusion:
+    """A batch of member lists gives each list the bits of its one-list sum
+    and build, and raises what one of its lists raises alone."""
+
+    @given(case=fusion_batches(), mode=st.sampled_from(["naive-product", "prior-corrected"]))
+    def test_matches_one_list_calls(self, case, mode):
+        groups, priors = case
+        got = fuse_local_posteriors(groups, priors, mode)
+        assert len(got) == len(groups)
+        for g, members, prior in zip(got, groups, priors):
+            for want in (reference_fusion(members, prior, mode),
+                         fuse_local_posteriors(members, prior, mode)):
+                for name in ("mean", "covariance", "chol"):
+                    assert same_bits(getattr(g, name), getattr(want, name)), name
+                    assert not getattr(g, name).flags.writeable, name
+                for a, b in zip(g.info_form(), want.info_form()):
+                    assert same_bits(a, b) and not a.flags.writeable
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_non_pd_list_anywhere_raises_its_one_list_error(self, at):
+        # locals much tighter than they should be given a huge prior precision
+        tight, sharp_prior = g1(0.0, 1e-6), g1(0.0, 1e-9)
+        with pytest.raises(FusionDegenerateError) as alone:
+            reference_fusion([tight] * 3, sharp_prior, "prior-corrected")
+        groups = [[g1(0.0, 1.0), g1(1.0, 2.0)] for _ in range(3)]
+        priors = [g1(0.0, 10.0)] * 3
+        groups[at], priors[at] = [tight] * 3, sharp_prior
+        with pytest.raises(FusionDegenerateError) as batch:
+            fuse_local_posteriors(groups, priors, "prior-corrected")
+        assert str(batch.value) == str(alone.value) == "precision matrix is not positive-definite"
+
+    def test_a_precision_that_cannot_be_inverted(self):
+        """A stacked build raises FusionDegenerateError, not the Laplace
+        path's SingularModelError, for the precision of
+        ``TestNonFinite.test_a_tested_precision_that_cannot_be_inverted``."""
+        precision = np.array([[0.8768303134637059, -0.3286318835031764],
+                              [-0.3286318835031764, 0.12316968653629429]])
+        with pytest.raises(FusionDegenerateError, match="^precision matrix is singular$"):
+            density.from_infos(np.stack([np.eye(2), precision]), np.zeros((2, 2)))
+
+    def test_batch_shapes_are_checked(self):
+        with pytest.raises(ContractError, match="member lists"):
+            fuse_local_posteriors([[g1(0, 1)]], [g1(0, 1), g1(0, 1)])
+        with pytest.raises(ContractError, match="at least one"):
+            fuse_local_posteriors([[g1(0, 1)], []], [g1(0, 1), g1(0, 1)])
+        with pytest.raises(ContractError, match="same dimension"):
+            fuse_local_posteriors([[g1(0, 1)], [GaussianDensity(np.zeros(2), np.eye(2))]],
+                                  [g1(0, 1), GaussianDensity(np.zeros(2), np.eye(2))])
+        assert fuse_local_posteriors([], [], "naive-product") == []
 
 
 class TestSpdGaussian:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bayescfl import (ContractError, LocalModelSpec, RoundReport, association_accuracy,
-                      heldout_log_likelihood, parameter_rmse)
+from bayescfl import (ClientDataset, ContractError, LocalModelSpec, RoundReport,
+                      association_accuracy, heldout_log_likelihood, parameter_rmse)
+from bayescfl.density import logsumexp
 from bayescfl.metrics import _association_marginals, _match_pairs, round_coassociation
 from bayescfl.reports import read_ndjson, write_ndjson
 from bayescfl.simulation import LOG_WEIGHT_FLOOR, MODES
 from helpers import (brute_force_coassociation, gaussian_mean_dataset,
-                     reference_association_accuracy)
+                     reference_association_accuracy, reference_data_log_likelihood)
 
 
 def report(assignments, weights, cluster_means=None, round_=1):
@@ -240,7 +241,58 @@ class TestParameterRmse:
         assert parameter_rmse(rep, truth) == 0.0
 
 
+@st.composite
+def heldout_cases(draw):
+    """A model spec, a report of 1-6 hypotheses over 1-20 clients and 1-4
+    clusters, and one test set per client, of at most three sizes (some
+    maybe empty)."""
+    kind = draw(st.sampled_from(["gaussian-mean", "bayes-linear", "laplace-logistic"]))
+    d, h, c, k = (draw(st.integers(1, 3)), draw(st.integers(1, 6)),
+                  draw(st.integers(1, 20)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "laplace-logistic":
+        spec = LocalModelSpec(kind, feature_dim=d)
+    else:
+        spec = LocalModelSpec(kind, feature_dim=d, noise_variance=float(rng.uniform(0.1, 3.0)))
+    pool = draw(st.lists(st.integers(0, 39), min_size=1, max_size=3, unique=True))
+    tests = []
+    for j in range(c):
+        n = int(rng.choice(pool))
+        x = rng.standard_normal((n, d))
+        labels = (rng.integers(0, 2, n) if kind == "laplace-logistic"
+                  else None if kind == "gaussian-mean" else rng.standard_normal(n))
+        tests.append(ClientDataset(j, 0, x, labels))
+    assignments = [tuple(int(a) for a in rng.integers(0, k, c)) for _ in range(h)]
+    assignments[0] = assignments[0][:-1] + (k - 1,)     # every report uses K clusters
+    means = tuple(tuple(tuple(rng.standard_normal(d).tolist()) for _ in range(k))
+                  for _ in range(h))
+    weights = _normalized(rng.uniform(0.01, 1.0, h).tolist())
+    return spec, report(assignments, weights, cluster_means=means), tests
+
+
 class TestHeldoutLogLikelihood:
+    @given(case=heldout_cases())
+    def test_matches_per_client_loop(self, case):
+        """The stacked metric gives the bits of one-row likelihoods and one
+        1-D logsumexp per client, then the mean over clients."""
+        spec, rep, tests = case
+        log_w = np.log(np.maximum(np.asarray(rep.weights, dtype=float), 1e-300))
+        per_client = []
+        for j, data in enumerate(tests):
+            ll = [reference_data_log_likelihood(np.asarray(means_h[labels[j]]), data, spec)
+                  for means_h, labels in zip(rep.cluster_means, rep.assignments)]
+            per_client.append(logsumexp(log_w + np.array(ll)))
+        want = float(np.mean(per_client))
+        got = heldout_log_likelihood(rep, tests, spec)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_one_test_set_per_client(self):
+        spec = LocalModelSpec("gaussian-mean", feature_dim=2, noise_variance=1.0)
+        rep = report([(0, 0)], [1.0])
+        tests = [gaussian_mean_dataset(np.zeros((3, 2)), client_id=j) for j in range(3)]
+        with pytest.raises(ContractError, match="one test set per client"):
+            heldout_log_likelihood(rep, tests, spec)
+
     def test_single_hypothesis_matches_direct_loglik(self):
         from bayescfl import GaussianDensity, assoc_log_weight_at_mean
         spec = LocalModelSpec("gaussian-mean", feature_dim=2, noise_variance=1.0)

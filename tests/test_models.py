@@ -392,6 +392,36 @@ def at_mean_rounds(draw):
     return spec, clusters, clients
 
 
+@st.composite
+def stacked_likelihood_cases(draw):
+    """A model spec, 1-20 datasets of at most three sizes (some maybe empty),
+    so that a size can fill more than one chunk, and S parameter rows, shared
+    (S, d) or one block per dataset (C, S, d)."""
+    kind = draw(st.sampled_from(models.KINDS))
+    d, s = draw(st.integers(1, 3)), draw(st.integers(1, 29))
+    pool = draw(st.lists(st.integers(0, 39), min_size=1, max_size=3, unique=True))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-2, 2))
+    if kind == "laplace-logistic":
+        spec = LocalModelSpec(kind, feature_dim=d)
+    else:
+        spec = LocalModelSpec(kind, feature_dim=d, noise_variance=float(rng.uniform(0.1, 3.0)))
+    datasets = []
+    for n in sizes:
+        x = scale * rng.standard_normal((n, d))
+        labels = (rng.integers(0, 2, n) if kind == "laplace-logistic"
+                  else None if kind == "gaussian-mean" else scale * rng.standard_normal(n))
+        datasets.append(ClientDataset(0, 0, x, labels))
+    shape = (s, d) if draw(st.booleans()) else (len(sizes), s, d)
+    return spec, datasets, rng.standard_normal(shape) + rng.standard_normal(d)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestBatchedLikelihood:
     """The batched kernel and every caller of it give the bits of the one-row
     formulas and of the per-draw loop."""
@@ -420,6 +450,44 @@ class TestBatchedLikelihood:
         assert table.shape == (len(clients), len(clusters))
         for row, client in zip(table, clients, strict=True):
             assert np.array_equal(row, models._log_likelihoods(means, client, spec))
+
+    @given(case=stacked_likelihood_cases())
+    def test_stacked_kernel_matches_one_row_formulas(self, case):
+        """One call over datasets of mixed sizes, empty ones among them,
+        gives every dataset's row the bits of the one-row formulas, against
+        shared rows or its own block of rows."""
+        spec, datasets, omegas = case
+        table = models.data_log_likelihoods(omegas, datasets, spec)
+        assert table.shape == (len(datasets), omegas.shape[-2])
+        for k, data in enumerate(datasets):
+            rows = omegas if omegas.ndim == 2 else omegas[k]
+            want = [reference_data_log_likelihood(w, data, spec) for w in rows]
+            assert same_bits(table[k], np.array(want))
+            assert same_bits(table[k], models.data_log_likelihoods(rows, data, spec))
+
+    def test_at_mean_takes_one_kernel_call_per_chunk(self, monkeypatch):
+        """Clients are scored by size in chunks that fit KERNEL_ENTRIES: at
+        80 entries, 17 clients of 5 samples against 2 means go 8 per call,
+        and 3 empty ones in one call."""
+        rng = np.random.default_rng(8)
+        clients = [gaussian_mean_dataset(rng.standard_normal((5, 1)) if j % 7 else
+                                         np.zeros((0, 1))) for j in range(20)]
+        assert sum(c.is_empty() for c in clients) == 3
+        monkeypatch.setattr(models, "KERNEL_ENTRIES", 80)
+        calls = []
+        kernel = models._log_likelihoods
+
+        def counted(omegas, data, spec):
+            calls.append(len(data))
+            return kernel(omegas, data, spec)
+
+        monkeypatch.setattr(models, "_log_likelihoods", counted)
+        table = assoc_log_weight_at_mean([g1(0, 1), g1(1, 2)], clients, GM1)
+        assert sorted(calls) == [1, 3, 8, 8]
+        assert not table[[0, 7, 14]].any()
+        calls.clear()    # a dataset larger than the budget goes alone
+        assoc_log_weight_at_mean([g1(0, 1)] * 9, clients[1:4], GM1)
+        assert calls == [1, 1, 1]
 
     @given(case=likelihood_cases(),
            seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))

@@ -11,6 +11,7 @@ from bayescfl import (ConfigError, ContractError, GaussianDensity, LocalModelSpe
                       initialize, posterior_update, run_training, simulation, warm_up)
 from bayescfl.cli import cli_run
 from bayescfl.config import load_config, plan_from_dict
+from bayescfl.density import _factored_gaussian, spd_cholesky
 from bayescfl.reports import trajectories
 from helpers import (gaussian_mean_dataset, reference_kept_set_coassociation, round_normals,
                      uncached_client_log_weights, uncached_update_posteriors)
@@ -62,6 +63,12 @@ class TestConfigValidation:
                             "scheme": "feature-skew", **kw})
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_prior_sigma2_must_be_positive_and_finite(self, value):
+        with pytest.raises(ContractError, match="prior_sigma2"):
+            round_config(prior_sigma2=value)
+
+
 class TestInitialize:
     def test_distinct_seeded_means(self):
         state = initialize(round_config(K=3, C=4))
@@ -97,6 +104,31 @@ class TestInitialize:
             assert np.array_equal(prior.covariance, want.covariance)
             assert np.array_equal(prior.chol, want.chol)
             assert prior.chol is priors[0].chol
+
+
+    @given(dim=st.integers(1, 4), sigma2=st.floats(1e-300, 1e300))
+    def test_priors_match_the_one_density_build(self, dim, sigma2):
+        """The stacked prior build, on the closed-form factor sigma I, gives
+        each prior the bits of ``_factored_gaussian`` on LAPACK's factor."""
+        model = LocalModelSpec("gaussian-mean", feature_dim=dim, noise_variance=1.0)
+        priors = initialize(round_config(K=3, model=model, prior_sigma2=sigma2)
+                            ).hypothesis_set.posteriors
+        for prior in priors:
+            want = _factored_gaussian(prior.mean, *spd_cholesky(sigma2 * np.eye(dim)))
+            for name in ("mean", "covariance", "chol", "precision"):
+                got = getattr(prior, name)
+                assert got.tobytes() == getattr(want, name).tobytes(), name
+            for name in ("mean", "covariance", "chol"):
+                assert not getattr(prior, name).flags.writeable, name
+
+    def test_warmed_priors_take_their_clusters(self):
+        cfg = round_config(K=3)
+        warmed = [None, GaussianDensity(np.ones(2), np.eye(2)), None]
+        fresh = initialize(cfg).hypothesis_set.posteriors
+        got = initialize(cfg, warmed).hypothesis_set.posteriors
+        assert got[1] is warmed[1]
+        for i in (0, 2):
+            assert np.array_equal(got[i].mean, fresh[i].mean)
 
 
 class TestDeterminismAndSchedule:
@@ -261,9 +293,9 @@ class TestWarmUp:
         calls = []
         initialize_ = simulation.initialize
 
-        def counted(cfg):
+        def counted(cfg, *warmed):
             calls.append(cfg)
-            return initialize_(cfg)
+            return initialize_(cfg, *warmed)
 
         monkeypatch.setattr(simulation, "initialize", counted)
         assert cli_run(["run", "--config", str(REPO / "configs" / "demo.json"),
@@ -472,6 +504,36 @@ class TestPhaseReuse:
             assert clients == tuple(id(d) for d in data)
             assert len(clusters) == len(ids) and set(clusters) == ids
         assert sum(map(len, distinct)) < sum(parents) * cfg.K    # some posteriors were shared
+
+    def test_one_fusion_per_round(self, monkeypatch):
+        """One fusion call for the warm-up, over its nonempty groups, and one
+        per round, over exactly that round's distinct nonempty (cluster
+        posterior, member tuple) keys in first-seen order."""
+        _, scen = scenario(groups=3, cpg=2, sep=1.0, T=3)
+        cfg = round_config(K=3, C=6, m_max=6, warm_up_rounds=1)
+        expected = []
+        update = simulation._update_posteriors
+
+        def seen_keys(selected, clients, cfg_):
+            keys = {}
+            for m, labels in enumerate(selected.labels.tolist()):
+                for i, prior in enumerate(cluster_posteriors(selected, m)):
+                    members = tuple(j for j, lab in enumerate(labels) if lab == i)
+                    if members:
+                        keys.setdefault((id(prior), members), None)
+            expected.append(list(keys))
+            return update(selected, clients, cfg_)
+
+        monkeypatch.setattr(simulation, "_update_posteriors", seen_keys)
+        calls = self._record(monkeypatch, "fuse_local_posteriors", lambda *args: None)
+        run_training(cfg, scen.rounds)
+        assert [r for r, _, _ in calls] == [None] + list(range(cfg.T))
+        (_, _, (groups, priors, mode)), *rounds = calls
+        assert mode == "naive-product" and 1 <= len(groups) == len(priors) <= cfg.K
+        for (_, _, (groups, priors, mode)), want in zip(rounds, expected, strict=True):
+            assert mode == cfg.fusion_mode
+            assert [id(p) for p in priors] == [key[0] for key in want]
+            assert [len(members) for members in groups] == [len(key[1]) for key in want]
 
     def test_sampled_weights_keep_one_stream_each(self, monkeypatch):
         """One sampled call per round, over all the round's clients in order,

@@ -1,23 +1,25 @@
 """How far training can speed up before traced benchmark reps fail coverage.
 
 Usage: python tools/gate_margin.py [--root CHECKOUT] [--reps N] [--seed S]
-                                   [--config FILE]
+                                   [--config FILE]...
 
 A traced benchmark rep (``perfbench/run.py --trace 1``) fails when the layer
 self times under ``run_training`` cover less than 99% of it. The time in no
 wrapped layer (mostly ``initialize``, before round 1) does not shrink when
 the layers get faster, so a training speed-up raises its share. This tool
-runs N traced reps of CHECKOUT's label-skew workload (or --config) through
-CHECKOUT's ``perfbench/probe.py``, one at a time, at scenario seeds
-S*1000 .. S*1000+19 in turn, and scores each with ``perfbench/run.py``'s
-``span_layers``. It prints the uncovered share of ``run_training`` (min,
-median, p90, max), the uncovered time in host-normalized ms with the part
-before the first round, and how many reps would fail the 1% check if
-training took 0.9, 0.8, 0.7 or 0.5 times as long with the same uncovered
-time. It reads ``perfbench/`` and writes nothing there; outputs go to a
-temporary directory.
+runs N traced reps of CHECKOUT's label-skew workload (or of each --config,
+which may be given more than once) through CHECKOUT's
+``perfbench/probe.py``, one at a time, at scenario seeds S*1000 ..
+S*1000+19 in turn, and scores each with ``perfbench/run.py``'s
+``span_layers``. For each config it prints one block: the uncovered share
+of ``run_training`` (min, median, p90, max), the uncovered time in
+host-normalized ms with the part before the first round, and how many reps
+would fail the 1% check if training took 0.9, 0.8, 0.7 or 0.5 times as long
+with the same uncovered time. It reads ``perfbench/`` and writes nothing
+there; outputs go to a temporary directory.
 
-Exit code 0 when every rep ran, 1 otherwise. Standard library only.
+Exit code 0 when every rep of every config ran, 1 otherwise. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -91,36 +93,26 @@ def spread(values: list[float], fmt: str) -> str:
             f"p90 {p90:{fmt}} max {ordered[-1]:{fmt}}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
-                        help="checkout to measure (default: this one)")
-    parser.add_argument("--reps", type=int, default=40, help="traced reps to run")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed, as run.py's")
-    parser.add_argument("--config", type=Path,
-                        help="run config (default: the checkout's label-skew workload)")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
-    config = (args.config or root / "perfbench" / "workloads" / "label_skew.json").resolve()
-    run = load_run(root)
-
+def margin(run, root: Path, config: Path, reps: int, seed: int) -> bool:
+    """Run and print one config's block; whether every rep ran."""
     shares, ms, before, errors = [], [], [], []
     with tempfile.TemporaryDirectory(prefix="gate-margin-") as tmp:
-        for i in range(args.reps):
-            seed = args.seed * 1000 + i % SCENARIO_SEEDS
+        for i in range(reps):
+            rep_seed = seed * 1000 + i % SCENARIO_SEEDS
             try:
-                share, total, early = uncovered(run, traced_rep(root, config, seed, Path(tmp)))
+                share, total, early = uncovered(run, traced_rep(root, config, rep_seed,
+                                                                Path(tmp)))
             except (RuntimeError, OSError, ValueError) as exc:
-                errors.append(f"rep {i} (seed {seed}): {exc}")
+                errors.append(f"rep {i} (seed {rep_seed}): {exc}")
                 continue
             shares.append(share)
             ms.append(total)
             before.append(early)
-            print(f"rep {i} seed {seed}: uncovered share {share:.4f} ({total:.3f} ms, "
+            print(f"rep {i} seed {rep_seed}: uncovered share {share:.4f} ({total:.3f} ms, "
                   f"{early:.3f} ms before round 1)", flush=True)
     for error in errors:
         print("FAILED " + error, file=sys.stderr)
-    print(f"{len(shares)} of {args.reps} traced reps of {config} at {root}")
+    print(f"{len(shares)} of {reps} traced reps of {config} at {root}")
     if shares:
         print("uncovered share of run_training: " + spread(shares, ".4f"))
         print("uncovered ms: " + spread(ms, ".3f"))
@@ -129,7 +121,24 @@ def main(argv=None) -> int:
             failing = sum(share / scale > GATE for share in shares)
             print(f"training {scale:.1f}x as long: {failing} of {len(shares)} reps "
                   f"would fail the {GATE:.0%} coverage check")
-    return 1 if errors or not shares else 0
+    return bool(shares) and not errors
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout to measure (default: this one)")
+    parser.add_argument("--reps", type=int, default=40, help="traced reps to run per config")
+    parser.add_argument("--seed", type=int, default=1, help="workload seed, as run.py's")
+    parser.add_argument("--config", type=Path, action="append",
+                        help="run config, one block each; may be repeated "
+                             "(default: the checkout's label-skew workload)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    configs = args.config or [root / "perfbench" / "workloads" / "label_skew.json"]
+    run = load_run(root)
+    ok = [margin(run, root, config.resolve(), args.reps, args.seed) for config in configs]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
