@@ -13,6 +13,18 @@ A ``ClientDataset`` is frozen: its arrays are read-only and checked finite
 once, at construction. What the models derive from those arrays alone, such as
 whether every label is 0 or 1 (``binary_labels``), is computed on first read
 and cached on the dataset.
+
+Generation pays no per-client overhead around each client's seeded stream.
+The group or class centers are built and checked finite once per call (a
+``separation`` that overflows them is a ContractError). Label-skew builds
+every client's label CDF once per call, as ``Generator.choice(a, size, p=p)``
+builds it, checks the distributions once and draws each client's labels by
+inverse CDF from its stream, so the labels and the normals after them are the
+bits ``choice`` gives. Features are scaled and shifted in place in the
+stream's fresh normals. Each dataset is then built from those fresh arrays by
+``_generated``: one finite check, frozen in place, with no copy and no
+``__post_init__``. ``ClientDataset(...)`` keeps every check for all other
+callers.
 """
 
 from __future__ import annotations
@@ -31,7 +43,15 @@ _PARAMS, _DISTS, _ROUNDS, _HELDOUT = 0, 1, 2, 3
 
 
 def _rng(*keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([k & _SEED_MASK for k in keys]))
+    """The generator of ``SeedSequence([k & _SEED_MASK for k in keys])``.
+    SeedSequence hashes each key as its little-endian 32-bit words (at least
+    one); handing it those words as one uint32 array gives the same state
+    without its per-key conversion, a third of its build time."""
+    words = []
+    for k in keys:
+        k &= _SEED_MASK
+        words += (k & 0xFFFFFFFF, k >> 32) if k >> 32 else (k,)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 @dataclass(frozen=True)
@@ -153,35 +173,69 @@ def separated_centers(count: int, dim: int, spacing: float,
     return pts - pts.mean(axis=0)
 
 
-def _feature_skew_client(cfg: SkewConfig, params: np.ndarray, src: int, t: int,
-                         j: int, n: int, stream: int) -> ClientDataset:
-    g = j // cfg.clients_per_group
-    rng = _rng(cfg.seed, stream, src, j)
-    sigma = cfg.noise_sigma
-    if cfg.model_kind == "gaussian-mean":
-        feats = params[g] + sigma * rng.standard_normal((n, cfg.feature_dim))
-        labels = None
-    else:  # bayes-linear
-        feats = rng.standard_normal((n, cfg.feature_dim))
-        labels = feats @ params[g] + sigma * rng.standard_normal(n)
-    return ClientDataset(client_id=j, round=t, features=feats,
-                         labels=labels, true_group=g)
+def _generated(client_id: int, round_: int, features: np.ndarray,
+               labels: np.ndarray | None, true_group: int) -> ClientDataset:
+    """A dataset from fresh arrays that the generator owns and no one else
+    holds: they are checked finite (ContractError, as in ``__post_init__``)
+    and frozen in place, and the fields are set without ``__post_init__``'s
+    copy and re-checks."""
+    if not np.isfinite(features).all():
+        raise ContractError(f"client {client_id} round {round_}: features must be finite")
+    features.flags.writeable = False
+    if labels is not None:
+        if labels.dtype.kind == "f" and not np.isfinite(labels).all():
+            raise ContractError(f"client {client_id} round {round_}: labels must be finite")
+        labels.flags.writeable = False
+    dataset = object.__new__(ClientDataset)
+    dataset.__dict__.update(client_id=client_id, round=round_, features=features,
+                            labels=labels, true_group=true_group)
+    return dataset
+
+
+def _centers(cfg: SkewConfig, count: int) -> np.ndarray:
+    """The seeded ``separated_centers`` of the scenario's `count` groups or
+    classes; a separation so large that they overflow is a ContractError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = separated_centers(count, cfg.feature_dim,
+                                    cfg.separation * cfg.noise_sigma,
+                                    _rng(cfg.seed, _PARAMS))
+    if not np.isfinite(centers).all():
+        raise ContractError(f"separation {cfg.separation!r} makes the generated "
+                            "centers non-finite")
+    return centers
+
+
+def _feature_skew_datasets(cfg: SkewConfig, params: np.ndarray, src: int, t: int,
+                           n: int, stream: int) -> tuple[ClientDataset, ...]:
+    """Every client's dataset of round t, from its stream (stream, src, j)."""
+    sigma, dim = cfg.noise_sigma, cfg.feature_dim
+    out = []
+    for j in range(cfg.client_count):
+        g = j // cfg.clients_per_group
+        rng = _rng(cfg.seed, stream, src, j)
+        feats = rng.standard_normal((n, dim))
+        if cfg.model_kind == "gaussian-mean":
+            feats *= sigma
+            feats += params[g]
+            labels = None
+        else:  # bayes-linear
+            labels = rng.standard_normal(n)
+            labels *= sigma
+            labels += feats @ params[g]
+        out.append(_generated(j, t, feats, labels, g))
+    return tuple(out)
 
 
 def gen_feature_skew(cfg: SkewConfig, T: int) -> GeneratedScenario:
     """Feature-skew scenario: G separated group parameters, T rounds of C datasets."""
     if cfg.scheme != "feature-skew":
         raise ContractError("config scheme must be feature-skew")
-    spacing = cfg.separation * cfg.noise_sigma
-    params = separated_centers(cfg.groups, cfg.feature_dim, spacing,
-                               _rng(cfg.seed, _PARAMS))
+    params = _centers(cfg, cfg.groups)
     n = cfg.samples_per_client_per_round
-    rounds = []
-    for t in range(T):
-        src = t if cfg.fresh_each_round else 0
-        rounds.append(tuple(_feature_skew_client(cfg, params, src, t, j, n, _ROUNDS)
-                            for j in range(cfg.client_count)))
-    return GeneratedScenario(rounds=tuple(rounds), group_params=params)
+    rounds = tuple(_feature_skew_datasets(cfg, params, t if cfg.fresh_each_round else 0,
+                                          t, n, _ROUNDS)
+                   for t in range(T))
+    return GeneratedScenario(rounds=rounds, group_params=params)
 
 
 def _draw_simplex(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
@@ -215,32 +269,54 @@ def label_skew_distributions(cfg: SkewConfig) -> tuple[np.ndarray, np.ndarray]:
     return group_dists, np.concatenate(client_rows, axis=0)
 
 
-def _label_skew_client(cfg: SkewConfig, class_means: np.ndarray,
-                       client_dists: np.ndarray, src: int, t: int, j: int,
-                       n: int, stream: int) -> ClientDataset:
-    rng = _rng(cfg.seed, stream, src, j)
-    labels = rng.choice(cfg.label_count, size=n, p=client_dists[j])
-    feats = class_means[labels] + cfg.noise_sigma * rng.standard_normal((n, cfg.feature_dim))
-    return ClientDataset(client_id=j, round=t, features=feats,
-                         labels=labels, true_group=j // cfg.clients_per_group)
+def _label_cdfs(client_dists: np.ndarray) -> np.ndarray:
+    """Every client's label CDF, built as ``Generator.choice(a, size, p=p)``
+    builds it from p, after one check of the distributions that stands in
+    for ``choice``'s check of each p."""
+    if not (np.isfinite(client_dists).all() and (client_dists >= 0).all()
+            and (np.abs(client_dists.sum(axis=1) - 1.0)
+                 <= np.sqrt(np.finfo(float).eps)).all()):
+        raise ContractError("client label distributions must be finite, "
+                            "nonnegative and sum to 1")
+    cdfs = client_dists.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
+    return cdfs
+
+
+def _draw_labels(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """n labels from one client's CDF row: the draws and the int64 result of
+    ``rng.choice(len(cdf), size=n, p=p)``, which leave rng in the same state."""
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
+def _label_skew_datasets(cfg: SkewConfig, class_means: np.ndarray, cdfs: np.ndarray,
+                         src: int, t: int, n: int,
+                         stream: int) -> tuple[ClientDataset, ...]:
+    """Every client's dataset of round t, from its stream (stream, src, j)."""
+    sigma, dim = cfg.noise_sigma, cfg.feature_dim
+    out = []
+    for j, cdf in enumerate(cdfs):
+        rng = _rng(cfg.seed, stream, src, j)
+        labels = _draw_labels(rng, cdf, n)
+        feats = rng.standard_normal((n, dim))
+        feats *= sigma
+        feats += class_means[labels]
+        out.append(_generated(j, t, feats, labels, j // cfg.clients_per_group))
+    return tuple(out)
 
 
 def gen_label_skew(cfg: SkewConfig, T: int) -> GeneratedScenario:
     """Two-stage Dirichlet label-skew with class-conditional Gaussian features."""
     if cfg.scheme != "label-skew":
         raise ContractError("config scheme must be label-skew")
-    spacing = cfg.separation * cfg.noise_sigma
-    class_means = separated_centers(cfg.label_count, cfg.feature_dim, spacing,
-                                    _rng(cfg.seed, _PARAMS))
+    class_means = _centers(cfg, cfg.label_count)
     group_dists, client_dists = label_skew_distributions(cfg)
+    cdfs = _label_cdfs(client_dists)
     n = cfg.samples_per_client_per_round
-    rounds = []
-    for t in range(T):
-        src = t if cfg.fresh_each_round else 0
-        rounds.append(tuple(
-            _label_skew_client(cfg, class_means, client_dists, src, t, j, n, _ROUNDS)
-            for j in range(cfg.client_count)))
-    return GeneratedScenario(rounds=tuple(rounds), class_means=class_means,
+    rounds = tuple(_label_skew_datasets(cfg, class_means, cdfs,
+                                        t if cfg.fresh_each_round else 0, t, n, _ROUNDS)
+                   for t in range(T))
+    return GeneratedScenario(rounds=rounds, class_means=class_means,
                              group_label_dists=group_dists,
                              client_label_dists=client_dists)
 
@@ -254,15 +330,8 @@ def gen_scenario(cfg: SkewConfig, T: int) -> GeneratedScenario:
 def gen_heldout(cfg: SkewConfig, n_samples: int) -> tuple[ClientDataset, ...]:
     """One extra set of C datasets drawn from each client's own distribution."""
     if cfg.scheme == "feature-skew":
-        spacing = cfg.separation * cfg.noise_sigma
-        params = separated_centers(cfg.groups, cfg.feature_dim, spacing,
-                                   _rng(cfg.seed, _PARAMS))
-        return tuple(_feature_skew_client(cfg, params, 0, 0, j, n_samples, _HELDOUT)
-                     for j in range(cfg.client_count))
-    spacing = cfg.separation * cfg.noise_sigma
-    class_means = separated_centers(cfg.label_count, cfg.feature_dim, spacing,
-                                    _rng(cfg.seed, _PARAMS))
+        return _feature_skew_datasets(cfg, _centers(cfg, cfg.groups), 0, 0,
+                                      n_samples, _HELDOUT)
     _, client_dists = label_skew_distributions(cfg)
-    return tuple(_label_skew_client(cfg, class_means, client_dists, 0, 0, j,
-                                    n_samples, _HELDOUT)
-                 for j in range(cfg.client_count))
+    return _label_skew_datasets(cfg, _centers(cfg, cfg.label_count),
+                                _label_cdfs(client_dists), 0, 0, n_samples, _HELDOUT)

@@ -11,6 +11,8 @@ from scipy.special import logsumexp
 from bayescfl import Assignment, ClientDataset, CostMatrix, GaussianDensity
 from bayescfl import models, simulation
 from bayescfl.assignment import _total_cost
+from bayescfl.datasets import (_HELDOUT, _PARAMS, _ROUNDS, _rng,
+                               label_skew_distributions, separated_centers)
 from bayescfl.density import from_info, symmetrize
 from bayescfl.metrics import _match_pairs
 
@@ -266,6 +268,53 @@ def grid_posterior_moments(prior: GaussianDensity, logliks, lo: float, hi: float
     centered = pts - mean
     cov = (centered * dens[:, None]).T @ centered
     return mean, cov
+
+
+def _reference_client(cfg, centers, client_dists, src, t, j, n, stream) -> ClientDataset:
+    """One client's dataset as the per-client generator drew it: labels by
+    ``Generator.choice`` with p, features as a fresh sum, and every array
+    copied and checked by ``ClientDataset(...)``."""
+    rng = _rng(cfg.seed, stream, src, j)
+    g = j // cfg.clients_per_group
+    sigma = cfg.noise_sigma
+    if cfg.scheme == "label-skew":
+        labels = rng.choice(cfg.label_count, size=n, p=client_dists[j])
+        feats = centers[labels] + sigma * rng.standard_normal((n, cfg.feature_dim))
+    elif cfg.model_kind == "gaussian-mean":
+        feats = centers[g] + sigma * rng.standard_normal((n, cfg.feature_dim))
+        labels = None
+    else:  # bayes-linear
+        feats = rng.standard_normal((n, cfg.feature_dim))
+        labels = feats @ centers[g] + sigma * rng.standard_normal(n)
+    return ClientDataset(client_id=j, round=t, features=feats, labels=labels,
+                         true_group=g)
+
+
+def _reference_truth(cfg):
+    count = cfg.label_count if cfg.scheme == "label-skew" else cfg.groups
+    centers = separated_centers(count, cfg.feature_dim, cfg.separation * cfg.noise_sigma,
+                                _rng(cfg.seed, _PARAMS))
+    client_dists = (label_skew_distributions(cfg)[1] if cfg.scheme == "label-skew"
+                    else None)
+    return centers, client_dists
+
+
+def reference_scenario_rounds(cfg, T: int) -> tuple:
+    """The T x C datasets of ``gen_scenario(cfg, T)``, drawn one client at a
+    time by the per-client generator: the oracle for its bytes."""
+    centers, client_dists = _reference_truth(cfg)
+    return tuple(tuple(_reference_client(cfg, centers, client_dists,
+                                         t if cfg.fresh_each_round else 0, t, j,
+                                         cfg.samples_per_client_per_round, _ROUNDS)
+                       for j in range(cfg.client_count))
+                 for t in range(T))
+
+
+def reference_heldout(cfg, n_samples: int) -> tuple:
+    """``gen_heldout(cfg, n_samples)`` by the per-client generator."""
+    centers, client_dists = _reference_truth(cfg)
+    return tuple(_reference_client(cfg, centers, client_dists, 0, 0, j, n_samples, _HELDOUT)
+                 for j in range(cfg.client_count))
 
 
 def gaussian_mean_dataset(values, client_id=0, round_=0, group=0) -> ClientDataset:

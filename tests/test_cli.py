@@ -254,6 +254,19 @@ class TestConfigTyping:
             assert echo[key] == raw[key] and type(echo[key]) is type(raw[key]), key
 
 
+    @pytest.mark.parametrize("workload", ["label_skew.json", "scaled_rank.json"])
+    def test_overflowing_separation_exits_one(self, tmp_path, workload):
+        """A separation whose centers overflow is rejected as a config error
+        that names it, before any data are drawn and without a warning."""
+        raw = json.loads((REPO / "perfbench" / "workloads" / workload).read_text())
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(dict(raw, separation=1.7e308)))
+        done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "config error: separation 1.7e+308 makes the generated centers non-finite"]
+
+
 class TestNumericalExit:
     def test_numerical_failure_maps_to_exit_two(self, config_path, tmp_path, monkeypatch):
         from bayescfl import FusionDegenerateError

@@ -1,10 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bayescfl import (ClientDataset, ContractError, SkewConfig, gen_feature_skew,
                       gen_label_skew)
-from bayescfl.datasets import (draw_client_distributions, gen_heldout,
-                               label_skew_distributions, separated_centers)
+from bayescfl import datasets
+from bayescfl.datasets import (_draw_labels, _label_cdfs, draw_client_distributions,
+                               gen_heldout, gen_scenario, label_skew_distributions,
+                               separated_centers)
+from helpers import reference_heldout, reference_scenario_rounds
 
 
 def feature_cfg(**kw):
@@ -164,3 +171,114 @@ class TestClientDatasetValidation:
             ClientDataset(client_id=5, round=1, features=[[np.inf, 0.0]], labels=None)
         with pytest.raises(ContractError, match="client 5 round 1: labels"):
             ClientDataset(client_id=5, round=1, features=[[1.0, 0.0]], labels=[-np.inf])
+
+
+def _generated_sets(cfg, T, n_heldout):
+    scen = gen_scenario(cfg, T)
+    return [*scen.rounds, gen_heldout(cfg, n_heldout)]
+
+
+# a noise sigma of sqrt(2), not 1, so that rounding tells the orders of
+# scaling and shifting apart
+GENERATED_CFGS = {
+    "label-skew": lambda **kw: label_cfg(clients_per_group=3, noise_variance=2.0, **kw),
+    "feature-skew": lambda **kw: feature_cfg(noise_variance=2.0, **kw),
+    "bayes-linear": lambda **kw: feature_cfg(model_kind="bayes-linear", feature_dim=3,
+                                             noise_variance=2.0, **kw),
+}
+
+
+class TestGeneratorAgainstReference:
+    """Every dataset's bytes, dtypes and ids equal those of the per-client
+    generator (``rng.choice`` labels, ``ClientDataset(...)`` builds)."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 1000])
+    @pytest.mark.parametrize("fresh", [True, False])
+    @pytest.mark.parametrize("kind", sorted(GENERATED_CFGS))
+    def test_scenario_and_heldout_bytes(self, kind, fresh, seed):
+        cfg = GENERATED_CFGS[kind](seed=seed, fresh_each_round=fresh)
+        got = _generated_sets(cfg, 3, 13)
+        want = [*reference_scenario_rounds(cfg, 3), reference_heldout(cfg, 13)]
+        assert len(got) == len(want)
+        for row_got, row_want in zip(got, want):
+            assert len(row_got) == len(row_want) == cfg.client_count
+            for a, b in zip(row_got, row_want):
+                assert (a.client_id, a.round, a.true_group) == (b.client_id, b.round,
+                                                                b.true_group)
+                assert a.features.dtype == b.features.dtype
+                assert a.features.shape == b.features.shape
+                assert a.features.tobytes() == b.features.tobytes()
+                if b.labels is None:
+                    assert a.labels is None
+                else:
+                    assert a.labels.dtype == b.labels.dtype
+                    assert a.labels.tobytes() == b.labels.tobytes()
+
+    @given(weights=st.lists(st.one_of(st.just(0.0),
+                                      st.floats(1e-6, 1.0, allow_subnormal=False)),
+                            min_size=2, max_size=10),
+           zero_last=st.booleans(), n=st.integers(1, 300), seed=st.integers(0, 2**32))
+    @example(weights=[0.3, 0.7, 0.0], zero_last=True, n=1, seed=0)
+    @example(weights=[0.0, 1.0], zero_last=False, n=1, seed=5)
+    def test_inverse_cdf_draw_is_choice(self, weights, zero_last, n, seed):
+        p = np.array(weights)
+        if zero_last:
+            p[-1] = 0.0
+        if not p.sum() > 0:
+            p[0] = 1.0
+        p /= p.sum()
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = a.choice(len(p), size=n, p=p)
+        got = _draw_labels(b, _label_cdfs(p[None])[0], n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert b.standard_normal(4).tobytes() == a.standard_normal(4).tobytes()
+
+    @given(keys=st.lists(st.one_of(st.integers(0, 2**32 + 1), st.integers(-2**70, 2**70)),
+                         min_size=1, max_size=6))
+    @example(keys=[0])
+    @example(keys=[2**32, 0, 2**63 - 1, -1])
+    def test_rng_is_the_seed_sequence_of_the_masked_keys(self, keys):
+        want = np.random.default_rng(np.random.SeedSequence(
+            [k & datasets._SEED_MASK for k in keys]))
+        assert datasets._rng(*keys).bit_generator.state == want.bit_generator.state
+
+    def test_label_cdfs_reject_bad_distributions(self):
+        for bad in ([[0.5, 0.6]], [[1.5, -0.5]], [[np.nan, 1.0]]):
+            with pytest.raises(ContractError, match="client label distributions"):
+                _label_cdfs(np.array(bad))
+
+
+class TestGeneratedDatasets:
+    @pytest.mark.parametrize("fresh", [True, False])
+    @pytest.mark.parametrize("kind", sorted(GENERATED_CFGS))
+    def test_immutable_and_independent(self, kind, fresh):
+        cfg = GENERATED_CFGS[kind](fresh_each_round=fresh)
+        arrays = [arr for row in _generated_sets(cfg, 3, 7) for d in row
+                  for arr in (d.features, d.labels) if arr is not None]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        for x, y in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(x, y)
+
+    def test_non_finite_generated_features_raise(self, monkeypatch):
+        with pytest.raises(ContractError, match="client 3 round 4: features"):
+            datasets._generated(3, 4, np.array([[0.0], [np.inf]]), None, 0)
+        with pytest.raises(ContractError, match="client 3 round 4: labels"):
+            datasets._generated(3, 4, np.zeros((2, 1)), np.array([0.5, np.nan]), 0)
+        # through generation: every class mean at +inf makes client 0's first
+        # dataset non-finite
+        monkeypatch.setattr(datasets, "_centers",
+                            lambda cfg, count: np.full((count, cfg.feature_dim), np.inf))
+        with pytest.raises(ContractError, match="client 0 round 0: features"):
+            gen_label_skew(label_cfg(), 1)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATED_CFGS))
+    def test_overflowing_separation_names_it(self, kind):
+        cfg = GENERATED_CFGS[kind](separation=1.7e308)
+        with pytest.raises(ContractError, match="separation"):
+            gen_scenario(cfg, 1)
+        with pytest.raises(ContractError, match="separation"):
+            gen_heldout(cfg, 3)

@@ -34,9 +34,15 @@ a change that moves report values can quote what it moved. A third table
 gives, per oracle run, each side's maximum weight and posterior-mean
 deviation and its exit code.
 
+For every config and seed it also prints (column ``data``) whether the
+datasets that ``run`` generates are identical on both sides: a SHA-256 over
+every scenario round and the held-out set (each dataset's ids, the dtype,
+shape and bytes of its features and labels), computed by each checkout's own
+interpreter on its own ``src``.
+
 Exit code 0 when every run finished on both sides with identical
-assignments and ids (bytes may still differ: read the table) and every
-oracle run of NEW exits 0, 1 otherwise.
+assignments and ids (bytes may still differ: read the table), every dataset
+digest matches and every oracle run of NEW exits 0, 1 otherwise.
 Standard library only.
 """
 
@@ -80,11 +86,55 @@ OUTPUTS = ("rounds.ndjson", "summary.json")
 ID_FIELDS = ("assignments", "hypothesis_ids", "parent_ids")
 
 
+# argv: config path and seed pairs; prints one digest (or error) per pair
+DIGEST_SCRIPT = """
+import hashlib, sys
+from bayescfl.config import load_config
+from bayescfl.datasets import gen_heldout, gen_scenario
+
+def digest(path, seed):
+    plan = load_config(path).with_overrides(seed=seed)
+    sc = plan.skew_config
+    h = hashlib.sha256()
+    for row in (*gen_scenario(sc, plan.round_config.T).rounds,
+                gen_heldout(sc, plan.test_samples)):
+        for d in row:
+            h.update(repr((d.client_id, d.round, d.true_group)).encode())
+            for arr in (d.features, d.labels):
+                if arr is None:
+                    h.update(b"none")
+                else:
+                    h.update(repr((arr.dtype.str, arr.shape)).encode())
+                    h.update(arr.tobytes())
+    return h.hexdigest()
+
+args = sys.argv[1:]
+for path, seed in zip(args[::2], args[1::2]):
+    try:
+        print(digest(path, int(seed)))
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}")
+"""
+
+
 def cli(checkout: Path, *args: str) -> subprocess.CompletedProcess:
     """``bayescfl ARGS`` from checkout's src."""
+    return python(checkout, "-m", "bayescfl.cli", *args)
+
+
+def python(checkout: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` with checkout's src on the path."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    return subprocess.run([sys.executable, "-m", "bayescfl.cli", *args],
-                          env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def dataset_digests(checkout: Path, pairs: list[tuple[Path, int]]) -> list[str]:
+    """The SHA-256 of the datasets that ``run`` generates for each (config,
+    seed) pair, from checkout's src in one interpreter."""
+    proc = python(checkout, "-c", DIGEST_SCRIPT,
+                  *(str(arg) for pair in pairs for arg in pair))
+    lines = proc.stdout.splitlines()
+    return lines if len(lines) == len(pairs) else [f"error: exit {proc.returncode}"] * len(pairs)
 
 
 def write_variant(new: Path, tmp: Path, base: str, name: str, overrides: dict) -> Path:
@@ -195,9 +245,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
 
-    failures = identical = total = 0
+    failures = identical = total = same_data = 0
     finals: dict[str, list] = {}
-    print(f"{'config':42} {'seed':>5}  rounds  summary  ids   "
+    print(f"{'config':42} {'seed':>5}  data  rounds  summary  ids   "
           f"max |change|: weights log_weights means accuracy heldout_ll  "
           f"coassoc max mean")
     with tempfile.TemporaryDirectory(prefix="diff-audit-") as tmp:
@@ -206,24 +256,31 @@ def main(argv=None) -> int:
             configs[variant[1]] = write_variant(new, Path(tmp), *variant)
         oracle_configs = {"configs/tiny.json": new / "configs/tiny.json",
                           ORACLE_VARIANT[1]: write_variant(new, Path(tmp), *ORACLE_VARIANT)}
+        pairs = [(path, seed) for path in configs.values() for seed in SEEDS]
+        digests = dict(zip(pairs, zip(dataset_digests(old, pairs),
+                                      dataset_digests(new, pairs))))
         for config, path in configs.items():
             for seed in SEEDS:
                 total += 1
+                old_digest, new_digest = digests[path, seed]
+                data_same = old_digest == new_digest and not new_digest.startswith("error")
+                same_data += data_same
+                data = "same" if data_same else "DIFF"
                 out = {side: Path(tmp) / side / config.replace("/", "_") / str(seed)
                        for side in ("old", "new")}
                 errors = [err for err in (run(old, path, seed, out["old"]),
                                           run(new, path, seed, out["new"])) if err]
                 if errors:
                     failures += 1
-                    print(f"{config:42} {seed:>5}  FAILED {errors}")
+                    print(f"{config:42} {seed:>5}  {data:4}  FAILED {errors}")
                     continue
                 ensure_coassoc(old, out["old"])
                 ensure_coassoc(new, out["new"])
                 c = compare(out["old"], out["new"])
                 finals.setdefault(config, []).append(c["finals"])
-                failures += not c["ids"]
+                failures += not (c["ids"] and data_same)
                 identical += all(c[name] for name in OUTPUTS)
-                print(f"{config:42} {seed:>5}  "
+                print(f"{config:42} {seed:>5}  {data:4}  "
                       f"{'same' if c['rounds.ndjson'] else 'DIFF':6}  "
                       f"{'same' if c['summary.json'] else 'DIFF':7}  "
                       f"{'same' if c['ids'] else 'DIFF':4}  "
@@ -234,7 +291,8 @@ def main(argv=None) -> int:
         oracles = [(config, seed, oracle(old, path, seed), oracle(new, path, seed))
                    for config, path in oracle_configs.items() for seed in SEEDS]
     print(f"{total} runs: {identical} byte-identical on both files, "
-          f"{failures} failed or with differing assignments or ids")
+          f"{same_data} with identical datasets, "
+          f"{failures} failed or with differing datasets, assignments or ids")
     print(f"\nmeans over seeds{'':26} {'seeds':>5}  {'accuracy old':>12} {'new':>8}  "
           f"{'held-out LL old':>16} {'new':>12}")
     for config, runs in finals.items():
