@@ -74,10 +74,12 @@ class Assignment:
 
 @dataclass(frozen=True)
 class RankedAssignments:
-    """Ranked children, one per row: the parent's row in the stack of cost
-    tables, one label per client, the cost (the row sum of the parent's
-    table at those labels) and the log-weight (the parent's offset minus
-    that cost). Iterating or indexing gives (Assignment, cost) pairs."""
+    """Children, one per row: the parent's row in the stack of cost tables,
+    one label per client, the cost (the row sum of the parent's table at
+    those labels) and the log-weight (the parent's offset minus that cost).
+    ``m_best_exact`` returns them best first, so selection and pruning take
+    a prefix (``first``). Iterating or indexing gives (Assignment, cost)
+    pairs."""
 
     parents: np.ndarray
     labels: np.ndarray
@@ -92,6 +94,11 @@ class RankedAssignments:
 
     def __getitem__(self, idx: int) -> tuple[Assignment, float]:
         return Assignment(self.labels[idx].tolist()), float(self.costs[idx])
+
+    def first(self, m: int) -> RankedAssignments:
+        """The first m rows."""
+        return RankedAssignments(self.parents[:m], self.labels[:m], self.costs[:m],
+                                 self.log_weights[:m])
 
 
 def build_cost_matrix(local_log_weights: np.ndarray) -> CostMatrix:
@@ -113,8 +120,8 @@ def best_assignment(L: CostMatrix) -> tuple[Assignment, float]:
     return Assignment(labels), _total_cost(L.entries, labels)
 
 
-def m_best_exact(L: CostMatrix | np.ndarray, M: int, offsets: np.ndarray | None = None,
-                 log_gap: float | None = None) -> RankedAssignments:
+def m_best_exact(L: CostMatrix | np.ndarray, M: int,
+                 offsets: np.ndarray | None = None) -> RankedAssignments:
     """The M best children of one or more parents, best first.
 
     L is one C x K cost matrix, or a (P, C, K) stack with one table per
@@ -126,8 +133,6 @@ def m_best_exact(L: CostMatrix | np.ndarray, M: int, offsets: np.ndarray | None 
     the lexicographically smaller labels. A parent at offset -inf (zero
     weight) offers its M cheapest assignments; their log-weights all tie at
     -inf, so they follow every finite child, by parent row and then labels.
-    With ``log_gap``, children whose log-weight trails the best by more than
-    the gap are dropped from the end.
 
     Each row is sorted once for the whole stack (ties to the lower cluster
     index). A state lists, as sparse diffs from its parent's per-client
@@ -254,11 +259,7 @@ def m_best_exact(L: CostMatrix | np.ndarray, M: int, offsets: np.ndarray | None 
         by_labels = np.lexsort(cheapest[1].T[::-1])[:room]
         blocks.append([part[by_labels] for part in cheapest])
     parents, labels, costs = (np.concatenate(parts) for parts in zip(*blocks))
-    log_w = offsets[parents] - costs
-    if log_gap is not None:
-        keep = int(np.count_nonzero(log_w >= log_w[0] - log_gap))
-        parents, labels, costs, log_w = parents[:keep], labels[:keep], costs[:keep], log_w[:keep]
-    return RankedAssignments(parents, labels, costs, log_w)
+    return RankedAssignments(parents, labels, costs, offsets[parents] - costs)
 
 
 def m_best_heuristic(L: CostMatrix, M: int) -> RankedAssignments:

@@ -8,8 +8,8 @@ config fields:
     alpha_within, separation, label_count
 
 plus optional extras: model_kind, feature_dim, noise_variance, weight_samples,
-test_samples, fresh_each_round, prune_log_gap, prior_sigma2, and a sweep
-section ({"mode": [...], "m_max": [...]}).
+test_samples, fresh_each_round, prior_sigma2, and a sweep section
+({"mode": [...], "m_max": [...]}). Any other key is a config error.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ _KNOWN_KEYS = {
     "warm_up_rounds", "seed", "scheme", "groups", "clients_per_group",
     "samples_per_round", "alpha_group", "alpha_within", "separation",
     "label_count", "model_kind", "feature_dim", "noise_variance",
-    "weight_samples", "test_samples", "fresh_each_round", "prune_log_gap",
-    "prior_sigma2", "sweep",
+    "weight_samples", "test_samples", "fresh_each_round", "prior_sigma2", "sweep",
 }
 
 
@@ -152,7 +151,6 @@ def plan_from_dict(raw: dict) -> RunPlan:
         estimator = WeightEstimator(kind=estimator_kind,
                                     n_samples=_int(raw, "weight_samples", 100))
 
-        gap = _get(raw, "prune_log_gap")
         round_config = RoundConfig(
             K=_int(raw, "K", required=True),
             C=c,
@@ -165,7 +163,6 @@ def plan_from_dict(raw: dict) -> RunPlan:
             seed=seed,
             model=model,
             prior_sigma2=_float(raw, "prior_sigma2", 10.0),
-            prune_log_gap=None if gap is None else _as_float("prune_log_gap", gap),
         )
         skew_config = SkewConfig(
             scheme=str(_get(raw, "scheme", required=True)),
@@ -204,11 +201,9 @@ def plan_from_dict(raw: dict) -> RunPlan:
 
 
 def canonical_dict(plan: RunPlan) -> dict:
-    """Config echo for summaries: stable key order, plain JSON types.
-    prune_log_gap is echoed only when set, so echoes without it keep their
-    bytes."""
+    """Config echo for summaries: stable key order, plain JSON types."""
     rc, sc = plan.round_config, plan.skew_config
-    echo = {
+    return {
         "mode": rc.mode, "K": rc.K, "C": rc.C, "T": rc.T, "m_max": rc.m_max,
         "weight_estimator": rc.weight_estimator.kind,
         "weight_samples": rc.weight_estimator.n_samples,
@@ -223,6 +218,3 @@ def canonical_dict(plan: RunPlan) -> dict:
         "fresh_each_round": sc.fresh_each_round,
         "test_samples": plan.test_samples,
     }
-    if rc.prune_log_gap is not None:
-        echo["prune_log_gap"] = rc.prune_log_gap
-    return echo

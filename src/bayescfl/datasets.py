@@ -123,10 +123,10 @@ class SkewConfig:
         if min(self.groups, self.clients_per_group, self.samples_per_client_per_round,
                self.label_count, self.feature_dim) < 1:
             raise ContractError("counts and dimensions must be positive")
-        if self.alpha_group <= 0 or self.alpha_within <= 0:
-            raise ContractError("Dirichlet concentrations must be strictly positive")
-        if self.noise_variance <= 0 or self.separation <= 0:
-            raise ContractError("noise_variance and separation must be positive")
+        for name in ("alpha_group", "alpha_within", "noise_variance", "separation"):
+            # NaN fails the comparison too
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be positive and finite")
         if self.model_kind not in ("gaussian-mean", "bayes-linear"):
             raise ContractError(f"unsupported generative model kind {self.model_kind!r}")
 

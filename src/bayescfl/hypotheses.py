@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import m_best_exact
+from .assignment import RankedAssignments, m_best_exact
 from .density import GaussianDensity, logsumexp, merge_mixture
 from .errors import ContractError, DegenerateHypothesisSetError, NumericalError
 
@@ -65,22 +65,6 @@ class HypothesisSet:
         return len(self.normalized_weights)
 
 
-@dataclass(frozen=True)
-class Candidates:
-    """Proposed children, one per row: parent row, labels, joint log-weight."""
-
-    parents: np.ndarray
-    labels: np.ndarray
-    log_weights: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.log_weights)
-
-    def first(self, m: int) -> Candidates:
-        """The first m rows."""
-        return Candidates(self.parents[:m], self.labels[:m], self.log_weights[:m])
-
-
 def root_set(cluster_priors: Sequence[GaussianDensity]) -> HypothesisSet:
     """Single round-0 hypothesis of weight 1 (no assignment yet)."""
     return HypothesisSet(0, np.zeros((1, 0), dtype=int), np.array([-1]), np.zeros(1),
@@ -88,17 +72,16 @@ def root_set(cluster_priors: Sequence[GaussianDensity]) -> HypothesisSet:
                          tuple(cluster_priors))
 
 
-def expand(hset: HypothesisSet, log_weight_tables, m_max: int,
-           prune_log_gap: float | None = None) -> Candidates:
+def expand(hset: HypothesisSet, log_weight_tables, m_max: int) -> RankedAssignments:
     """Globally best m_max children across all parents, best first: largest
     log-weight, then parent row, then labels.
 
     ``log_weight_tables`` holds one C x K table of per-client log weights
     per parent, as a (P, C, K) stack or a sequence of P tables. A child
     scores log(parent weight) + the sum of its per-client log weights. One
-    ``m_best_exact`` search ranks every parent's children together; optional
-    prune_log_gap drops children whose log-weight trails the best by more
-    than the gap.
+    ``m_best_exact`` search ranks every parent's children together, on the
+    negated tables at offsets log(parent weight), and its
+    ``RankedAssignments`` is the result.
     """
     if m_max < 1:
         raise ContractError("m_max must be >= 1")
@@ -109,8 +92,7 @@ def expand(hset: HypothesisSet, log_weight_tables, m_max: int,
                             f"got shape {tables.shape}")
     with np.errstate(divide="ignore"):
         parent_log_w = np.log(hset.normalized_weights)
-    ranked = m_best_exact(-tables, m_max, parent_log_w, prune_log_gap)
-    return Candidates(ranked.parents, ranked.labels, ranked.log_weights)
+    return m_best_exact(-tables, m_max, parent_log_w)
 
 
 def softmax_weights(log_weights: Sequence[float]) -> np.ndarray:
@@ -120,11 +102,11 @@ def softmax_weights(log_weights: Sequence[float]) -> np.ndarray:
     return np.exp(lw - logsumexp(lw))
 
 
-def materialize(candidates: Candidates, parents: HypothesisSet) -> HypothesisSet:
-    """The candidates as the next round's set, in their order and weighted by
-    the softmax of their log-weights. Children start from their parent's
-    posterior handles; the round update replaces them after the local
-    posterior phase."""
+def materialize(candidates: RankedAssignments, parents: HypothesisSet) -> HypothesisSet:
+    """The ranked children as the next round's set, in their order and
+    weighted by the softmax of their log-weights. Children start from their
+    parent's posterior handles; the round update replaces them after the
+    local posterior phase."""
     if not len(candidates):
         raise ContractError("no candidates to materialize")
     weights = softmax_weights(candidates.log_weights)
@@ -137,13 +119,13 @@ def materialize(candidates: Candidates, parents: HypothesisSet) -> HypothesisSet
                          parents.handles[candidates.parents], parents.posteriors)
 
 
-def select_greedy(candidates: Candidates, parents: HypothesisSet) -> HypothesisSet:
+def select_greedy(candidates: RankedAssignments, parents: HypothesisSet) -> HypothesisSet:
     """Keep only the first candidate (the best, as ``expand`` orders them),
     with weight exactly 1."""
     return materialize(candidates.first(1), parents)
 
 
-def prune_top_m(candidates: Candidates, parents: HypothesisSet,
+def prune_top_m(candidates: RankedAssignments, parents: HypothesisSet,
                 m_max: int) -> HypothesisSet:
     """Keep the first min(m_max, #candidates) candidates (the best, as
     ``expand`` orders them), renormalized."""

@@ -96,8 +96,9 @@ class LocalModelSpec:
         if self.feature_dim < 1:
             raise ContractError("feature_dim must be positive")
         if self.kind in ("gaussian-mean", "bayes-linear"):
-            if self.noise_variance is None or self.noise_variance <= 0:
-                raise ContractError(f"{self.kind} requires a positive noise_variance")
+            # NaN fails the comparison too
+            if self.noise_variance is None or not 0 < self.noise_variance < np.inf:
+                raise ContractError(f"{self.kind} requires a positive, finite noise_variance")
 
     @property
     def param_dim(self) -> int:

@@ -48,12 +48,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import count_hypotheses_constrained, enumerate_assignments
+from .assignment import RankedAssignments, count_hypotheses_constrained, enumerate_assignments
 from .datasets import ClientDataset, _rng
 from .density import GaussianDensity, _factored_gaussians, fuse_local_posteriors
 from .errors import ContractError, NumericalError
-from .hypotheses import (Candidates, HypothesisSet, consensus_merge, expand,
-                         materialize, prune_top_m, root_set, select_greedy)
+from .hypotheses import (HypothesisSet, consensus_merge, expand, materialize, prune_top_m,
+                         root_set, select_greedy)
 from .metrics import association_accuracy, parameter_rmse, round_coassociation
 from .models import (LocalModelSpec, assoc_log_weight_at_mean, assoc_log_weight_sampled,
                      posterior_update)
@@ -101,7 +101,6 @@ class RoundConfig:
     model: LocalModelSpec = LocalModelSpec("gaussian-mean", feature_dim=2,
                                            noise_variance=1.0)
     prior_sigma2: float = 10.0
-    prune_log_gap: float | None = None
 
     def __post_init__(self):
         if min(self.K, self.C, self.T, self.m_max) < 1:
@@ -112,9 +111,6 @@ class RoundConfig:
             raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.warm_up_rounds not in (0, 1):
             raise ContractError("warm_up_rounds must be 0 or 1 (one warm-up round exists)")
-        # NaN fails the comparison too
-        if self.prune_log_gap is not None and not self.prune_log_gap >= 0:
-            raise ContractError("prune_log_gap must be >= 0")
         # NaN fails the comparison too; the prior's closed-form factor needs
         # a finite variance
         if not 0 < self.prior_sigma2 < math.inf:
@@ -266,18 +262,24 @@ def _floored(table: np.ndarray) -> np.ndarray:
     return np.maximum(table, LOG_WEIGHT_FLOOR)
 
 
-def _conceptual_candidates(hset: HypothesisSet, mats: Sequence[np.ndarray]) -> Candidates:
+def _conceptual_candidates(hset: HypothesisSet,
+                           mats: Sequence[np.ndarray]) -> RankedAssignments:
+    """Every child of every parent, by parent row and then labels in
+    lexicographic order: its cost is the negated sum of its per-client log
+    weights, its log-weight log(parent weight) plus that sum."""
     k, c = hset.handles.shape[1], mats[0].shape[0]
-    parents, labels, log_weights = [], [], []
+    parents, labels, costs, log_weights = [], [], [], []
     for p in range(len(hset)):
         w_p = float(hset.normalized_weights[p])
         parent_log_w = float(np.log(w_p)) if w_p > 0 else -np.inf
         for assignment in enumerate_assignments(k, c):
+            score = sum(mats[p][j, lab] for j, lab in enumerate(assignment.labels))
             parents.append(p)
             labels.append(assignment.labels)
-            log_weights.append(parent_log_w + sum(mats[p][j, lab]
-                                                  for j, lab in enumerate(assignment.labels)))
-    return Candidates(np.array(parents), np.array(labels), np.array(log_weights))
+            costs.append(-score)
+            log_weights.append(parent_log_w + score)
+    return RankedAssignments(np.array(parents), np.array(labels), np.array(costs),
+                             np.array(log_weights))
 
 
 def _update_posteriors(selected: HypothesisSet, clients: Sequence[ClientDataset],
@@ -348,9 +350,9 @@ def run_round(server: ServerState, clients: Sequence[ClientDataset],
     if cfg.mode == "conceptual":
         selected = materialize(_conceptual_candidates(hset, mats), hset)
     elif cfg.mode == "greedy":
-        selected = select_greedy(expand(hset, mats, 1, cfg.prune_log_gap), hset)
+        selected = select_greedy(expand(hset, mats, 1), hset)
     else:
-        cands = expand(hset, mats, cfg.m_max, cfg.prune_log_gap)
+        cands = expand(hset, mats, cfg.m_max)
         selected = prune_top_m(cands, hset, cfg.m_max)
 
     updated = _update_posteriors(selected, clients, cfg)

@@ -260,12 +260,11 @@ class TestMBestProperties:
             assert all(type(lab) is int and 0 <= lab < K for lab in a.labels)
 
 
-def brute_force_children(entries, offsets, M, log_gap=None):
+def brute_force_children(entries, offsets, M):
     """Every child of every parent as (parent, labels, cost, log-weight), in
     the order ``m_best_exact`` promises: log-weight descending, then parent
     row, then labels, with each zero-weight parent's M cheapest children
-    after every finite child, by parent row and then labels; cut to M, then
-    to the children within log_gap of the best."""
+    after every finite child, by parent row and then labels; cut to M."""
     P, C, K = entries.shape
     finite, zero = [], []
     for p in range(P):
@@ -277,10 +276,7 @@ def brute_force_children(entries, offsets, M, log_gap=None):
         else:
             zero += sorted(rows[:M], key=lambda row: row[1])
     finite.sort(key=lambda row: (-row[3], row[0], row[1]))
-    ranked = (finite + zero)[:M]
-    if log_gap is not None:
-        ranked = [row for row in ranked if row[3] >= ranked[0][3] - log_gap]
-    return ranked
+    return (finite + zero)[:M]
 
 
 @st.composite
@@ -294,8 +290,7 @@ def stacked_cost_cases(draw):
     offsets = draw(st.lists(st.sampled_from([0.0, -0.5, -1.0, -3.0, -math.inf]),
                             min_size=P, max_size=P))
     M = draw(st.integers(1, P * K**C + 2))
-    log_gap = draw(st.none() | st.sampled_from([0.0, 0.5, 2.0]))
-    return np.array(entries), np.array(offsets), M, log_gap
+    return np.array(entries), np.array(offsets), M
 
 
 class TestMBestAcrossParents:
@@ -305,14 +300,14 @@ class TestMBestAcrossParents:
     @given(stacked_cost_cases())
     # a zero-weight parent offers its 2 cheapest children, (1, 1) and (0, 1),
     # in label order
-    @example((np.array([[[3.0, 0.0], [3.0, 0.0]]]), np.array([-math.inf]), 2, None))
-    @example((np.array([[[0.0, 1.0]], [[1.0, 0.0]]]), np.array([0.0, -math.inf]), 4, None))
+    @example((np.array([[[3.0, 0.0], [3.0, 0.0]]]), np.array([-math.inf]), 2))
+    @example((np.array([[[0.0, 1.0]], [[1.0, 0.0]]]), np.array([0.0, -math.inf]), 4))
     def test_matches_brute_force(self, case):
-        entries, offsets, M, log_gap = case
-        ranked = m_best_exact(entries, M, offsets, log_gap)
+        entries, offsets, M = case
+        ranked = m_best_exact(entries, M, offsets)
         got = list(zip(ranked.parents.tolist(), map(tuple, ranked.labels.tolist()),
                        ranked.costs.tolist(), ranked.log_weights.tolist()))
-        assert got == brute_force_children(entries, offsets, M, log_gap)
+        assert got == brute_force_children(entries, offsets, M)
 
     def test_one_table_is_one_parent_at_offset_zero(self):
         rng = np.random.default_rng(5)

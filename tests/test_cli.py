@@ -166,28 +166,31 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         assert cli_run(["run", "--config", str(path)]) == 1
 
+    def test_removed_prune_log_gap_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, prune_log_gap=5.0)))
+        out = tmp_path / "out"
+        assert cli_run(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "config error: unknown config keys: ['prune_log_gap']\n"
+        assert not out.exists()
+
 
 class TestConfigWiring:
     def test_sampled_estimator_and_extras(self):
         plan = plan_from_dict(dict(BASE_CONFIG, weight_estimator="sampled",
                                    weight_samples=32, fusion_mode="naive-product",
-                                   prune_log_gap=25.0, fresh_each_round=False))
+                                   fresh_each_round=False))
         rc = plan.round_config
         assert rc.weight_estimator.kind == "sampled"
         assert rc.weight_estimator.n_samples == 32
         assert rc.fusion_mode == "naive-product"
-        assert rc.prune_log_gap == 25.0
         assert plan.skew_config.fresh_each_round is False
 
     def test_seed_override_reaches_both_configs(self, config_path):
         plan = load_config(config_path).with_overrides(seed=99)
         assert plan.round_config.seed == 99
         assert plan.skew_config.seed == 99
-
-    def test_echo_has_prune_log_gap_when_set(self):
-        assert "prune_log_gap" not in canonical_dict(plan_from_dict(BASE_CONFIG))
-        echo = canonical_dict(plan_from_dict(dict(BASE_CONFIG, prune_log_gap=0.5)))
-        assert echo["prune_log_gap"] == 0.5
 
     def test_c_defaults_to_product(self):
         raw = {k: v for k, v in BASE_CONFIG.items() if k != "C"}
@@ -209,8 +212,8 @@ class TestConfigTyping:
         {"noise_variance": True},
         {"separation": float("nan")},
         {"prior_sigma2": float("nan")},
-        {"prune_log_gap": float("nan")},
-        {"prune_log_gap": "nan"},
+        {"noise_variance": float("nan")},
+        {"alpha_within": float("nan")},
         {"alpha_group": float("inf")},
         {"alpha_within": 10**400},
         {"sweep": [1, 2]},
@@ -223,10 +226,10 @@ class TestConfigTyping:
             plan_from_dict(dict(BASE_CONFIG, **extra))
 
     def test_float_keys_take_json_numbers(self):
-        plan = plan_from_dict(dict(BASE_CONFIG, separation=3, prune_log_gap=5))
+        plan = plan_from_dict(dict(BASE_CONFIG, separation=3, prior_sigma2=5))
         assert plan.skew_config.separation == 3.0
         assert type(plan.skew_config.separation) is float
-        assert plan.round_config.prune_log_gap == 5.0
+        assert type(plan.round_config.prior_sigma2) is float
 
     @pytest.mark.parametrize("sweep", [[1, 2], {"mode": "greedy"},
                                        {"mode": ["greedy"], "mmax": [1, 4]}])

@@ -48,6 +48,15 @@ class TestSeparatedCenters:
         assert not np.allclose(a, b)
 
 
+class TestSkewConfigValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["noise_variance", "separation", "alpha_group",
+                                       "alpha_within"])
+    def test_non_finite_value_names_its_field(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be positive and finite"):
+            label_cfg(**{field: value})
+
+
 class TestFeatureSkew:
     def test_determinism(self):
         a = gen_feature_skew(feature_cfg(), 3)

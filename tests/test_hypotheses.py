@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from bayescfl import (ContractError, CostMatrix, DegenerateHypothesisSetError,
                       GaussianDensity, HypothesisSet, best_assignment,
                       consensus_merge, expand, prune_top_m, select_greedy)
-from bayescfl.hypotheses import Candidates, materialize, root_set, softmax_weights
+from bayescfl.assignment import RankedAssignments
+from bayescfl.hypotheses import materialize, root_set, softmax_weights
 from bayescfl.reports import report_from_set
 
 COSTS_3X2 = np.array([[5.0, 8.0], [8.0, 2.0], [4.0, 8.0]])
@@ -44,9 +45,11 @@ def normalized(hset):
 
 
 def candidates(rows):
-    """Candidates from (parent, labels, log-weight) rows."""
+    """Ranked children from (parent, labels, log-weight) rows of parents at
+    offset 0."""
     parents, labels, log_weights = zip(*rows)
-    return Candidates(np.array(parents), np.array(labels), np.array(log_weights))
+    return RankedAssignments(np.array(parents), np.array(labels), -np.array(log_weights),
+                             np.array(log_weights))
 
 
 class TestNormalize:
@@ -127,12 +130,6 @@ class TestExpand:
             score = sum(mats[p][j, lab] for j, lab in enumerate(labels))
             expected = np.log(parents.normalized_weights[p]) + score
             assert abs(log_weight - expected) < 1e-12
-
-    def test_prune_log_gap_filters(self):
-        parents = root_set([density([0.0]), density([1.0])])
-        mat = np.array([[0.0, -50.0]])
-        cands = expand(parents, [mat], 4, prune_log_gap=10.0)
-        assert cands.labels.tolist() == [[0]]
 
 
 class TestSelection:

@@ -43,6 +43,12 @@ class TestSpecValidation:
         with pytest.raises(ContractError):
             LocalModelSpec("gaussian-mean", feature_dim=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("kind", ["gaussian-mean", "bayes-linear"])
+    def test_non_finite_noise_variance_names_it(self, kind, value):
+        with pytest.raises(ContractError, match="positive, finite noise_variance"):
+            LocalModelSpec(kind, feature_dim=1, noise_variance=value)
+
     def test_logistic_is_binary(self):
         raw = {"K": 2, "T": 1, "groups": 2, "clients_per_group": 1,
                "scheme": "label-skew", "model_kind": "laplace-logistic"}

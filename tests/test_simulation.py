@@ -50,8 +50,8 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             WeightEstimator(kind="mode")
 
-    @pytest.mark.parametrize("kw", [{"prune_log_gap": -1.0},
-                                    {"prune_log_gap": float("nan")},
+    @pytest.mark.parametrize("kw", [{"m_max": 0},
+                                    {"prior_sigma2": 0.0},
                                     {"warm_up_rounds": 3}])
     def test_out_of_range_values_name_their_key(self, kw):
         (key,) = kw

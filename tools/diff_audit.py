@@ -16,7 +16,8 @@ fits, and at-mean weights on Laplace posteriors), and one run of each mode
 that the files above leave out: ``configs/demo.json`` as ``greedy``,
 ``configs/label_skew.json`` as ``consensus`` (conjugate, at-mean) and
 ``configs/tiny.json`` as ``conceptual``, and ``configs/label_skew.json`` with
-``prune_log_gap`` 5 (no config file sets a gap). Then it runs ``bayescfl oracle``
+``naive-product`` fusion (the round fusing multi-member lists without the
+prior correction; no config file sets it). Then it runs ``bayescfl oracle``
 from both checkouts on ``configs/tiny.json`` and on a ``tiny+sampled``
 variant (7 draws, separation 1), at the same four seeds: 8 oracle runs per
 side. Both sides read the same config files, so the two runs of a pair differ
@@ -61,7 +62,7 @@ CONFIGS = ("configs/demo.json", "configs/label_skew.json", "configs/tiny.json",
            "perfbench/workloads/label_skew.json", "perfbench/workloads/scaled_rank.json",
            "perfbench/workloads/logistic_sampled.json")
 # (base config, name, overrides): sampled weights past the one-parent
-# consensus workload, the modes no config file runs, and a pruning gap
+# consensus workload, the modes no config file runs, and naive-product fusion
 VARIANTS = (
     ("configs/demo.json", "demo+sampled",
      {"weight_estimator": "sampled", "weight_samples": 20}),
@@ -75,7 +76,7 @@ VARIANTS = (
     ("configs/demo.json", "demo+greedy", {"mode": "greedy"}),
     ("configs/label_skew.json", "label_skew+consensus", {"mode": "consensus"}),
     ("configs/tiny.json", "tiny+conceptual", {"mode": "conceptual"}),
-    ("configs/label_skew.json", "label_skew+gap", {"prune_log_gap": 5}),
+    ("configs/label_skew.json", "label_skew+naive-product", {"fusion_mode": "naive-product"}),
 )
 # ``bayescfl oracle`` runs on configs/tiny.json (at-mean weights) and on this
 # variant: sampled weights, at a separation where they do not saturate
