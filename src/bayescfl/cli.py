@@ -127,8 +127,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     plan = _load_plan(args)
     rc = plan.round_config
+    conceptual_cfg = dataclasses.replace(rc, mode="conceptual")    # checks the size
     full_width = (rc.K ** rc.C) ** rc.T
-    conceptual_cfg = dataclasses.replace(rc, mode="conceptual")
     mh_cfg = dataclasses.replace(rc, mode="multi-hypothesis", m_max=full_width)
     scenario = gen_scenario(plan.skew_config, rc.T)
     ref = run_training(conceptual_cfg, scenario.rounds)

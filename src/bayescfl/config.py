@@ -1,14 +1,8 @@
 """Run configuration files.
 
-A run is described by one JSON file whose keys mirror the round and scenario
-config fields:
-
-    mode, K, C, T, m_max, weight_estimator, fusion_mode, warm_up_rounds, seed,
-    scheme, groups, clients_per_group, samples_per_round, alpha_group,
-    alpha_within, separation, label_count
-
-plus optional extras: model_kind, feature_dim, noise_variance, weight_samples,
-test_samples, fresh_each_round, prior_sigma2, and a sweep section
+A run is described by one JSON object. ``KEYS`` lists its keys in the order
+of the summary's config echo, each with its JSON type and its default (or
+``REQUIRED``); the one other key is an optional sweep section
 ({"mode": [...], "m_max": [...]}). Any other key is a config error.
 """
 
@@ -16,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .datasets import SkewConfig
@@ -24,13 +18,38 @@ from .errors import ConfigError, ContractError
 from .models import LocalModelSpec
 from .simulation import RoundConfig, WeightEstimator
 
-_KNOWN_KEYS = {
-    "mode", "K", "C", "T", "m_max", "weight_estimator", "fusion_mode",
-    "warm_up_rounds", "seed", "scheme", "groups", "clients_per_group",
-    "samples_per_round", "alpha_group", "alpha_within", "separation",
-    "label_count", "model_kind", "feature_dim", "noise_variance",
-    "weight_samples", "test_samples", "fresh_each_round", "prior_sigma2", "sweep",
+REQUIRED = object()     # the default of a key that every config must give
+
+# key: (type, default); a default C of None stands for groups * clients_per_group
+KEYS = {
+    "mode": (str, "greedy"),
+    "K": (int, REQUIRED),
+    "C": (int, None),
+    "T": (int, REQUIRED),
+    "m_max": (int, 1),
+    "weight_estimator": (str, "at-mean"),
+    "weight_samples": (int, 100),
+    "fusion_mode": (str, "prior-corrected"),
+    "warm_up_rounds": (int, 0),
+    "seed": (int, 0),
+    "scheme": (str, REQUIRED),
+    "groups": (int, REQUIRED),
+    "clients_per_group": (int, REQUIRED),
+    "samples_per_round": (int, 50),
+    "alpha_group": (float, 0.1),
+    "alpha_within": (float, 10.0),
+    "separation": (float, 10.0),
+    "label_count": (int, 10),
+    "model_kind": (str, "gaussian-mean"),
+    "feature_dim": (int, 2),
+    "noise_variance": (float, 1.0),
+    "prior_sigma2": (float, 10.0),
+    "fresh_each_round": (bool, True),
+    "test_samples": (int, 500),
 }
+
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false",
+             str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -40,181 +59,121 @@ class RunPlan:
     test_samples: int
     sweep_modes: tuple[str, ...]
     sweep_m_max: tuple[int, ...]
+    values: dict            # every KEYS key's resolved value, in KEYS order
 
     def with_overrides(self, seed: int | None = None, mode: str | None = None,
                        m_max: int | None = None) -> "RunPlan":
-        rc, sc = self.round_config, self.skew_config
-        if seed is not None:
-            rc = replace(rc, seed=seed)
-            sc = replace(sc, seed=seed)
-        if mode is not None:
-            rc = replace(rc, mode=mode)
-        if m_max is not None:
-            rc = replace(rc, m_max=m_max)
-        return replace(self, round_config=rc, skew_config=sc)
+        """The plan rebuilt through ``plan_from_dict`` with each given value
+        in place of its own, so it is checked as a config file would be."""
+        given = {"seed": seed, "mode": mode, "m_max": m_max}
+        return plan_from_dict({
+            **self.values, **{k: v for k, v in given.items() if v is not None},
+            "sweep": {"mode": list(self.sweep_modes), "m_max": list(self.sweep_m_max)}})
 
 
-def _get(raw: dict, key: str, default=None, required: bool = False):
-    if key not in raw:
-        if required:
-            raise ConfigError(f"config is missing required key {key!r}")
-        return default
-    return raw[key]
+def _convert(key: str, kind: type, value):
+    """value as a JSON value of kind: an integer that is not a bool, a finite
+    number (as a float; NaN would pass every later range check), true or
+    false, or a string. Anything else is rejected instead of truncated or
+    coerced."""
+    if kind is float:
+        # the comparison is False for NaN and infinities, and exact for big ints
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {_EXPECTED[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _as_int(key: str, value) -> int:
-    """A JSON integer; floats, strings and bools (which Python counts as
-    ints) are rejected instead of truncated or coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _int(raw: dict, key: str, default=None, required: bool = False) -> int:
-    return _as_int(key, _get(raw, key, default, required))
-
-
-def _as_float(key: str, value) -> float:
-    """A finite JSON number; strings, bools, NaN and infinities are rejected
-    instead of coerced (NaN would pass every later range check)."""
-    # the comparison is False for NaN and infinities, and exact for big ints
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _float(raw: dict, key: str, default: float) -> float:
-    return _as_float(key, _get(raw, key, default))
-
-
-def _sweep_list(sweep: dict, key: str, default: list, convert) -> tuple:
+def _sweep_list(sweep: dict, key: str, default) -> tuple:
     """The converted values of the sweep list at key; an empty list, which
     would run nothing, or a repeated value, which would run twice into one
     directory, is rejected."""
-    value = sweep.get(key, default)
+    value = sweep.get(key, [default])
     if not isinstance(value, list):
         raise ConfigError(f"config key 'sweep.{key}' must be a list, got {value!r}")
-    values = tuple(convert(v) for v in value)
+    values = tuple(_convert(f"sweep.{key}", KEYS[key][0], v) for v in value)
     if not values or len(set(values)) < len(values):
         raise ConfigError(f"config key 'sweep.{key}' must be a nonempty list without "
                           f"repeats, got {value!r}")
     return values
 
 
-def _bool(raw: dict, key: str, default: bool) -> bool:
-    value = _get(raw, key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
-    return value
-
-
 def load_config(path) -> RunPlan:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        text = path.read_text()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return plan_from_dict(raw)
 
 
 def plan_from_dict(raw: dict) -> RunPlan:
+    """The plan of a config object: each KEYS key converted or defaulted,
+    and any other key but ``sweep`` a ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(raw) - set(KEYS) - {"sweep"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    v = {}
+    for key, (kind, default) in KEYS.items():
+        if key in raw:
+            v[key] = _convert(key, kind, raw[key])
+        elif default is REQUIRED:
+            raise ConfigError(f"config is missing required key {key!r}")
+        else:
+            v[key] = default
+    product = v["groups"] * v["clients_per_group"]
+    if v["C"] is None:
+        v["C"] = product
+    elif v["C"] != product:
+        raise ConfigError(f"C={v['C']} does not equal groups*clients_per_group={product}")
+    logistic = v["model_kind"] == "laplace-logistic"
+    if logistic and (v["scheme"] != "label-skew" or v["label_count"] != 2):
+        raise ConfigError("laplace-logistic runs need scheme=label-skew and label_count=2")
+    if v["test_samples"] < 1:
+        raise ConfigError("test_samples must be positive")
+    sweep = raw.get("sweep", {})
+    if not isinstance(sweep, dict):
+        raise ConfigError(f"config key 'sweep' must be an object, got {sweep!r}")
+    unknown = set(sweep) - {"mode", "m_max"}
+    if unknown:
+        raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
     try:
-        groups = _int(raw, "groups", required=True)
-        cpg = _int(raw, "clients_per_group", required=True)
-        c = _int(raw, "C", groups * cpg)
-        if c != groups * cpg:
-            raise ConfigError(
-                f"C={c} does not equal groups*clients_per_group={groups * cpg}")
-        seed = _int(raw, "seed", 0)
-
-        model_kind = str(_get(raw, "model_kind", "gaussian-mean"))
-        feature_dim = _int(raw, "feature_dim", 2)
-        noise_variance = _float(raw, "noise_variance", 1.0)
-        label_count = _int(raw, "label_count", 10)
-        if model_kind == "laplace-logistic":
-            if _get(raw, "scheme", required=True) != "label-skew" or label_count != 2:
-                raise ConfigError(
-                    "laplace-logistic runs need scheme=label-skew and label_count=2")
-        model = LocalModelSpec(
-            kind=model_kind, feature_dim=feature_dim,
-            noise_variance=None if model_kind == "laplace-logistic" else noise_variance)
-
-        estimator_kind = str(_get(raw, "weight_estimator", "at-mean"))
-        estimator = WeightEstimator(kind=estimator_kind,
-                                    n_samples=_int(raw, "weight_samples", 100))
-
+        model = LocalModelSpec(kind=v["model_kind"], feature_dim=v["feature_dim"],
+                               noise_variance=None if logistic else v["noise_variance"])
         round_config = RoundConfig(
-            K=_int(raw, "K", required=True),
-            C=c,
-            T=_int(raw, "T", required=True),
-            m_max=_int(raw, "m_max", 1),
-            mode=str(_get(raw, "mode", "greedy")),
-            weight_estimator=estimator,
-            fusion_mode=str(_get(raw, "fusion_mode", "prior-corrected")),
-            warm_up_rounds=_int(raw, "warm_up_rounds", 0),
-            seed=seed,
-            model=model,
-            prior_sigma2=_float(raw, "prior_sigma2", 10.0),
-        )
+            K=v["K"], C=v["C"], T=v["T"], m_max=v["m_max"], mode=v["mode"],
+            weight_estimator=WeightEstimator(v["weight_estimator"], v["weight_samples"]),
+            fusion_mode=v["fusion_mode"], warm_up_rounds=v["warm_up_rounds"],
+            seed=v["seed"], model=model, prior_sigma2=v["prior_sigma2"])
         skew_config = SkewConfig(
-            scheme=str(_get(raw, "scheme", required=True)),
-            groups=groups,
-            clients_per_group=cpg,
-            samples_per_client_per_round=_int(raw, "samples_per_round", 50),
-            alpha_group=_float(raw, "alpha_group", 0.1),
-            alpha_within=_float(raw, "alpha_within", 10.0),
-            separation=_float(raw, "separation", 10.0),
-            label_count=label_count,
-            seed=seed,
-            feature_dim=feature_dim,
-            noise_variance=noise_variance,
-            model_kind="gaussian-mean" if model_kind == "laplace-logistic" else model_kind,
-            fresh_each_round=_bool(raw, "fresh_each_round", True),
-        )
-        sweep = _get(raw, "sweep", {})
-        if not isinstance(sweep, dict):
-            raise ConfigError(f"config key 'sweep' must be an object, got {sweep!r}")
-        unknown = set(sweep) - {"mode", "m_max"}
-        if unknown:
-            raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
-        sweep_modes = _sweep_list(sweep, "mode", [round_config.mode], str)
-        sweep_m_max = _sweep_list(sweep, "m_max", [round_config.m_max],
-                                  lambda m: _as_int("sweep.m_max", m))
-        test_samples = _int(raw, "test_samples", 500)
-        if test_samples < 1:
-            raise ConfigError("test_samples must be positive")
-    except ConfigError:
-        raise
-    except (ContractError, TypeError, ValueError) as exc:
+            scheme=v["scheme"], groups=v["groups"],
+            clients_per_group=v["clients_per_group"],
+            samples_per_client_per_round=v["samples_per_round"],
+            alpha_group=v["alpha_group"], alpha_within=v["alpha_within"],
+            separation=v["separation"], label_count=v["label_count"], seed=v["seed"],
+            feature_dim=v["feature_dim"], noise_variance=v["noise_variance"],
+            model_kind="gaussian-mean" if logistic else v["model_kind"],
+            fresh_each_round=v["fresh_each_round"])
+    except ContractError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return RunPlan(round_config=round_config, skew_config=skew_config,
-                   test_samples=test_samples, sweep_modes=sweep_modes,
-                   sweep_m_max=sweep_m_max)
+                   test_samples=v["test_samples"],
+                   sweep_modes=_sweep_list(sweep, "mode", v["mode"]),
+                   sweep_m_max=_sweep_list(sweep, "m_max", v["m_max"]), values=v)
 
 
 def canonical_dict(plan: RunPlan) -> dict:
-    """Config echo for summaries: stable key order, plain JSON types."""
-    rc, sc = plan.round_config, plan.skew_config
-    return {
-        "mode": rc.mode, "K": rc.K, "C": rc.C, "T": rc.T, "m_max": rc.m_max,
-        "weight_estimator": rc.weight_estimator.kind,
-        "weight_samples": rc.weight_estimator.n_samples,
-        "fusion_mode": rc.fusion_mode, "warm_up_rounds": rc.warm_up_rounds,
-        "seed": rc.seed, "scheme": sc.scheme, "groups": sc.groups,
-        "clients_per_group": sc.clients_per_group,
-        "samples_per_round": sc.samples_per_client_per_round,
-        "alpha_group": sc.alpha_group, "alpha_within": sc.alpha_within,
-        "separation": sc.separation, "label_count": sc.label_count,
-        "model_kind": rc.model.kind, "feature_dim": rc.model.feature_dim,
-        "noise_variance": sc.noise_variance, "prior_sigma2": rc.prior_sigma2,
-        "fresh_each_round": sc.fresh_each_round,
-        "test_samples": plan.test_samples,
-    }
+    """Config echo for summaries: every KEYS key's resolved value, in KEYS
+    order."""
+    return dict(plan.values)

@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import RankedAssignments, count_hypotheses_constrained, enumerate_assignments
+from .assignment import RankedAssignments, enumerate_assignments
 from .datasets import ClientDataset, _rng
 from .density import GaussianDensity, _factored_gaussians, fuse_local_posteriors
 from .errors import ContractError, NumericalError
@@ -115,10 +115,24 @@ class RoundConfig:
         # a finite variance
         if not 0 < self.prior_sigma2 < math.inf:
             raise ContractError("prior_sigma2 must be positive and finite")
-        if self.mode == "conceptual":
-            if count_hypotheses_constrained(self.K, self.C) ** self.T > CONCEPTUAL_GUARD:
-                raise ContractError(
-                    "conceptual mode needs K^C^T small enough for full enumeration")
+        if self.mode == "conceptual" and \
+                _guarded_power(self.K, self.C * self.T) > CONCEPTUAL_GUARD:
+            raise ContractError(
+                "conceptual mode needs K^C^T small enough for full enumeration")
+
+
+def _guarded_power(base: int, exponent: int) -> int:
+    """base ** exponent for base >= 1, or the first power of base above
+    CONCEPTUAL_GUARD: the exact K^(C*T) of a large instance has millions of
+    digits and takes seconds to multiply out."""
+    if base == 1:
+        return 1
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > CONCEPTUAL_GUARD:
+            break
+    return power
 
 
 @dataclass(frozen=True)

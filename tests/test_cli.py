@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bayescfl.cli import cli_run
-from bayescfl.config import canonical_dict, load_config, plan_from_dict
+from bayescfl.config import KEYS, REQUIRED, canonical_dict, load_config, plan_from_dict
 from bayescfl.errors import ConfigError, ContractError
 from bayescfl.reports import read_ndjson
 
@@ -103,6 +104,19 @@ class TestRun:
         assert cli_run(["run", "--config", str(missing)]) == 1
         err = capsys.readouterr().err
         assert "nope.json" in err
+
+    @pytest.mark.parametrize("make", [lambda path: path.mkdir(),
+                                      lambda path: path.write_bytes(b'{"K": "\xff"}')],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_exits_one(self, tmp_path, make):
+        """A config path that cannot be read as text is a one-line config
+        error naming it, not a traceback."""
+        path = tmp_path / "run.json"
+        make(path)
+        done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert done.returncode == 1
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(f"config error: cannot read config file {path}: ")
 
     def test_unknown_flag_exits_one(self, capsys):
         assert cli_run(["run", "--frobnicate"]) == 1
@@ -197,6 +211,14 @@ class TestConfigWiring:
         plan = plan_from_dict(raw)
         assert plan.round_config.C == 4
 
+    def test_unknown_key_rejected_without_a_file(self):
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['prune_log_gap'\]$"):
+            plan_from_dict(dict(BASE_CONFIG, prune_log_gap=5.0))
+
+    def test_out_of_range_override_is_config_error(self, config_path):
+        with pytest.raises(ConfigError, match="m_max"):
+            load_config(config_path).with_overrides(m_max=0)
+
 
 class TestConfigTyping:
     @pytest.mark.parametrize("extra", [
@@ -224,6 +246,31 @@ class TestConfigTyping:
     def test_rejects_coercible_values(self, extra):
         with pytest.raises(ConfigError):
             plan_from_dict(dict(BASE_CONFIG, **extra))
+
+    WRONG_TYPE = {int: 2.5, float: "2.5", bool: 1, str: 1}
+
+    @pytest.mark.parametrize("key", list(KEYS))
+    def test_wrong_json_type_names_the_key(self, key):
+        """Every key rejects a value of another JSON type, naming the key,
+        instead of coercing it (a str key took 1 as "1")."""
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be "):
+            plan_from_dict(dict(BASE_CONFIG, **{key: self.WRONG_TYPE[KEYS[key][0]]}))
+
+    def test_readme_table_lists_the_keys(self):
+        """The README's key table gives each key of KEYS, in order, with its
+        type and default."""
+        text = (REPO / "README.md").read_text()
+        section = text[text.index("### Config keys"):text.index("## Library example")]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("| `")]
+        defaults = {"required": REQUIRED, "`groups * clients_per_group`": None}
+        table = {key.strip("`"): (kind, defaults[default] if default in defaults
+                                  else json.loads(default.strip("`")))
+                 for key, kind, default, _ in rows}
+        assert list(table) == list(KEYS)
+        for key, (kind, default) in KEYS.items():
+            assert table[key] == (kind.__name__, default), key
+            assert default in (REQUIRED, None) or type(table[key][1]) is kind, key
 
     def test_float_keys_take_json_numbers(self):
         plan = plan_from_dict(dict(BASE_CONFIG, separation=3, prior_sigma2=5))
@@ -339,6 +386,17 @@ class TestOracle:
         assert cli_run(["oracle", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "max weight deviation" in out
+
+    def test_oversized_instance_exits_one_quickly(self, tmp_path, capsys):
+        """The conceptual size check runs before the full width K^C^T is
+        multiplied out, which takes seconds at this size."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, K=3, C=10_000, T=1_000, groups=2,
+                                        clients_per_group=5_000)))
+        start = time.perf_counter()
+        assert cli_run(["oracle", "--config", str(path)]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert "conceptual mode needs K^C^T small enough" in capsys.readouterr().err
 
     TINY = json.loads((REPO / "configs" / "tiny.json").read_text())
 

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,20 @@ class TestConfigValidation:
     def test_conceptual_guard(self):
         with pytest.raises(ContractError):
             RoundConfig(K=4, C=10, T=5, mode="conceptual", model=GM2)
+
+    def test_conceptual_guard_rejects_large_instances_quickly(self):
+        """The guard stops multiplying once K^C^T passes it, instead of
+        building a number of ~477k digits first."""
+        start = time.perf_counter()
+        with pytest.raises(ContractError, match="conceptual mode"):
+            RoundConfig(K=3, C=10_000, T=1_000, mode="conceptual", model=GM2)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("K, C, T", [(10, 3, 2), (1000, 1, 2), (10, 6, 1),
+                                         (1, 10_000, 1_000)])
+    def test_conceptual_guard_accepts_its_boundary(self, K, C, T):
+        """K^C^T of exactly 10^6, or any size with K = 1, is enumerable."""
+        assert RoundConfig(K=K, C=C, T=T, mode="conceptual", model=GM2).mode == "conceptual"
 
     def test_unknown_mode(self):
         with pytest.raises(ContractError):

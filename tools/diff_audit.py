@@ -20,7 +20,9 @@ that the files above leave out: ``configs/demo.json`` as ``greedy``,
 prior correction; no config file sets it). Then it runs ``bayescfl oracle``
 from both checkouts on ``configs/tiny.json`` and on a ``tiny+sampled``
 variant (7 draws, separation 1), at the same four seeds: 8 oracle runs per
-side. Both sides read the same config files, so the two runs of a pair differ
+side. Last it runs one ``bayescfl sweep`` of ``configs/demo.json`` per side
+at seed 1000 (every sub-run's plan comes from ``RunPlan.with_overrides``).
+Both sides read the same config files, so the two runs of a pair differ
 only in the program. For each run it prints whether ``rounds.ndjson`` and
 ``summary.json`` are byte-identical, whether the assignments, hypothesis ids
 and parent ids are identical in every round, the largest absolute change
@@ -33,7 +35,10 @@ gives, per config, the mean over its seeds of the final association accuracy
 and the held-out log-likelihood (both from ``summary.json``) on each side, so
 a change that moves report values can quote what it moved. A third table
 gives, per oracle run, each side's maximum weight and posterior-mean
-deviation and its exit code.
+deviation and its exit code. A last line says whether the two sweeps wrote
+the same files with the same bytes: ``sweep.json`` and each sub-run's
+``rounds.ndjson``, ``summary.json`` and ``coassoc.csv``, naming any that
+differ.
 
 For every config and seed it also prints (column ``data``) whether the
 datasets that ``run`` generates are identical on both sides: a SHA-256 over
@@ -41,9 +46,10 @@ every scenario round and the held-out set (each dataset's ids, the dtype,
 shape and bytes of its features and labels), computed by each checkout's own
 interpreter on its own ``src``.
 
-Exit code 0 when every run finished on both sides with identical
-assignments and ids (bytes may still differ: read the table), every dataset
-digest matches and every oracle run of NEW exits 0, 1 otherwise.
+Exit code 0 when every run and the sweep finished on both sides, every run
+with identical assignments and ids (bytes may still differ: read the table),
+every dataset digest matches and every oracle run of NEW exits 0, 1
+otherwise.
 Standard library only.
 """
 
@@ -83,6 +89,7 @@ VARIANTS = (
 ORACLE_VARIANT = ("configs/tiny.json", "tiny+sampled",
                   {"weight_estimator": "sampled", "weight_samples": 7, "separation": 1.0})
 SEEDS = (1000, 1001, 2000, 2001)
+SWEEP = ("configs/demo.json", 1000)
 OUTPUTS = ("rounds.ndjson", "summary.json")
 ID_FIELDS = ("assignments", "hypothesis_ids", "parent_ids")
 
@@ -146,9 +153,11 @@ def write_variant(new: Path, tmp: Path, base: str, name: str, overrides: dict) -
     return path
 
 
-def run(checkout: Path, config: Path, seed: int, out: Path) -> str | None:
-    """``bayescfl run`` from checkout's src; None on success, else the error."""
-    proc = cli(checkout, "run", "--config", str(config), "--seed", str(seed),
+def run(checkout: Path, config: Path, seed: int, out: Path,
+        command: str = "run") -> str | None:
+    """``bayescfl run`` (or ``sweep``) from checkout's src; None on success,
+    else the error."""
+    proc = cli(checkout, command, "--config", str(config), "--seed", str(seed),
                "--out", str(out))
     if proc.returncode != 0:
         return f"exit {proc.returncode}: {proc.stderr.strip().splitlines()[-1:]}"
@@ -186,6 +195,16 @@ def coassoc_change(old_dir: Path, new_dir: Path) -> tuple[float, float]:
     deltas = [abs(b - a) for i, (row_a, row_b) in enumerate(zip(old, new))
               for j, (a, b) in enumerate(zip(row_a, row_b)) if i != j]
     return max(deltas, default=0.0), sum(deltas) / max(len(deltas), 1)
+
+
+def differing_files(old_dir: Path, new_dir: Path) -> tuple[int, list[str]]:
+    """How many files the two output trees hold, and the relative paths of
+    those that differ in bytes or exist in one tree only."""
+    files = {path.relative_to(d) for d in (old_dir, new_dir)
+             for path in d.rglob("*") if path.is_file()}
+    return len(files), sorted(str(f) for f in files if not (
+        (old_dir / f).is_file() and (new_dir / f).is_file()
+        and (old_dir / f).read_bytes() == (new_dir / f).read_bytes()))
 
 
 def flat(value) -> list[float]:
@@ -291,6 +310,12 @@ def main(argv=None) -> int:
                       + "  " + " ".join(f"{x:.3g}" for x in c["coassoc"]))
         oracles = [(config, seed, oracle(old, path, seed), oracle(new, path, seed))
                    for config, path in oracle_configs.items() for seed in SEEDS]
+        sweep_config, sweep_seed = SWEEP
+        sweep_out = {side: Path(tmp) / side / "sweep" for side in ("old", "new")}
+        sweep_errors = [err for err in (
+            run(old, new / sweep_config, sweep_seed, sweep_out["old"], "sweep"),
+            run(new, new / sweep_config, sweep_seed, sweep_out["new"], "sweep")) if err]
+        sweep_files = None if sweep_errors else differing_files(*sweep_out.values())
     print(f"{total} runs: {identical} byte-identical on both files, "
           f"{same_data} with identical datasets, "
           f"{failures} failed or with differing datasets, assignments or ids")
@@ -308,6 +333,13 @@ def main(argv=None) -> int:
         failures += new_code != 0
         print(f"{config:42} {seed:>5}  {old_devs:>19} {old_code:>4}  "
               f"{new_devs:>19} {new_code:>4}")
+    print(f"\nsweep {sweep_config} seed {sweep_seed}: ", end="")
+    if sweep_errors:
+        failures += 1
+        print(f"FAILED {sweep_errors}")
+    else:
+        count, differing = sweep_files
+        print(f"{count} files, {len(differing)} differing {differing}")
     return 1 if failures else 0
 
 
