@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .datasets import SkewConfig
@@ -54,12 +54,52 @@ _EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false",
 
 @dataclass(frozen=True)
 class RunPlan:
-    round_config: RoundConfig
-    skew_config: SkewConfig
-    test_samples: int
+    """A checked run: the resolved value of every KEYS key, as (key, value)
+    pairs in KEYS order, and the sweep lists. ``round_config`` and
+    ``skew_config`` are built from ``values`` alone, so the summary's echo is
+    what runs; a plan changes through ``with_overrides``."""
+
+    values: tuple[tuple[str, object], ...]
     sweep_modes: tuple[str, ...]
     sweep_m_max: tuple[int, ...]
-    values: dict            # every KEYS key's resolved value, in KEYS order
+    round_config: RoundConfig = field(init=False, repr=False, compare=False)
+    skew_config: SkewConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = dict(self.values)
+        product = v["groups"] * v["clients_per_group"]
+        if v["C"] != product:
+            raise ConfigError(f"C={v['C']} does not equal groups*clients_per_group={product}")
+        logistic = v["model_kind"] == "laplace-logistic"
+        if logistic and (v["scheme"] != "label-skew" or v["label_count"] != 2):
+            raise ConfigError("laplace-logistic runs need scheme=label-skew and label_count=2")
+        if v["test_samples"] < 1:
+            raise ConfigError("test_samples must be positive")
+        try:
+            model = LocalModelSpec(kind=v["model_kind"], feature_dim=v["feature_dim"],
+                                   noise_variance=None if logistic else v["noise_variance"])
+            round_config = RoundConfig(
+                K=v["K"], C=v["C"], T=v["T"], m_max=v["m_max"], mode=v["mode"],
+                weight_estimator=WeightEstimator(v["weight_estimator"], v["weight_samples"]),
+                fusion_mode=v["fusion_mode"], warm_up_rounds=v["warm_up_rounds"],
+                seed=v["seed"], model=model, prior_sigma2=v["prior_sigma2"])
+            skew_config = SkewConfig(
+                scheme=v["scheme"], groups=v["groups"],
+                clients_per_group=v["clients_per_group"],
+                samples_per_client_per_round=v["samples_per_round"],
+                alpha_group=v["alpha_group"], alpha_within=v["alpha_within"],
+                separation=v["separation"], label_count=v["label_count"], seed=v["seed"],
+                feature_dim=v["feature_dim"], noise_variance=v["noise_variance"],
+                model_kind="gaussian-mean" if logistic else v["model_kind"],
+                fresh_each_round=v["fresh_each_round"])
+        except ContractError as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
+        object.__setattr__(self, "round_config", round_config)
+        object.__setattr__(self, "skew_config", skew_config)
+
+    @property
+    def test_samples(self) -> int:
+        return dict(self.values)["test_samples"]
 
     def with_overrides(self, seed: int | None = None, mode: str | None = None,
                        m_max: int | None = None) -> "RunPlan":
@@ -67,7 +107,7 @@ class RunPlan:
         in place of its own, so it is checked as a config file would be."""
         given = {"seed": seed, "mode": mode, "m_max": m_max}
         return plan_from_dict({
-            **self.values, **{k: v for k, v in given.items() if v is not None},
+            **dict(self.values), **{k: v for k, v in given.items() if v is not None},
             "sweep": {"mode": list(self.sweep_modes), "m_max": list(self.sweep_m_max)}})
 
 
@@ -104,7 +144,7 @@ def _sweep_list(sweep: dict, key: str, default) -> tuple:
 def load_config(path) -> RunPlan:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -132,45 +172,17 @@ def plan_from_dict(raw: dict) -> RunPlan:
             raise ConfigError(f"config is missing required key {key!r}")
         else:
             v[key] = default
-    product = v["groups"] * v["clients_per_group"]
     if v["C"] is None:
-        v["C"] = product
-    elif v["C"] != product:
-        raise ConfigError(f"C={v['C']} does not equal groups*clients_per_group={product}")
-    logistic = v["model_kind"] == "laplace-logistic"
-    if logistic and (v["scheme"] != "label-skew" or v["label_count"] != 2):
-        raise ConfigError("laplace-logistic runs need scheme=label-skew and label_count=2")
-    if v["test_samples"] < 1:
-        raise ConfigError("test_samples must be positive")
+        v["C"] = v["groups"] * v["clients_per_group"]
     sweep = raw.get("sweep", {})
     if not isinstance(sweep, dict):
         raise ConfigError(f"config key 'sweep' must be an object, got {sweep!r}")
     unknown = set(sweep) - {"mode", "m_max"}
     if unknown:
         raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
-    try:
-        model = LocalModelSpec(kind=v["model_kind"], feature_dim=v["feature_dim"],
-                               noise_variance=None if logistic else v["noise_variance"])
-        round_config = RoundConfig(
-            K=v["K"], C=v["C"], T=v["T"], m_max=v["m_max"], mode=v["mode"],
-            weight_estimator=WeightEstimator(v["weight_estimator"], v["weight_samples"]),
-            fusion_mode=v["fusion_mode"], warm_up_rounds=v["warm_up_rounds"],
-            seed=v["seed"], model=model, prior_sigma2=v["prior_sigma2"])
-        skew_config = SkewConfig(
-            scheme=v["scheme"], groups=v["groups"],
-            clients_per_group=v["clients_per_group"],
-            samples_per_client_per_round=v["samples_per_round"],
-            alpha_group=v["alpha_group"], alpha_within=v["alpha_within"],
-            separation=v["separation"], label_count=v["label_count"], seed=v["seed"],
-            feature_dim=v["feature_dim"], noise_variance=v["noise_variance"],
-            model_kind="gaussian-mean" if logistic else v["model_kind"],
-            fresh_each_round=v["fresh_each_round"])
-    except ContractError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-    return RunPlan(round_config=round_config, skew_config=skew_config,
-                   test_samples=v["test_samples"],
+    return RunPlan(values=tuple(v.items()),
                    sweep_modes=_sweep_list(sweep, "mode", v["mode"]),
-                   sweep_m_max=_sweep_list(sweep, "m_max", v["m_max"]), values=v)
+                   sweep_m_max=_sweep_list(sweep, "m_max", v["m_max"]))
 
 
 def canonical_dict(plan: RunPlan) -> dict:

@@ -115,24 +115,13 @@ class RoundConfig:
         # a finite variance
         if not 0 < self.prior_sigma2 < math.inf:
             raise ContractError("prior_sigma2 must be positive and finite")
-        if self.mode == "conceptual" and \
-                _guarded_power(self.K, self.C * self.T) > CONCEPTUAL_GUARD:
+        # K^(C*T) with the exponent capped at the guard's bit length: for K >= 2
+        # both sides of the cap exceed the guard, and the exact power of a
+        # large instance has millions of digits
+        if self.mode == "conceptual" and self.K ** min(
+                self.C * self.T, CONCEPTUAL_GUARD.bit_length()) > CONCEPTUAL_GUARD:
             raise ContractError(
                 "conceptual mode needs K^C^T small enough for full enumeration")
-
-
-def _guarded_power(base: int, exponent: int) -> int:
-    """base ** exponent for base >= 1, or the first power of base above
-    CONCEPTUAL_GUARD: the exact K^(C*T) of a large instance has millions of
-    digits and takes seconds to multiply out."""
-    if base == 1:
-        return 1
-    power = 1
-    for _ in range(exponent):
-        power *= base
-        if power > CONCEPTUAL_GUARD:
-            break
-    return power
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -218,6 +219,15 @@ class TestConfigWiring:
     def test_out_of_range_override_is_config_error(self, config_path):
         with pytest.raises(ConfigError, match="m_max"):
             load_config(config_path).with_overrides(m_max=0)
+
+    def test_configs_are_built_from_the_echoed_values(self, config_path):
+        plan = load_config(config_path)
+        replaced = dataclasses.replace(plan, values=tuple(dict(plan.values, seed=7).items()))
+        assert replaced.round_config.seed == replaced.skew_config.seed == 7
+        assert canonical_dict(replaced)["seed"] == 7
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(plan, round_config=plan.round_config)
+        assert hash(plan) == hash(load_config(config_path))
 
 
 class TestConfigTyping:
